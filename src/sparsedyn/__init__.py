@@ -32,13 +32,11 @@ from .evaluate import (
 )
 from .generate import GenSpec, gen_illustrative, gen_random_system
 from .linalg import (
-    SvdResult,
     matrix_exponential,
     prox_l1,
     prox_nuclear,
     solve_lyapunov_continuous,
     solve_lyapunov_discrete,
-    svd,
 )
 from .model import (
     AssumptionReport,
@@ -89,7 +87,6 @@ __all__ = [
     "StabilityError",
     "SteadyState",
     "SufficientStats",
-    "SvdResult",
     "SystemParams",
     "Trajectory",
     "assumption_report",
@@ -122,7 +119,6 @@ __all__ = [
     "stability_margin",
     "steady_state",
     "sufficient_stats",
-    "svd",
     "theorem_constants",
     "theoretical_lambdas",
 ]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import datetime
 import json
 import logging
 import math
@@ -46,21 +47,25 @@ class PriceTable:
     filled_cells: int = 0
 
 
-def _time_key(raw: str, lineno: int):
+def _time_key(raw: str, lineno: int) -> float | datetime.date:
     text = raw.strip()
     try:
         return float(text)
     except ValueError:
         pass
-    # ISO dates order lexicographically; anything else is rejected.
-    parts = text.split("-")
-    if len(parts) == 3 and all(p.isdigit() for p in parts):
-        return text
-    raise DataError(f"line {lineno}: cannot order time value {raw!r} (use ISO dates or numbers)")
+    try:
+        return datetime.date.fromisoformat(text)
+    except ValueError:
+        raise DataError(
+            f"line {lineno}: cannot order time value {raw!r} (use ISO dates or numbers)"
+        ) from None
 
 
 def ingest_csv(path, missing: str = "reject") -> PriceTable:
     """Load a price CSV: header of series names, rows ``date,v1,...,vK``.
+
+    The time column holds either numbers or ISO dates (``YYYY-MM-DD``),
+    one kind per file, strictly increasing.
 
     ``missing = "reject"`` fails on any empty/unparseable cell, naming the
     row; ``missing = "ffill"`` forward-fills from the previous day and logs
@@ -91,7 +96,12 @@ def ingest_csv(path, missing: str = "reject") -> PriceTable:
             raise DataError(
                 f"line {lineno}: expected {len(header) + 1} fields, got {len(parts)}"
             )
-        keys.append(_time_key(parts[0], lineno))
+        key = _time_key(parts[0], lineno)
+        if keys and type(key) is not type(keys[0]):
+            raise DataError(
+                f"line {lineno}: time column mixes dates and numbers (saw {parts[0].strip()!r})"
+            )
+        keys.append(key)
         row = []
         for col, cell in zip(header, parts[1:]):
             cell = cell.strip()
@@ -111,9 +121,12 @@ def ingest_csv(path, missing: str = "reject") -> PriceTable:
         rows.append(row)
     if header is None or len(rows) < 2:
         raise DataError("price CSV needs a header and at least two data rows")
-    for a, b in zip(keys, keys[1:]):
-        if not a < b:
-            raise DataError(f"time column must be strictly increasing (saw {a!r} then {b!r})")
+    for i in range(len(keys) - 1):
+        if not keys[i] < keys[i + 1]:
+            raise DataError(
+                f"time column must be strictly increasing "
+                f"(saw {times[i]!r} then {times[i + 1]!r})"
+            )
     if filled:
         log.info("forward-filled %d missing cells", filled)
     return PriceTable(labels=header, times=times, values=np.asarray(rows), filled_cells=filled)
@@ -153,19 +166,15 @@ def _config_dict(args: argparse.Namespace, fields: list[str]) -> dict:
     return {name: getattr(args, name) for name in fields}
 
 
-def _load_trajectory(args: argparse.Namespace) -> sim.Trajectory:
+def _load_trajectory(args: argparse.Namespace) -> tuple[sim.Trajectory, list[str] | None]:
+    """The input trajectory and its series labels (``None`` for ``--data``)."""
     if getattr(args, "data", None):
-        return sim.trajectory_from_csv(Path(args.data).read_text())
+        return sim.trajectory_from_csv(Path(args.data).read_text()), None
     if getattr(args, "prices", None):
         table = ingest_csv(args.prices, missing=args.missing)
-        return price_trajectory(table, convert=args.convert, eta=args.price_eta)
+        traj = price_trajectory(table, convert=args.convert, eta=args.price_eta)
+        return traj, table.labels
     raise ConfigError("either --data or --prices is required")
-
-
-def _price_labels(args: argparse.Namespace) -> list[str] | None:
-    if getattr(args, "prices", None):
-        return ingest_csv(args.prices, missing=args.missing).labels
-    return None
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -203,7 +212,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    traj = _load_trajectory(args)
+    traj, labels = _load_trajectory(args)
     stats = sim.sufficient_stats(traj)
     config = _config_dict(
         args,
@@ -222,7 +231,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
     messages = [f"wrote estimate to {args.out} "
                 f"(iterations={est.iterations}, converged={est.converged})"]
     if args.graph_out or args.edges_out:
-        labels = _price_labels(args)
         graph = ev.export_dependency_graph(est.Ahat, zeta=args.zeta, labels=labels)
         if args.graph_out:
             _write(Path(args.graph_out), graph.to_dot())
@@ -261,7 +269,7 @@ def cmd_phase(args: argparse.Namespace) -> int:
 
 
 def cmd_cv(args: argparse.Namespace) -> int:
-    traj = _load_trajectory(args)
+    traj, _ = _load_trajectory(args)
     selection = ev.block_cross_validate(
         traj, args.grid_c, args.grid_d, chunk_count=args.chunks,
         mode=args.mode, s_ref=args.s_ref, r_ref=args.r_ref,
@@ -289,7 +297,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    traj = _load_trajectory(args)
+    traj, _ = _load_trajectory(args)
     est, _ = slv.estimate_from_json(Path(args.estimate).read_text())
     actuals = None
     history = traj

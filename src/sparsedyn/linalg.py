@@ -1,5 +1,5 @@
-"""Dense real-matrix primitives: SVD, matrix exponential, Lyapunov solvers,
-and the proximal operators of the l1 and nuclear norms.
+"""Dense real-matrix primitives: matrix exponential, Lyapunov solvers, the
+proximal operators of the l1 and nuclear norms, and the solver step size.
 
 Matrices are plain float64 ndarrays validated at the public entry points.
 All functions are pure; outputs are freshly allocated and safe to share.
@@ -7,17 +7,13 @@ All functions are pure; outputs are freshly allocated and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
 from .errors import ConstructionError, NumericalError, StabilityError
 
 __all__ = [
-    "SvdResult",
     "as_matrix",
-    "svd",
     "matrix_exponential",
     "solve_lyapunov_continuous",
     "solve_lyapunov_discrete",
@@ -40,41 +36,6 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
 def _require_square(m: np.ndarray, name: str) -> None:
     if m.shape[0] != m.shape[1]:
         raise ConstructionError(f"{name} must be square, got shape {m.shape}")
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Thin singular value decomposition ``M = U diag(S) V^T``.
-
-    ``U`` and ``V`` hold orthonormal columns; ``S`` is non-increasing and
-    non-negative.  Each column pair is oriented so the largest-magnitude
-    entry of the ``U`` column is positive, which makes the factorization
-    deterministic for golden tests.
-    """
-
-    U: np.ndarray
-    S: np.ndarray
-    V: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.U * self.S) @ self.V.T
-
-
-def svd(m) -> SvdResult:
-    """Thin SVD with the deterministic sign convention described above."""
-    m = as_matrix(m, "svd input")
-    try:
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge: {exc}") from exc
-    v = vh.T.copy()
-    u = u.copy()
-    for j in range(u.shape[1]):
-        pivot = np.argmax(np.abs(u[:, j]))
-        if u[pivot, j] < 0:
-            u[:, j] = -u[:, j]
-            v[:, j] = -v[:, j]
-    return SvdResult(U=u, S=s, V=v)
 
 
 def matrix_exponential(m) -> np.ndarray:
@@ -172,45 +133,28 @@ def prox_l1(m, tau: float) -> np.ndarray:
     return np.sign(m) * np.maximum(np.abs(m) - tau, 0.0)
 
 
-def prox_nuclear(m, tau: float) -> tuple[np.ndarray, int]:
-    """Singular value soft threshold; returns ``(matrix, rank)``.
+def prox_nuclear(m, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Singular value soft threshold; returns ``(matrix, shrunk)``.
 
     The proximal map of ``tau * ||.||_*``: singular values are shrunk by
-    ``tau`` and clipped at zero, and ``rank`` counts the survivors
-    (exact zeros after thresholding, no extra tolerance).
+    ``tau`` and clipped at zero.  ``shrunk`` holds them in non-increasing
+    order, so its sum is the nuclear norm of the returned matrix and
+    ``np.count_nonzero(shrunk)`` its rank (exact zeros, no tolerance).
     """
+    m = as_matrix(m, "prox_nuclear input")
     if tau < 0:
         raise ConstructionError("tau must be non-negative")
-    res = svd(m)
-    shrunk = np.maximum(res.S - tau, 0.0)
-    rank = int(np.count_nonzero(shrunk))
-    return (res.U * shrunk) @ res.V.T, rank
+    try:
+        u, s, vh = np.linalg.svd(m, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD did not converge: {exc}") from exc
+    shrunk = np.maximum(s - tau, 0.0)
+    return (u * shrunk) @ vh, shrunk
 
 
-def power_spectral_norm(s, iters: int = 50, tol: float = 1e-8) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration.
-
-    Deterministic start vector (a fixed ramp, so crafted symmetric inputs
-    whose top eigenvector is orthogonal to the all-ones vector still
-    converge).  Intended for solver step-size selection; not a general
-    spectral-norm routine.
-    """
+def power_spectral_norm(s) -> float:
+    """Largest eigenvalue of a symmetric matrix (the spectral norm when it
+    is PSD), computed exactly by ``eigvalsh``; sets the solver step size."""
     s = as_matrix(s, "power_spectral_norm input")
     _require_square(s, "power_spectral_norm input")
-    n = s.shape[0]
-    if n == 0:
-        return 0.0
-    v = 1.0 + np.arange(n) / max(n, 1)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = s @ v
-        norm = np.linalg.norm(w)
-        if norm <= 1e-300:
-            return 0.0
-        v = w / norm
-        new_lam = float(v @ (s @ v))
-        if abs(new_lam - lam) <= tol * max(abs(new_lam), 1.0):
-            return new_lam
-        lam = new_lam
-    return lam
+    return float(np.linalg.eigvalsh(s)[-1]) if s.size else 0.0

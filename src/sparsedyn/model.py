@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AssumptionError, ConstructionError, NumericalError
-from .linalg import as_matrix, solve_lyapunov_continuous, solve_lyapunov_discrete, svd
+from .linalg import as_matrix, solve_lyapunov_continuous, solve_lyapunov_discrete
 
 __all__ = [
     "SystemParams",
@@ -205,12 +205,12 @@ def incoherence_mu(l_mat, rank_tol: float = 1e-8) -> float:
     if l_mat.shape[0] != l_mat.shape[1]:
         raise ConstructionError("L must be square")
     p = l_mat.shape[0]
-    res = svd(l_mat)
-    if res.S.size == 0 or res.S[0] <= 0:
+    u, svals, vh = np.linalg.svd(l_mat)
+    if svals.size == 0 or svals[0] <= 0:
         return 0.0
-    k = int(np.count_nonzero(res.S > rank_tol * res.S[0]))
-    u = res.U[:, :k]
-    v = res.V[:, :k]
+    k = int(np.count_nonzero(svals > rank_tol * svals[0]))
+    u = u[:, :k]
+    v = vh[:k].T
     row_leverage = float(np.max(np.sum(u * u, axis=1)))
     col_leverage = float(np.max(np.sum(v * v, axis=1)))
     cross_inf = float(np.max(np.abs(u @ v.T)))

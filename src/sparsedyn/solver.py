@@ -9,14 +9,17 @@ a low-rank latent-effect matrix ``L`` by minimizing
 
 over both blocks.  The smooth part depends on the data only through the
 sufficient statistics, so one pass over the trajectory suffices and each
-iteration costs two p x p products plus one p x p SVD.  A pure-lasso mode
-pins ``L = 0`` and reproduces the latent-blind baseline.
+iteration costs two p x p products plus one p x p SVD (a momentum restart
+adds a second).  The nuclear-norm term of each iterate's objective is the
+sum of the singular values the prox step already shrank, so scoring an
+iterate needs no SVD of its own.  A pure-lasso mode pins ``L = 0`` and
+reproduces the latent-blind baseline.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,11 +46,10 @@ MODE_PURE_LASSO = "pure_lasso"
 class SolverConfig:
     """Weights, mode, and stopping rules for one fit.
 
-    ``step = None`` selects ``1 / (2 sigma_max(S1))``, the inverse of the
+    The step size is always ``1 / (2 sigma_max(S1))``, the inverse of the
     joint-block Lipschitz constant of the smooth gradient (the Hessian
     acts as ``[[S1, S1], [S1, S1]]``, whose largest eigenvalue is
-    ``2 sigma_max(S1)``).  ``restart`` enables function-value restarts,
-    which make the objective trace non-increasing.
+    ``2 sigma_max(S1)``).
     """
 
     lambda_a: float
@@ -55,8 +57,6 @@ class SolverConfig:
     mode: str = MODE_SPARSE_LOWRANK
     max_iter: int = 5000
     tol: float = 1e-8
-    step: float | None = None
-    restart: bool = True
 
     def __post_init__(self):
         if self.mode not in (MODE_SPARSE_LOWRANK, MODE_PURE_LASSO):
@@ -69,8 +69,6 @@ class SolverConfig:
             raise ConstructionError("max_iter must be at least 1")
         if self.tol <= 0:
             raise ConstructionError("tol must be positive")
-        if self.step is not None and self.step <= 0:
-            raise ConstructionError("step must be positive when given")
 
 
 @dataclass(frozen=True)
@@ -78,7 +76,7 @@ class Estimate:
     """Fitted pair plus solver diagnostics.
 
     ``objective_trace[k]`` is the objective after ``k`` iterations (entry 0
-    is the starting value); with restarts enabled it is non-increasing.
+    is the starting value); function-value restarts keep it non-increasing.
     """
 
     Ahat: np.ndarray
@@ -87,10 +85,6 @@ class Estimate:
     iterations: int = 0
     converged: bool = False
     step_used: float = 0.0
-
-
-def _nuclear_norm(m: np.ndarray) -> float:
-    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 
 def objective(
@@ -112,7 +106,7 @@ def objective(
     const = sq_increment_sum / (2.0 * stats.eta**2 * stats.n)
     penalty = lambda_a * float(np.sum(np.abs(a)))
     if lambda_l:
-        penalty += lambda_l * _nuclear_norm(l_mat)
+        penalty += lambda_l * float(np.linalg.norm(l_mat, "nuc"))
     return smooth + const + penalty
 
 
@@ -135,55 +129,50 @@ def fit(
     Each iteration extrapolates with the momentum sequence, takes one
     gradient step shared by both blocks, then applies the entrywise soft
     threshold to the ``A`` block and singular value thresholding to the
-    ``L`` block.  When ``config.restart`` is set and an accelerated step
-    would increase the objective, the momentum is reset and the iteration
-    falls back to a plain proximal gradient step from the previous
-    iterate, which cannot increase the objective at this step size; if
-    even that step makes no progress the solver stops.  Stops when the
-    relative objective change drops below ``config.tol``.
+    ``L`` block, which is the iteration's one SVD.  When an accelerated
+    step would increase the objective, the momentum is reset and the
+    iteration falls back to a plain proximal gradient step from the
+    previous iterate, which cannot increase the objective at this step
+    size; if even that step makes no progress the solver stops.  Stops when
+    the relative objective change drops below ``config.tol``.
     """
     p = stats.S1.shape[0]
     if stats.S2.shape != (p, p):
         raise ConstructionError("S1/S2 shape mismatch")
     lasso = config.mode == MODE_PURE_LASSO
-    step = config.step
-    if step is None:
-        smax = power_spectral_norm(stats.S1)
-        step = 1.0 / (2.0 * smax) if smax > 0 else 1.0
+    smax = power_spectral_norm(stats.S1)
+    step = 1.0 / (2.0 * smax) if smax > 0 else 1.0
 
-    def prox_pair(ya: np.ndarray, yl: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def prox_step(ya: np.ndarray, yl: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """One proximal gradient step from ``(ya, yl)`` and its objective;
+        the nuclear norm of the new ``L`` is the sum of its shrunk values."""
         grad = smooth_gradient(ya + yl, stats)
         a_new = prox_l1(ya - step * grad, step * config.lambda_a)
         if lasso:
-            return a_new, yl
-        l_new, _ = prox_nuclear(yl - step * grad, step * config.lambda_l)
-        return a_new, l_new
-
-    def value(a: np.ndarray, l_mat: np.ndarray) -> float:
-        return objective(
-            a, l_mat, stats, sq_increment_sum,
-            config.lambda_a, 0.0 if lasso else config.lambda_l,
-        )
+            l_new, nuclear = yl, 0.0
+        else:
+            l_new, shrunk = prox_nuclear(yl - step * grad, step * config.lambda_l)
+            nuclear = config.lambda_l * float(shrunk.sum())
+        smooth_l1 = objective(a_new, l_new, stats, sq_increment_sum, config.lambda_a, 0.0)
+        return a_new, l_new, smooth_l1 + nuclear
 
     a = np.zeros((p, p))
     l_mat = np.zeros((p, p))
     ya, yl = a, l_mat
     t_momentum = 1.0
-    obj = value(a, l_mat)
+    obj = objective(a, l_mat, stats, sq_increment_sum, config.lambda_a, 0.0)
     trace = [obj]
     converged = False
     iterations = 0
 
     for k in range(1, config.max_iter + 1):
-        a_new, l_new = prox_pair(ya, yl)
-        obj_new = value(a_new, l_new)
+        a_new, l_new, obj_new = prox_step(ya, yl)
         if not np.isfinite(obj_new):
             raise DivergenceError(f"objective became non-finite at iteration {k}")
-        if config.restart and obj_new > obj:
+        if obj_new > obj:
             # Momentum overshot: restart from the last accepted iterate.
             t_momentum = 1.0
-            a_new, l_new = prox_pair(a, l_mat)
-            obj_new = value(a_new, l_new)
+            a_new, l_new, obj_new = prox_step(a, l_mat)
             if not np.isfinite(obj_new):
                 raise DivergenceError(f"objective became non-finite at iteration {k}")
             if obj_new > obj:
@@ -220,15 +209,7 @@ def fit_lasso(
     """Latent-blind baseline: identical to :func:`fit` with ``L`` pinned
     to zero (no nuclear-norm proximal step, no ``L`` update)."""
     if config.mode != MODE_PURE_LASSO:
-        config = SolverConfig(
-            lambda_a=config.lambda_a,
-            lambda_l=0.0,
-            mode=MODE_PURE_LASSO,
-            max_iter=config.max_iter,
-            tol=config.tol,
-            step=config.step,
-            restart=config.restart,
-        )
+        config = replace(config, lambda_l=0.0, mode=MODE_PURE_LASSO)
     return fit(stats, sq_increment_sum, config)
 
 

@@ -1,8 +1,14 @@
+import datetime
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sparsedyn.cli as cli_module
 from sparsedyn.cli import ingest_csv, price_trajectory, run
 from sparsedyn.errors import DataError
 from sparsedyn.rng import CounterRng
@@ -42,6 +48,58 @@ def test_ingest_requires_increasing_times(tmp_path):
     path.write_text("date,AAA\n2020-01-02,10.0\n2020-01-01,11.0\n")
     with pytest.raises(DataError, match="strictly increasing"):
         ingest_csv(path)
+
+
+def _write_prices(directory, stamps) -> Path:
+    path = Path(directory) / "prices.csv"
+    lines = ["date,A"] + [f"{t},{10.0 + i}" for i, t in enumerate(stamps)]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+_DATES = st.dates(min_value=datetime.date(1900, 1, 1), max_value=datetime.date(2100, 12, 31))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_DATES, min_size=2, max_size=8, unique=True))
+def test_ingest_accepts_iso_dates_only_in_calendar_order(dates):
+    stamps = [d.isoformat() for d in dates]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_prices(tmp, stamps)
+        if dates == sorted(dates):
+            assert ingest_csv(path).times == stamps
+        else:
+            with pytest.raises(DataError, match="strictly increasing"):
+                ingest_csv(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_DATES, min_size=2, max_size=8, unique=True))
+def test_ingest_never_orders_unpadded_dates_as_strings(dates):
+    # Written without zero padding, "2024-10-1" < "2024-9-30" as strings:
+    # rows in string order must be rejected unless that is calendar order.
+    by_stamp = {f"{d.year}-{d.month}-{d.day}": d for d in dates}
+    stamps = sorted(by_stamp)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_prices(tmp, stamps)
+        try:
+            ingest_csv(path)
+        except DataError:
+            return
+    in_file_order = [by_stamp[t] for t in stamps]
+    assert in_file_order == sorted(in_file_order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.booleans(), min_size=2, max_size=8).filter(lambda kinds: len(set(kinds)) == 2))
+def test_ingest_rejects_mixed_time_kinds(kinds):
+    start = datetime.date(2020, 1, 1)
+    stamps = [(start + datetime.timedelta(days=i)).isoformat() if is_date else str(i)
+              for i, is_date in enumerate(kinds)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_prices(tmp, stamps)
+        with pytest.raises(DataError, match="mixes dates and numbers"):
+            ingest_csv(path)
 
 
 def test_ingest_synthetic_paper_scale(tmp_path):
@@ -206,7 +264,15 @@ def test_cli_config_file_must_exist(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:ConfigError")
 
 
-def test_cli_fit_on_prices(tmp_path):
+def test_cli_fit_on_prices(tmp_path, monkeypatch):
+    calls = []
+    real_ingest = cli_module.ingest_csv
+
+    def counting_ingest(*args, **kwargs):
+        calls.append(args)
+        return real_ingest(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "ingest_csv", counting_ingest)
     rng = CounterRng(31)
     values = 20.0 + np.cumsum(rng.normal_matrix(60, 3) * 0.1, axis=0)
     lines = ["date,A,B,C"]
@@ -216,9 +282,28 @@ def test_cli_fit_on_prices(tmp_path):
     prices.write_text("\n".join(lines) + "\n")
     est_path = tmp_path / "est.json"
     edges_path = tmp_path / "edges.csv"
+    graph_path = tmp_path / "graph.dot"
     assert run(["fit", "--prices", str(prices), "--convert", "log",
-                "--lambda-a", "0.05", "--lambda-l", "0.1",
+                "--lambda-a", "0.05", "--lambda-l", "0.1", "--graph-out", str(graph_path),
                 "--edges-out", str(edges_path), "--out", str(est_path)]) == 0
     doc = json.loads(est_path.read_text())
     assert np.asarray(doc["Ahat"]).shape == (3, 3)
     assert edges_path.read_text().startswith("source,target")
+    # One parse serves the trajectory and the graph labels.
+    assert len(calls) == 1
+    assert all(f'label="{name}"' in graph_path.read_text() for name in "ABC")
+
+
+@pytest.mark.parametrize("stamps", [
+    ["2024-10-01", "2024-9-30"],
+    ["1", "2024-01-02"],
+    ["2024-01-01", "2"],
+])
+def test_cli_bad_time_column_is_one_error_line(tmp_path, capsys, stamps):
+    prices = _write_prices(tmp_path, stamps)
+    code = run(["fit", "--prices", str(prices), "--lambda-a", "0.1", "--lambda-l", "0.1",
+                "--out", str(tmp_path / "est.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:DataError:")
+    assert err.count("\n") == 1

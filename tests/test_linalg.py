@@ -9,7 +9,6 @@ from sparsedyn.linalg import (
     prox_nuclear,
     solve_lyapunov_continuous,
     solve_lyapunov_discrete,
-    svd,
 )
 from sparsedyn.rng import CounterRng
 
@@ -21,48 +20,6 @@ from reference import (
     random_stable_matrix,
     taylor_expm,
 )
-
-
-# ---------------------------------------------------------------- svd
-
-
-def test_svd_identity():
-    res = svd(np.eye(3))
-    assert np.allclose(res.S, [1.0, 1.0, 1.0])
-
-
-def test_svd_diagonal_with_sign():
-    res = svd(np.diag([3.0, -2.0]))
-    assert np.allclose(res.S, [3.0, 2.0])
-    assert np.allclose(res.reconstruct(), np.diag([3.0, -2.0]), atol=1e-12)
-
-
-def test_svd_reconstruction_random():
-    m = CounterRng(2024).normal_matrix(5, 4)
-    res = svd(m)
-    err = np.linalg.norm(res.reconstruct() - m) / np.linalg.norm(m)
-    assert err < 1e-8
-
-
-def test_svd_orthonormal_columns():
-    m = CounterRng(7).normal_matrix(6, 3)
-    res = svd(m)
-    assert np.linalg.norm(res.U.T @ res.U - np.eye(3)) < 1e-10
-    assert np.linalg.norm(res.V.T @ res.V - np.eye(3)) < 1e-10
-    assert np.all(np.diff(res.S) <= 1e-15)
-
-
-def test_svd_sign_convention():
-    m = CounterRng(31).normal_matrix(4, 4)
-    res = svd(m)
-    for j in range(4):
-        col = res.U[:, j]
-        assert col[np.argmax(np.abs(col))] > 0
-
-
-def test_svd_rejects_nonfinite():
-    with pytest.raises(ConstructionError):
-        svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 # ------------------------------------------------- matrix exponential
@@ -214,16 +171,17 @@ def test_prox_l1_nonexpansive():
 
 
 def test_prox_nuclear_diagonal():
-    out, rank = prox_nuclear(np.diag([3.0, 0.5]), 1.0)
+    out, shrunk = prox_nuclear(np.diag([3.0, 0.5]), 1.0)
     assert np.allclose(out, np.diag([2.0, 0.0]), atol=1e-12)
-    assert rank == 1
+    assert np.array_equal(shrunk, [2.0, 0.0])
+    assert np.count_nonzero(shrunk) == 1
 
 
 def test_prox_nuclear_large_tau_gives_zero():
     m = CounterRng(5).normal_matrix(4, 4)
     tau = np.linalg.norm(m, 2) + 0.1
-    out, rank = prox_nuclear(m, tau)
-    assert rank == 0
+    out, shrunk = prox_nuclear(m, tau)
+    assert np.count_nonzero(shrunk) == 0
     assert np.allclose(out, 0.0)
 
 
@@ -254,6 +212,19 @@ def test_prox_nuclear_unitarily_invariant():
     assert np.linalg.norm(direct - qu @ inner @ qv.T) < 1e-10
 
 
+def test_prox_nuclear_shrunk_values_are_output_singular_values():
+    m = CounterRng(13).normal_matrix(5, 5)
+    out, shrunk = prox_nuclear(m, 0.6)
+    assert np.all(np.diff(shrunk) <= 0)
+    assert np.allclose(np.linalg.svd(out, compute_uv=False), shrunk, atol=1e-12)
+    assert abs(np.linalg.norm(out, "nuc") - shrunk.sum()) < 1e-12 * shrunk.sum()
+
+
+def test_prox_nuclear_rejects_nonfinite():
+    with pytest.raises(ConstructionError):
+        prox_nuclear(np.array([[np.nan, 0.0], [0.0, 1.0]]), 0.1)
+
+
 def test_prox_rejects_negative_tau():
     with pytest.raises(ConstructionError):
         prox_l1(np.eye(2), -0.1)
@@ -261,7 +232,7 @@ def test_prox_rejects_negative_tau():
         prox_nuclear(np.eye(2), -0.1)
 
 
-# ------------------------------------------------- power iteration
+# ------------------------------------------------------ step size
 
 
 def test_power_spectral_norm_matches_eigvalsh():

@@ -7,6 +7,7 @@ from sparsedyn.generate import GenSpec, gen_illustrative, gen_random_system
 from sparsedyn.model import steady_state
 from sparsedyn.rng import CounterRng
 from sparsedyn.simulate import (
+    SufficientStats,
     Trajectory,
     simulate_continuous,
     sufficient_stats,
@@ -167,11 +168,59 @@ def test_fit_trace_non_increasing_with_restart():
         assert np.all(np.diff(trace) <= 1e-12 * np.maximum(1.0, np.abs(trace[:-1])))
 
 
-def test_fit_plain_fista_available():
-    stats, _ = _stats_from_system(seed=40, p=4, r=2, s=1, n=80)
+def test_fit_one_svd_per_prox_step(monkeypatch):
+    # Scoring an iterate reuses the prox step's singular values, so every
+    # SVD in a fit is the one inside prox_nuclear (one per iteration, plus
+    # one per restart).
+    import sparsedyn.solver as solver_module
+
+    counts = {"svd": 0, "prox": 0}
+    real_svd = np.linalg.svd
+    real_prox = solver_module.prox_nuclear
+
+    def counting_svd(*args, **kwargs):
+        counts["svd"] += 1
+        return real_svd(*args, **kwargs)
+
+    def counting_prox(*args, **kwargs):
+        counts["prox"] += 1
+        return real_prox(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    # np.linalg.norm(..., "nuc") reaches svd through numpy's implementation module.
+    impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    monkeypatch.setattr(impl, "svd", counting_svd)
+    monkeypatch.setattr(solver_module, "prox_nuclear", counting_prox)
+    stats, _ = _stats_from_system(seed=30, p=4, r=2, s=1, n=80)
     est = fit(stats, stats.sq_increment_sum,
-              SolverConfig(lambda_a=0.05, lambda_l=0.1, restart=False, max_iter=300))
-    assert np.isfinite(est.objective_trace).all()
+              SolverConfig(lambda_a=0.05, lambda_l=0.1, max_iter=500, tol=1e-10))
+    assert counts["prox"] >= est.iterations > 1
+    assert counts["svd"] == counts["prox"]
+
+
+def test_fit_trace_ends_at_public_objective():
+    for seed in range(4):
+        stats, _ = _stats_from_system(seed=50 + seed, p=4, r=2, s=1, n=80)
+        lam_a, lam_l = 0.05 * (seed + 1), 0.1
+        est = fit(stats, stats.sq_increment_sum,
+                  SolverConfig(lambda_a=lam_a, lambda_l=lam_l, max_iter=500, tol=1e-10))
+        assert np.linalg.norm(est.Lhat, "nuc") > 1.0  # the nuclear term is in play
+        public = objective(est.Ahat, est.Lhat, stats, stats.sq_increment_sum, lam_a, lam_l)
+        assert abs(est.objective_trace[-1] - public) <= 1e-12 * abs(public)
+
+
+def test_fit_step_is_exact_on_near_degenerate_s1():
+    # Top two eigenvalues 1 and 0.999: a power iteration stalls short of
+    # lambda_max here, which would make the step larger than 1/L.
+    rng = CounterRng(17)
+    q, _ = np.linalg.qr(rng.normal_matrix(5, 5))
+    s1 = (q * np.array([1.0, 0.999, 0.5, 0.3, 0.1])) @ q.T
+    s1 = 0.5 * (s1 + s1.T)
+    stats = SufficientStats(S1=s1, S2=0.3 * rng.normal_matrix(5, 5), n=100, eta=0.1,
+                            sq_increment_sum=10.0)
+    est = fit(stats, stats.sq_increment_sum,
+              SolverConfig(lambda_a=0.01, lambda_l=0.02, max_iter=5))
+    assert est.step_used == 1.0 / (2.0 * np.linalg.eigvalsh(s1)[-1])
 
 
 def test_fit_fixed_point_after_convergence():
