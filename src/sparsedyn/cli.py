@@ -1,4 +1,5 @@
-"""Command-line entry point.
+"""Command-line entry point: it parses arguments and dispatches to the
+library modules; every table goes through ``csvio``.
 
 Subcommands cover the full experiment pipeline: ``gen`` (system JSON),
 ``simulate`` (trajectory CSV), ``fit`` (estimate JSON plus optional graph
@@ -15,12 +16,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import datetime
 import json
 import logging
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,131 +29,11 @@ from . import generate as gen
 from . import model as mdl
 from . import simulate as sim
 from . import solver as slv
-from .errors import ConfigError, DataError, SparsedynError
+from .csvio import ingest_csv, number, write_table
+from .errors import ConfigError, SparsedynError
+from .simulate import price_trajectory
 
-log = logging.getLogger("sparsedyn")
-
-__all__ = ["PriceTable", "ingest_csv", "price_trajectory", "run", "main"]
-
-
-@dataclass(frozen=True)
-class PriceTable:
-    """Parsed daily price panel: one row per day, one column per series."""
-
-    labels: list[str]
-    times: list[str]
-    values: np.ndarray
-    filled_cells: int = 0
-
-
-def _time_key(raw: str, lineno: int) -> float | datetime.date:
-    text = raw.strip()
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    try:
-        return datetime.date.fromisoformat(text)
-    except ValueError:
-        raise DataError(
-            f"line {lineno}: cannot order time value {raw!r} (use ISO dates or numbers)"
-        ) from None
-
-
-def ingest_csv(path, missing: str = "reject") -> PriceTable:
-    """Load a price CSV: header of series names, rows ``date,v1,...,vK``.
-
-    The time column holds either numbers or ISO dates (``YYYY-MM-DD``),
-    one kind per file, strictly increasing.
-
-    ``missing = "reject"`` fails on any empty/unparseable cell, naming the
-    row; ``missing = "ffill"`` forward-fills from the previous day and logs
-    the fill count.
-    """
-    if missing not in ("reject", "ffill"):
-        raise ConfigError(f"missing policy must be 'reject' or 'ffill', got {missing!r}")
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"price file not found: {path}")
-    lines = path.read_text().splitlines()
-    header = None
-    times: list[str] = []
-    rows: list[list[float]] = []
-    keys = []
-    filled = 0
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split(",")
-        if header is None:
-            if len(parts) < 2:
-                raise DataError(f"line {lineno}: header must name at least one series")
-            header = [h.strip() for h in parts[1:]]
-            continue
-        if len(parts) != len(header) + 1:
-            raise DataError(
-                f"line {lineno}: expected {len(header) + 1} fields, got {len(parts)}"
-            )
-        key = _time_key(parts[0], lineno)
-        if keys and type(key) is not type(keys[0]):
-            raise DataError(
-                f"line {lineno}: time column mixes dates and numbers (saw {parts[0].strip()!r})"
-            )
-        keys.append(key)
-        row = []
-        for col, cell in zip(header, parts[1:]):
-            cell = cell.strip()
-            value = None
-            if cell:
-                try:
-                    value = float(cell)
-                except ValueError:
-                    value = None
-            if value is None or not math.isfinite(value):
-                if missing == "reject" or not rows:
-                    raise DataError(f"line {lineno}: missing value in column {col!r}")
-                value = rows[-1][len(row)]
-                filled += 1
-            row.append(value)
-        times.append(parts[0].strip())
-        rows.append(row)
-    if header is None or len(rows) < 2:
-        raise DataError("price CSV needs a header and at least two data rows")
-    for i in range(len(keys) - 1):
-        if not keys[i] < keys[i + 1]:
-            raise DataError(
-                f"time column must be strictly increasing "
-                f"(saw {times[i]!r} then {times[i + 1]!r})"
-            )
-    if filled:
-        log.info("forward-filled %d missing cells", filled)
-    return PriceTable(labels=header, times=times, values=np.asarray(rows), filled_cells=filled)
-
-
-def price_trajectory(table: PriceTable, convert: str = "raw", eta: float = 1.0) -> sim.Trajectory:
-    """Turn a price table into a model trajectory.
-
-    ``convert`` selects the series fed to the model: raw prices, log
-    prices, or simple returns.  ``eta`` is the model time per row (one day
-    by default).
-    """
-    values = table.values
-    if convert == "raw":
-        x = values
-    elif convert == "log":
-        if np.any(values <= 0):
-            raise DataError("log conversion requires strictly positive prices")
-        x = np.log(values)
-    elif convert == "returns":
-        if np.any(values[:-1] == 0):
-            raise DataError("returns conversion divides by zero price")
-        x = np.diff(values, axis=0) / values[:-1]
-    else:
-        raise ConfigError(f"unknown conversion {convert!r}")
-    if x.shape[0] < 2:
-        raise DataError("not enough rows after conversion")
-    return sim.Trajectory(x=x, eta=eta)
+__all__ = ["run", "main"]
 
 
 def _write(path: Path, content: str) -> None:
@@ -248,6 +127,9 @@ def cmd_phase(args: argparse.Namespace) -> int:
         p=args.p, r=args.r, s=args.s, seed=0,
         diag_margin=args.diag_margin, eta=0.0,
     )
+    for flag, values in (("--etas", args.etas), ("--thetas", args.thetas)):
+        if not all(math.isfinite(v) and v > 0 for v in values):
+            raise ConfigError(f"{flag} must be finite and positive, got {values}")
     sweep = []
     for eta in args.etas:
         for theta in args.thetas:
@@ -279,15 +161,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
         ["data", "prices", "convert", "price_eta", "grid_c", "grid_d",
          "chunks", "mode", "s_ref", "r_ref"],
     )
-    doc = {
-        "config": config,
-        "c": selection.c,
-        "d": selection.d,
-        "lambda_a": selection.lambda_a,
-        "lambda_l": selection.lambda_l,
-        "errors": selection.errors,
-        "fold_spans": [list(span) for span in selection.fold_spans],
-    }
+    doc = {"config": config, **dataclasses.asdict(selection)}
     _write(Path(args.out), json.dumps(doc, sort_keys=True, indent=2) + "\n")
     print(
         f"selected c={selection.c:.6g}, d={selection.d:.6g} "
@@ -311,15 +185,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
         actuals = traj.x[start: start + args.horizon]
     preds, mse = ev.predict(est.Ahat, est.Lhat, history, args.horizon, actuals)
     config = _config_dict(args, ["data", "prices", "estimate", "horizon", "holdout"])
-    lines = ["# config: " + json.dumps(config, sort_keys=True)]
+    comments = ["config: " + json.dumps(config, sort_keys=True)]
     if mse is not None:
-        lines.append(f"# mse: {mse:.17g}")
-    t0 = (history.x.shape[0] - 1) * history.eta
-    body = ["step," + ",".join(f"x{j + 1}" for j in range(history.p))]
-    for k in range(preds.shape[0]):
-        body.append(f"{t0 + (k + 1) * history.eta:.17g},"
-                    + ",".join(f"{v:.17g}" for v in preds[k]))
-    _write(Path(args.out), "\n".join(lines + body) + "\n")
+        comments.append("mse: " + number(mse))
+    steps = history.n * history.eta + np.arange(1, preds.shape[0] + 1) * history.eta
+    header = ["step"] + [f"x{j + 1}" for j in range(history.p)]
+    _write(Path(args.out), write_table(header, np.column_stack([steps, preds]), comments))
     print(f"wrote {preds.shape[0]}-step forecast to {args.out}"
           + (f"; mse={mse:.6g}" if mse is not None else ""))
     return 0
@@ -411,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--eta", type=float, default=0.0)
     p_gen.add_argument("--diag-margin", dest="diag_margin", type=float, default=1.0)
-    p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=cmd_gen)
 
     p_sim = sub.add_parser("simulate", help="simulate a trajectory")
@@ -422,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sampling step (required for continuous modes)")
     p_sim.add_argument("--bins", type=int, default=10)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--out", required=True)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_fit = sub.add_parser("fit", help="fit the sparse + low-rank estimator")
@@ -437,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="support threshold for graph export")
     p_fit.add_argument("--graph-out", dest="graph_out", default=None)
     p_fit.add_argument("--edges-out", dest="edges_out", default=None)
-    p_fit.add_argument("--out", required=True)
     p_fit.set_defaults(func=cmd_fit)
 
     p_phase = sub.add_parser("phase", help="run a recovery phase-transition sweep")
@@ -453,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_phase.add_argument("--bins", type=int, default=10)
     p_phase.add_argument("--diag-margin", dest="diag_margin", type=float, default=1.0)
     p_phase.add_argument("--zeta", type=float, default=None)
-    p_phase.add_argument("--out", required=True)
     p_phase.set_defaults(func=cmd_phase)
 
     p_cv = sub.add_parser("cv", help="cross-validate regularizer constants")
@@ -465,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=[slv.MODE_SPARSE_LOWRANK, slv.MODE_PURE_LASSO])
     p_cv.add_argument("--s-ref", dest="s_ref", type=int, default=1)
     p_cv.add_argument("--r-ref", dest="r_ref", type=int, default=1)
-    p_cv.add_argument("--out", required=True)
     p_cv.set_defaults(func=cmd_cv)
 
     p_pred = sub.add_parser("predict", help="forecast with a fitted estimate")
@@ -474,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--horizon", type=int, default=25)
     p_pred.add_argument("--holdout", type=int, default=0,
                         help="hold out the trailing samples and score against them")
-    p_pred.add_argument("--out", required=True)
     p_pred.set_defaults(func=cmd_predict)
 
     p_check = sub.add_parser("check", help="evaluate model assumptions for a system")
@@ -484,10 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--K", type=float, default=3.0e6)
     p_check.add_argument("--horizon", type=float, default=None,
                          help="observation horizon T (for continuous systems)")
-    p_check.add_argument("--out", required=True)
     p_check.set_defaults(func=cmd_check)
 
     for sub_parser in sub.choices.values():
+        sub_parser.add_argument("--out", required=True)
         sub_parser.add_argument(
             "--config", metavar="FILE",
             help="JSON object of parameter defaults; explicit flags win",

@@ -1,0 +1,176 @@
+"""The one CSV format of every numeric table, and the price-panel reader.
+
+A table is optional ``# `` comment lines, a header of column names, then
+one row per line; cells are ``,``-separated and numbers are written as
+``%.17g`` (exact for float64).  Readers skip blank and ``#`` lines anywhere.
+"""
+
+from __future__ import annotations
+
+import datetime
+import logging
+import math
+from collections import Counter
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+
+from .errors import ConfigError, DataError
+
+log = logging.getLogger("sparsedyn")
+
+__all__ = ["Table", "read_table", "require_complete", "write_table", "number",
+           "PriceTable", "ingest_csv"]
+
+_NUMBER = "%.17g"
+
+
+def number(value: float) -> str:
+    """A number as every table writes it."""
+    return _NUMBER % value
+
+
+def write_table(header: list[str], rows, comments: list[str] | None = None) -> str:
+    """Comment lines, the header, then one line per row of ``rows`` (any
+    array-like of numbers, one column per header name); integers below
+    2**53 keep their digits."""
+    values = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header))
+    line = ",".join([_NUMBER] * len(header)) + "\n"
+    parts = [f"# {comment}\n" for comment in comments or []]
+    parts.append(",".join(header) + "\n")
+    # Blocks of rows keep the Python floats of only one block alive.
+    for start in range(0, len(values), 4096):
+        parts.append("".join(line % tuple(row) for row in values[start:start + 4096].tolist()))
+    return "".join(parts)
+
+
+def _cell(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+@dataclass(frozen=True)
+class Table:
+    """Row ``i`` of a parsed table came from line ``lines[i]``; ``keys[i]``
+    is its first cell as text and ``values[i]`` every cell as a float, nan
+    where the cell is not a finite number.  ``header_line`` is 0 when the
+    text has no header."""
+
+    header: list[str]
+    header_line: int
+    lines: list[int]
+    keys: list[str]
+    values: np.ndarray
+
+
+def read_table(text: str) -> Table:
+    """Parse a table; a header without a value column, or a row with the
+    wrong field count, is a ``DataError`` naming its line."""
+    header, header_line, lines, keys = [], 0, [], []
+    text_lines = text.splitlines()
+    values = np.empty((0, 0))
+    for lineno, line in enumerate(text_lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        cells = stripped.split(",")
+        if not header_line:
+            if len(cells) < 2:
+                raise DataError(f"line {lineno}: header must name at least one series")
+            header, header_line = [name.strip() for name in cells], lineno
+            # Rows go straight into one array with room for every line left,
+            # so the file never exists as lists of Python floats.
+            values = np.empty((len(text_lines) - lineno, len(header)))
+            continue
+        if len(cells) != len(header):
+            raise DataError(f"line {lineno}: expected {len(header)} fields, got {len(cells)}")
+        values[len(lines)] = list(map(_cell, cells))
+        lines.append(lineno)
+        keys.append(cells[0].strip())
+    values = values[:len(lines)]
+    values[~np.isfinite(values)] = np.nan
+    return Table(header=header, header_line=header_line, lines=lines, keys=keys, values=values)
+
+
+def require_complete(table: Table) -> None:
+    """``DataError`` naming the line and column of the first value cell (the
+    key column is its owner's to check), in file order, that is not a
+    finite number."""
+    bad = np.argwhere(np.isnan(table.values[:, 1:]))
+    if bad.size:
+        row, column = bad[0]
+        raise DataError(f"line {table.lines[row]}: missing value in column "
+                        f"{table.header[column + 1]!r}")
+
+
+@dataclass(frozen=True)
+class PriceTable:
+    """Parsed daily price panel: one row per day, one column per series."""
+
+    labels: list[str]
+    times: list[str]
+    values: np.ndarray
+    filled_cells: int = 0
+
+
+def _time_key(text: str, lineno: int) -> float | datetime.date:
+    key = _cell(text)
+    if math.isfinite(key):
+        return key
+    try:
+        return datetime.date.fromisoformat(text)
+    except ValueError:
+        raise DataError(
+            f"line {lineno}: cannot order time value {text!r} (use ISO dates or numbers)"
+        ) from None
+
+
+def ingest_csv(path, missing: str = "reject") -> PriceTable:
+    """Load a price CSV: header of series names, rows ``date,v1,...,vK``.
+
+    The time column holds either numbers or ISO dates (``YYYY-MM-DD``),
+    one kind per file, strictly increasing.  Series names must be
+    non-empty and distinct.
+
+    ``missing = "reject"`` fails on any empty/unparseable cell, naming the
+    row; ``missing = "ffill"`` forward-fills from the previous day and logs
+    the fill count.
+    """
+    if missing not in ("reject", "ffill"):
+        raise ConfigError(f"missing policy must be 'reject' or 'ffill', got {missing!r}")
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"price file not found: {path}")
+    table = read_table(path.read_text())
+    labels = table.header[1:]
+    empty = [k + 2 for k, label in enumerate(labels) if not label]
+    if empty:
+        raise DataError(f"line {table.header_line}: empty series name in column(s) {empty}")
+    repeated = sorted(label for label, count in Counter(labels).items() if count > 1)
+    if repeated:
+        raise DataError(f"line {table.header_line}: duplicate series name(s) {repeated}")
+    times = table.keys
+    keys = [_time_key(text, lineno) for lineno, text in zip(table.lines, times)]
+    values = table.values[:, 1:]
+    holes = np.isnan(values)
+    if missing == "ffill":
+        # The first row has nothing to fill from; require_complete names it.
+        for i in np.flatnonzero(holes[1:].any(axis=1)) + 1:
+            values[i, holes[i]] = values[i - 1, holes[i]]
+    require_complete(table)
+    if len(keys) < 2:
+        raise DataError("price CSV needs a header and at least two data rows")
+    for i in range(1, len(keys)):
+        if type(keys[i]) is not type(keys[0]):
+            raise DataError(f"line {table.lines[i]}: time column mixes dates and numbers "
+                            f"(saw {times[i]!r})")
+        if not keys[i - 1] < keys[i]:
+            raise DataError(f"time column must be strictly increasing "
+                            f"(saw {times[i - 1]!r} then {times[i]!r})")
+    filled = int(np.count_nonzero(holes))
+    if filled:
+        log.info("forward-filled %d missing cells", filled)
+    return PriceTable(labels=labels, times=times, values=values.copy(), filled_cells=filled)

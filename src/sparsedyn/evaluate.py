@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
+from .csvio import write_table
 from .errors import ConfigError, ConstructionError, DivergenceError
 from .generate import GenSpec, gen_random_system
 from .model import control_parameter, steady_state
@@ -43,8 +44,6 @@ __all__ = [
     "DependencyGraph",
     "export_dependency_graph",
 ]
-
-PHASE_CSV_HEADER = "p,r,s,eta,n,theta,trials,successes,success_rate"
 
 
 def default_support_threshold(ahat: np.ndarray) -> float:
@@ -131,17 +130,9 @@ class PhaseResult:
     rows: list[PhasePoint]
 
     def to_csv(self, comments: list[str] | None = None) -> str:
-        buf = io.StringIO()
-        for line in comments or []:
-            buf.write(f"# {line}\n")
-        buf.write(PHASE_CSV_HEADER + "\n")
-        for row in self.rows:
-            buf.write(
-                f"{row.p},{row.r},{row.s},{row.eta:.17g},{row.n},"
-                f"{row.theta:.17g},{row.trials},{row.successes},"
-                f"{row.success_rate:.17g}\n"
-            )
-        return buf.getvalue()
+        header = ["p", "r", "s", "eta", "n", "theta", "trials", "successes", "success_rate"]
+        rows = [[*astuple(row), row.success_rate] for row in self.rows]
+        return write_table(header, rows, comments)
 
 
 def lambda_pair_from_constants(
@@ -364,7 +355,11 @@ def predict(
     """
     if horizon < 1:
         raise ConstructionError("horizon must be at least 1")
-    m_sum = np.asarray(ahat, dtype=float) + np.asarray(lhat, dtype=float)
+    ahat, lhat = np.asarray(ahat, dtype=float), np.asarray(lhat, dtype=float)
+    if not ahat.shape == lhat.shape == (history.p, history.p):
+        raise ConstructionError(f"Ahat and Lhat must have shape {(history.p, history.p)} to "
+                                f"match the history, got {ahat.shape} and {lhat.shape}")
+    m_sum = ahat + lhat
     state = history.x[-1].copy()
     preds = np.empty((horizon, history.p))
     for k in range(horizon):
@@ -398,7 +393,8 @@ class DependencyGraph:
         buf = io.StringIO()
         buf.write("graph dependencies {\n")
         for idx, label in enumerate(self.labels):
-            buf.write(f'  n{idx} [label="{label}"];\n')
+            quoted = label.replace("\\", "\\\\").replace('"', '\\"')
+            buf.write(f'  n{idx} [label="{quoted}"];\n')
         for i, j in self.edges:
             buf.write(f"  n{i} -- n{j};\n")
         buf.write("}\n")

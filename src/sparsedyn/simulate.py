@@ -13,17 +13,19 @@ Two samplers share the recursion ``X(i+1) = F X(i) + noise``:
 
 The solver never touches raw paths: ``sufficient_stats`` reduces a
 trajectory to the two cross-moment matrices and the squared-increment sum
-that determine the least-squares objective.
+that determine the least-squares objective.  The trajectory CSV layout and
+the price-panel conversion live here too; ``csvio`` handles the text.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, DataError, DivergenceError, NumericalError, StabilityError
+from .csvio import PriceTable, read_table, require_complete, write_table
+from .errors import ConfigError, ConstructionError, DataError, DivergenceError
+from .errors import NumericalError, StabilityError
 from .linalg import matrix_exponential, solve_lyapunov_continuous, solve_lyapunov_discrete
 from .model import SystemParams
 from .rng import CounterRng
@@ -39,6 +41,7 @@ __all__ = [
     "merge_stats",
     "trajectory_to_csv",
     "trajectory_from_csv",
+    "price_trajectory",
 ]
 
 _BLOWUP_LIMIT = 1e10
@@ -347,48 +350,51 @@ def merge_stats(parts: list[SufficientStats]) -> SufficientStats:
 def trajectory_to_csv(traj: Trajectory, comments: list[str] | None = None) -> str:
     """Render a trajectory as CSV: optional '#' comment lines, then a
     ``t,x1..xp`` header and one row per sample with ``t = i * eta``."""
-    buf = io.StringIO()
-    for line in comments or []:
-        buf.write(f"# {line}\n")
-    cols = ",".join(f"x{j + 1}" for j in range(traj.p))
-    buf.write(f"t,{cols}\n")
-    for i in range(traj.x.shape[0]):
-        t = i * traj.eta
-        row = ",".join(f"{v:.17g}" for v in traj.x[i])
-        buf.write(f"{t:.17g},{row}\n")
-    return buf.getvalue()
+    header = ["t"] + [f"x{j + 1}" for j in range(traj.p)]
+    times = np.arange(traj.x.shape[0]) * traj.eta
+    return write_table(header, np.column_stack([times, traj.x]), comments)
 
 
 def trajectory_from_csv(text: str) -> Trajectory:
     """Parse the CSV format written by :func:`trajectory_to_csv`.
 
-    The sampling step is recovered from the time column, which must be a
-    uniform, strictly increasing grid.
+    Every cell must be a finite number.  The sampling step is recovered
+    from the time column, which must be a uniform, strictly increasing
+    grid (a time that is not a finite number fails that test).
     """
-    rows = []
-    header = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if header is None:
-            header = stripped.split(",")
-            if header[0] != "t" or len(header) < 2:
-                raise DataError(f"line {lineno}: expected header 't,x1,...'")
-            continue
-        parts = stripped.split(",")
-        if len(parts) != len(header):
-            raise DataError(f"line {lineno}: expected {len(header)} fields, got {len(parts)}")
-        try:
-            rows.append([float(v) for v in parts])
-        except ValueError as exc:
-            raise DataError(f"line {lineno}: {exc}") from exc
-    if header is None or len(rows) < 2:
+    table = read_table(text)
+    if table.header_line and table.header[0] != "t":
+        raise DataError(f"line {table.header_line}: expected header 't,x1,...'")
+    if len(table.lines) < 2:
         raise DataError("trajectory CSV needs a header and at least two rows")
-    data = np.asarray(rows)
-    times = data[:, 0]
-    steps = np.diff(times)
+    require_complete(table)
+    steps = np.diff(table.values[:, 0])
     eta = float(steps[0])
-    if eta <= 0 or np.max(np.abs(steps - eta)) > 1e-9 * max(eta, 1.0):
+    if not (eta > 0 and np.all(np.abs(steps - eta) <= 1e-9 * max(eta, 1.0))):
         raise DataError("time column must be a uniform, strictly increasing grid")
-    return Trajectory(x=data[:, 1:], eta=eta)
+    return Trajectory(x=table.values[:, 1:], eta=eta)
+
+
+def price_trajectory(table: PriceTable, convert: str = "raw", eta: float = 1.0) -> Trajectory:
+    """Turn a price table into a model trajectory.
+
+    ``convert`` selects the series fed to the model: raw prices, log
+    prices, or simple returns.  ``eta`` is the model time per row (one day
+    by default).
+    """
+    values = table.values
+    if convert == "raw":
+        x = values
+    elif convert == "log":
+        if np.any(values <= 0):
+            raise DataError("log conversion requires strictly positive prices")
+        x = np.log(values)
+    elif convert == "returns":
+        if np.any(values[:-1] == 0):
+            raise DataError("returns conversion divides by zero price")
+        x = np.diff(values, axis=0) / values[:-1]
+    else:
+        raise ConfigError(f"unknown conversion {convert!r}")
+    if x.shape[0] < 2:
+        raise DataError("not enough rows after conversion")
+    return Trajectory(x=x, eta=eta)

@@ -102,6 +102,45 @@ def test_ingest_rejects_mixed_time_kinds(kinds):
             ingest_csv(path)
 
 
+@pytest.mark.parametrize("header,names", [
+    ("date,A,A,C", "duplicate series name(s) ['A']"),
+    ("date,B,A,B,A", "duplicate series name(s) ['A', 'B']"),
+    ("date,A,,C", "empty series name in column(s) [3]"),
+    ("date,A, ,C", "empty series name in column(s) [3]"),
+])
+def test_ingest_rejects_empty_or_duplicate_series_names(tmp_path, header, names):
+    path = tmp_path / "prices.csv"
+    width = header.count(",")
+    path.write_text(f"{header}\n" + "".join(f"{i}" + ",1.0" * width + "\n" for i in range(3)))
+    with pytest.raises(DataError) as info:
+        ingest_csv(path)
+    assert str(info.value) == f"line 1: {names}"
+
+
+def test_ingest_header_without_series_names_its_line(tmp_path):
+    path = tmp_path / "prices.csv"
+    path.write_text("# source: test\ndate\n1,2.0\n2,3.0\n")
+    with pytest.raises(DataError, match="^line 2: header must name at least one series$"):
+        ingest_csv(path)
+
+
+def test_ingest_csv_skips_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "prices.csv"
+    path.write_text("# source: test\n\ndate, A ,B\n1, 2.5 ,3\n\n# gap\n2,4,5\n")
+    table = ingest_csv(path)
+    assert table.labels == ["A", "B"]
+    assert table.times == ["1", "2"]
+    assert np.array_equal(table.values, [[2.5, 3.0], [4.0, 5.0]])
+
+
+@pytest.mark.parametrize("stamp", ["inf", "-inf", "nan"])
+def test_ingest_rejects_non_finite_time_keys(tmp_path, stamp):
+    path = tmp_path / "prices.csv"
+    path.write_text(f"date,A\n1,2.0\n{stamp},3.0\n")
+    with pytest.raises(DataError, match=f"^line 3: cannot order time value '{stamp}'"):
+        ingest_csv(path)
+
+
 def test_ingest_synthetic_paper_scale(tmp_path):
     # 255 business days by 50 series.
     rng = CounterRng(10)
@@ -306,4 +345,60 @@ def test_cli_bad_time_column_is_one_error_line(tmp_path, capsys, stamps):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:DataError:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag,values", [
+    ("--etas", ["0"]),
+    ("--etas", ["0.1", "-0.05"]),
+    ("--etas", ["inf"]),
+    ("--thetas", ["nan"]),
+    ("--thetas", ["0"]),
+    ("--thetas", ["1", "-1"]),
+])
+def test_cli_phase_rejects_bad_eta_or_theta(tmp_path, capsys, flag, values):
+    grid = {"--etas": ["0.1"], "--thetas": ["1"]}
+    grid[flag] = values
+    code = run(["phase", "--p", "8", "--r", "2", "--s", "1", "--etas", *grid["--etas"],
+                "--thetas", *grid["--thetas"], "--trials", "1", "--c", "0.6", "--d", "0.5",
+                "--out", str(tmp_path / "phase.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error:ConfigError:{flag} must be finite and positive")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "phase.csv").exists()
+
+
+def _write_forecast_inputs(directory, p_estimate):
+    Path(directory, "traj.csv").write_text("t,x1,x2\n0,1,2\n0.5,2,4\n1,1,2\n1.5,0.5,1.5\n")
+    doc = {"Ahat": (-np.eye(p_estimate)).tolist(), "Lhat": np.zeros((p_estimate, p_estimate)).tolist(),
+           "objective_trace": [], "iterations": 0, "converged": True, "step_used": 1.0}
+    Path(directory, "est.json").write_text(json.dumps(doc))
+
+
+def test_cli_forecast_csv_golden_bytes(tmp_path, monkeypatch):
+    # x(k+1) = x(k) + 0.5 * (-x(k)) from the last history row (2, 4).
+    monkeypatch.chdir(tmp_path)
+    _write_forecast_inputs(tmp_path, 2)
+    assert run(["predict", "--data", "traj.csv", "--estimate", "est.json",
+                "--horizon", "2", "--holdout", "2", "--out", "forecast.csv"]) == 0
+    assert Path("forecast.csv").read_text() == (
+        '# config: {"data": "traj.csv", "estimate": "est.json", "holdout": 2, '
+        '"horizon": 2, "prices": null}\n'
+        "# mse: 0.0625\n"
+        "step,x1,x2\n"
+        "1,1,2\n"
+        "1.5,0.5,1\n"
+    )
+
+
+def test_cli_predict_estimate_of_another_dimension_is_one_error_line(tmp_path, capsys,
+                                                                     monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_forecast_inputs(tmp_path, 3)
+    code = run(["predict", "--data", "traj.csv", "--estimate", "est.json",
+                "--horizon", "2", "--out", "forecast.csv"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:ConstructionError:Ahat and Lhat must have shape (2, 2)")
     assert err.count("\n") == 1

@@ -1,0 +1,57 @@
+import math
+
+import numpy as np
+import pytest
+
+from sparsedyn.csvio import number, read_table, require_complete, write_table
+from sparsedyn.errors import DataError
+
+
+def test_write_table_golden_bytes():
+    text = write_table(["k", "v"], [[1, 0.1], [2**52, -1e-300]], comments=["a", "b: 1"])
+    assert text == (
+        "# a\n"
+        "# b: 1\n"
+        "k,v\n"
+        "1,0.10000000000000001\n"
+        "4503599627370496,-1e-300\n"
+    )
+    assert number(math.pi) == "3.1415926535897931"
+
+
+def test_read_table_round_trips_what_it_writes():
+    values = np.array([[0.0, 1 / 3, -2.5e-17], [0.5, math.e, 1e300]])
+    table = read_table(write_table(["t", "a", "b"], values.tolist(), comments=["c"]))
+    assert table.header == ["t", "a", "b"]
+    assert table.header_line == 2
+    assert table.lines == [3, 4]
+    assert table.keys == ["0", "0.5"]
+    assert np.array_equal(table.values, values)
+
+
+def test_read_table_marks_cells_that_are_not_finite_numbers():
+    table = read_table("\n# c\n date , A ,B\n\n2024-01-02, 1 ,\n# c\n3,nan,-inf\n4,x,5\n")
+    assert table.header == ["date", "A", "B"]
+    assert table.lines == [5, 7, 8]
+    assert table.keys == ["2024-01-02", "3", "4"]
+    expected = [[np.nan, 1.0, np.nan], [3.0, np.nan, np.nan], [4.0, np.nan, 5.0]]
+    assert np.array_equal(table.values, expected, equal_nan=True)
+    with pytest.raises(DataError, match="^line 5: missing value in column 'B'$"):
+        require_complete(table)
+
+
+def test_write_table_rejects_rows_of_another_width():
+    with pytest.raises(ValueError):
+        write_table(["a", "b", "c", "d", "e", "f"], np.zeros((3, 4)))
+
+
+def test_read_table_names_the_line_with_the_wrong_field_count():
+    with pytest.raises(DataError, match="^line 4: expected 2 fields, got 3$"):
+        read_table("a,b\n1,2\n\n3,4,5\n")
+
+
+def test_read_table_without_rows():
+    for text in ("", "# only a comment\n", "a,b\n"):
+        table = read_table(text)
+        assert table.values.shape == (0, len(table.header))
+        assert table.lines == []

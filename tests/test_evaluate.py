@@ -3,7 +3,8 @@ import pytest
 
 from sparsedyn.errors import ConfigError, ConstructionError
 from sparsedyn.evaluate import (
-    PHASE_CSV_HEADER,
+    PhasePoint,
+    PhaseResult,
     block_cross_validate,
     default_support_threshold,
     export_dependency_graph,
@@ -105,8 +106,17 @@ def test_phase_transition_csv_header():
     text = result.to_csv(comments=["config: {}"])
     lines = text.strip().splitlines()
     assert lines[0].startswith("#")
-    assert lines[1] == PHASE_CSV_HEADER
+    assert lines[1] == "p,r,s,eta,n,theta,trials,successes,success_rate"
     assert len(lines) == 2 + len(sweep)
+
+
+def test_phase_csv_golden_bytes():
+    point = PhasePoint(p=8, r=2, s=1, eta=0.1, n=123, theta=1 / 3, trials=3, successes=1)
+    assert PhaseResult(rows=[point]).to_csv(comments=["config: {}"]) == (
+        "# config: {}\n"
+        "p,r,s,eta,n,theta,trials,successes,success_rate\n"
+        "8,2,1,0.10000000000000001,123,0.33333333333333331,3,1,0.33333333333333331\n"
+    )
 
 
 def test_phase_transition_callable_rule():
@@ -261,6 +271,13 @@ def test_predict_validates():
                 actuals=np.zeros((3, 2)))
 
 
+@pytest.mark.parametrize("a_shape,l_shape", [((3, 3), (3, 3)), ((2, 2), (3, 3)), ((2, 3), (2, 3))])
+def test_predict_rejects_estimate_of_another_dimension(a_shape, l_shape):
+    traj = Trajectory(x=np.zeros((3, 2)), eta=0.1)
+    with pytest.raises(ConstructionError, match=r"must have shape \(2, 2\)"):
+        predict(np.zeros(a_shape), np.zeros(l_shape), traj, horizon=2)
+
+
 # ------------------------------------------------------ dependency graph
 
 
@@ -279,6 +296,13 @@ def test_graph_single_pair():
     assert "n0 -- n2;" in dot and 'label="u"' in dot
     csv = graph.to_edge_csv()
     assert csv.splitlines() == ["source,target", "u,w"]
+
+
+def test_graph_dot_escapes_quotes_and_backslashes():
+    graph = export_dependency_graph(np.eye(2), zeta=0.5, labels=['A"x', "B\\y"])
+    dot = graph.to_dot()
+    assert 'n0 [label="A\\"x"];' in dot
+    assert 'n1 [label="B\\\\y"];' in dot
 
 
 def test_graph_symmetric_detection():

@@ -270,6 +270,40 @@ def test_trajectory_csv_roundtrip():
     assert text == trajectory_to_csv(traj, comments=["config: {}"])
 
 
+def test_trajectory_csv_golden_bytes():
+    traj = Trajectory(x=np.array([[1.0, -0.5], [0.1, 2.0], [1e-20, 3.0]]), eta=0.1)
+    text = trajectory_to_csv(traj, comments=["config: {}"])
+    assert text == (
+        "# config: {}\n"
+        "t,x1,x2\n"
+        "0,1,-0.5\n"
+        "0.10000000000000001,0.10000000000000001,2\n"
+        "0.20000000000000001,9.9999999999999995e-21,3\n"
+    )
+
+
+@pytest.mark.parametrize("cell", ["", "nan", "inf", "-inf", "abc"])
+def test_trajectory_csv_rejects_missing_or_non_finite_cell(cell):
+    text = f"# comment\nt,x1,x2\n0,1,2\n0.5,{cell},4\n1,1,2\n"
+    with pytest.raises(DataError, match="line 4: missing value in column 'x1'"):
+        trajectory_from_csv(text)
+
+
+@pytest.mark.parametrize("cell", ["", "nan", "inf", "abc"])
+@pytest.mark.parametrize("row", [0, 1, 2])
+def test_trajectory_csv_rejects_time_that_is_not_a_finite_number(cell, row):
+    times = ["0", "0.5", "1"]
+    times[row] = cell
+    text = "t,x1\n" + "".join(f"{t},1\n" for t in times)
+    with pytest.raises(DataError, match="^time column must be a uniform, strictly increasing grid$"):
+        trajectory_from_csv(text)
+
+
+def test_trajectory_csv_header_without_series_names_its_line():
+    with pytest.raises(DataError, match="^line 2: header must name at least one series$"):
+        trajectory_from_csv("# c\nt\n0\n1\n")
+
+
 def test_trajectory_csv_rejects_malformed():
     with pytest.raises(DataError):
         trajectory_from_csv("t,x1\n0.0,1.0\n0.1\n")
