@@ -302,6 +302,10 @@ def block_cross_validate(
         sufficient_stats(Trajectory(x=traj.x[lo: hi + 1], eta=traj.eta))
         for lo, hi in spans
     ]
+    fold_train = [
+        merge_stats([cs for k, cs in enumerate(chunk_stats) if k != hold])
+        for hold in range(chunk_count)
+    ]
 
     def rule(c: float, d: float, n: int) -> tuple[float, float]:
         return lambda_pair_from_constants(
@@ -314,8 +318,7 @@ def block_cross_validate(
     for i, c in enumerate(grid_c):
         for j, d in enumerate(grid_d):
             fold_errors = []
-            for hold in range(chunk_count):
-                train = merge_stats([cs for k, cs in enumerate(chunk_stats) if k != hold])
+            for hold, train in enumerate(fold_train):
                 lam_a, lam_l = rule(c, d, train.n)
                 config = SolverConfig(
                     lambda_a=lam_a,
@@ -425,6 +428,12 @@ def export_dependency_graph(
         labels = [f"x{i + 1}" for i in range(p)]
     if len(labels) != p:
         raise ConstructionError(f"need {p} labels, got {len(labels)}")
+    for label in labels:
+        if any(ch in label for ch in ",\n\r"):
+            raise ConstructionError(
+                f"label {label!r} holds ',', a line feed or a carriage return, "
+                "which the edge list cannot carry"
+            )
     above = np.abs(ahat) > zeta
     edges = [
         (i, j)

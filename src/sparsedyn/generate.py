@@ -16,6 +16,7 @@ same system bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +71,8 @@ class GenSpec:
             )
         if self.diag_margin <= 0:
             raise ConstructionError("diag_margin must be positive")
-        if self.eta < 0:
-            raise ConstructionError("eta must be non-negative")
+        if not (math.isfinite(self.eta) and self.eta >= 0):
+            raise ConstructionError("eta must be finite and non-negative")
 
 
 def _row_support(rng: CounterRng, p: int, row: int, s: int) -> list[int]:

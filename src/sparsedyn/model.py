@@ -77,8 +77,8 @@ class SystemParams:
         object.__setattr__(self, "B", b)
         object.__setattr__(self, "C", c)
         object.__setattr__(self, "D", d)
-        if self.eta < 0:
-            raise ConstructionError("eta must be non-negative")
+        if not (math.isfinite(self.eta) and self.eta >= 0):
+            raise ConstructionError("eta must be finite and non-negative")
         if self.eta > 0:
             smax = float(np.linalg.norm(self.joint(), 2))
             if smax > 0 and self.eta >= 2.0 / smax:

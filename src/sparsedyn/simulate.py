@@ -1,11 +1,13 @@
 """Sample-path simulation and reduction to sufficient statistics.
 
-Two samplers share the recursion ``X(i+1) = F X(i) + noise``:
+Two samplers run one sampling core, the recursion
+``X(i+1) = F X(i) + w(i)``; they differ only in ``F`` and the covariance
+of the one-step increments ``w``:
 
 * ``simulate_discrete`` iterates the discrete-time model directly, with
-  ``F = I + eta * joint`` and isotropic noise of covariance ``eta I``;
+  ``F = I + eta * joint`` and isotropic increments of covariance ``eta I``;
 * ``simulate_continuous`` subsamples the continuous-time flow at step
-  ``eta``, with ``F = exp(eta * joint)`` and the one-step noise drawn from
+  ``eta``, with ``F = exp(eta * joint)`` and the increments drawn from
   either the exact flow-filtered covariance (``mode="exact"``, via the
   Van Loan block-exponential integral) or its Riemann-sum approximation
   over ``K`` sub-bins (``mode="binned"``, matching integration schemes that
@@ -19,6 +21,7 @@ the price-panel conversion live here too; ``csvio`` handles the text.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +68,8 @@ class Trajectory:
             raise ConstructionError("trajectory needs at least two samples of shape (n+1, p)")
         if not np.isfinite(x).all():
             raise ConstructionError("trajectory contains non-finite values")
-        if self.eta <= 0:
-            raise ConstructionError("eta must be positive")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise ConstructionError("eta must be finite and positive")
         object.__setattr__(self, "x", x)
         if self.u is not None:
             u = np.asarray(self.u, dtype=np.float64)
@@ -82,11 +85,6 @@ class Trajectory:
     @property
     def p(self) -> int:
         return self.x.shape[1]
-
-    @property
-    def horizon(self) -> float:
-        """Total observation time ``T = n * eta``."""
-        return self.n * self.eta
 
 
 @dataclass(frozen=True)
@@ -131,43 +129,38 @@ def _initial_state(params: SystemParams, x0, u0, init: str, rng, stationary_cov)
     return state
 
 
-def _apply_discard(xs: np.ndarray, us: np.ndarray | None, discard: int, n: int):
-    if not 0 <= discard <= n - 1:
-        raise ConstructionError("discard must satisfy 0 <= discard <= n - 1")
-    if discard:
-        xs = xs[discard:]
-        us = us[discard:] if us is not None else None
-    return xs, us
+def _sample(params: SystemParams, f: np.ndarray, factor: np.ndarray, stationary_cov, eta: float,
+            n: int, seed: int, x0, u0, init: str, noise, keep_latent: bool) -> Trajectory:
+    """Run ``X(i+1) = f X(i) + w(i)`` for ``n`` steps; the one sampling core.
 
-
-def _spectral_radius(m: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(m)))) if m.size else 0.0
-
-
-def _run_recursion(
-    f: np.ndarray,
-    noise: np.ndarray,
-    state: np.ndarray,
-    p: int,
-    keep_latent: bool,
-    check_blowup: bool,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    n = noise.shape[0]
-    xs = np.empty((n + 1, p))
-    us = np.empty((n + 1, state.size - p)) if keep_latent else None
-    xs[0] = state[:p]
-    if us is not None:
-        us[0] = state[p:]
-    for i in range(n):
-        state = f @ state + noise[i]
-        xs[i + 1] = state[:p]
-        if us is not None:
-            us[i + 1] = state[p:]
-        if check_blowup and i % 64 == 0 and np.max(np.abs(state)) > _BLOWUP_LIMIT:
-            raise DivergenceError(f"state norm exceeded {_BLOWUP_LIMIT:g} at step {i}")
-    if check_blowup and np.max(np.abs(state)) > _BLOWUP_LIMIT:
-        raise DivergenceError(f"state norm exceeded {_BLOWUP_LIMIT:g} at final step")
-    return xs, us
+    The increments are ``w = z @ factor.T`` for standard normals ``z``
+    drawn after the starting state, or the given (n, p+r) ``noise``.
+    ``stationary_cov`` is called for ``init="stationary"`` only.  A state
+    entry that is not finite or exceeds ``_BLOWUP_LIMIT`` in absolute value
+    is a ``DivergenceError`` naming the first sample index that holds one.
+    """
+    if n < 1:
+        raise ConstructionError("n must be at least 1")
+    m = f.shape[0]
+    rng = CounterRng(seed)
+    start = _initial_state(params, x0, u0, init, rng, stationary_cov)
+    if noise is None:
+        noise = rng.normal_matrix(n, m) @ factor.T
+    else:
+        noise = np.asarray(noise, dtype=float)
+        if noise.shape != (n, m):
+            raise ConstructionError(f"noise must have shape ({n}, {m})")
+    # Built after the draws: the normals' temporaries set the peak memory.
+    states = np.vstack([start, noise])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for prev, row in zip(states, states[1:]):
+            row += f @ prev
+    over = ~np.all(np.abs(states) <= _BLOWUP_LIMIT, axis=1)
+    if over.any():
+        step = int(np.argmax(over))
+        raise DivergenceError(f"state norm exceeded {_BLOWUP_LIMIT:g} at step {step}")
+    return Trajectory(x=states[:, : params.p], eta=eta,
+                      u=states[:, params.p:] if keep_latent else None)
 
 
 def simulate_discrete(
@@ -179,42 +172,30 @@ def simulate_discrete(
     keep_latent: bool = False,
     noise: np.ndarray | None = None,
     init: str = "zero",
-    discard: int = 0,
 ) -> Trajectory:
     """Iterate ``X(i+1) = (I + eta*joint) X(i) + w(i)``, ``w ~ N(0, eta I)``.
 
-    ``noise`` overrides the Gaussian draws with an explicit (n, p+r) array
-    (used by tests to inject specific increments).  ``init="stationary"``
-    draws the starting state from the stationary Gaussian instead of
-    zeros (consuming p+r normals before the path noise); ``discard``
-    drops that many leading samples as burn-in.  Requires spectral radius
-    of ``I + eta*joint`` below one so the iteration is convergent.
+    ``noise`` overrides the increments ``w`` with an explicit (n, p+r)
+    array (used by tests to inject specific increments).
+    ``init="stationary"`` draws the starting state from the stationary
+    Gaussian instead of zeros (consuming p+r normals before the path
+    noise).  Requires spectral radius of ``I + eta*joint`` below one so the
+    iteration is convergent.
     """
     if params.eta <= 0:
         raise ConstructionError("discrete simulation needs params.eta > 0")
-    if n < 1:
-        raise ConstructionError("n must be at least 1")
     m = params.p + params.r
     f = np.eye(m) + params.eta * params.joint()
-    if _spectral_radius(f) >= 1:
+    if np.abs(np.linalg.eigvals(f)).max(initial=0.0) >= 1:
         raise StabilityError(
             "discrete iteration is not convergent: spectral radius of "
             "I + eta*joint is >= 1"
         )
-    rng = CounterRng(seed)
-    state = _initial_state(
-        params, x0, u0, init, rng,
+    return _sample(
+        params, f, np.sqrt(params.eta) * np.eye(m),
         lambda: solve_lyapunov_discrete(params.joint(), params.eta),
+        params.eta, n, seed, x0, u0, init, noise, keep_latent,
     )
-    if noise is None:
-        w = rng.normal_matrix(n, m) * np.sqrt(params.eta)
-    else:
-        w = np.asarray(noise, dtype=float)
-        if w.shape != (n, m):
-            raise ConstructionError(f"noise must have shape ({n}, {m})")
-    xs, us = _run_recursion(f, w, state, params.p, keep_latent, check_blowup=True)
-    xs, us = _apply_discard(xs, us, discard, n)
-    return Trajectory(x=xs, eta=params.eta, u=us)
 
 
 def exact_increment_covariance(joint: np.ndarray, eta: float) -> np.ndarray:
@@ -266,7 +247,6 @@ def simulate_continuous(
     keep_latent: bool = False,
     noise: np.ndarray | None = None,
     init: str = "zero",
-    discard: int = 0,
 ) -> Trajectory:
     """Subsample the continuous-time flow at step ``eta``.
 
@@ -274,18 +254,15 @@ def simulate_continuous(
     they differ in the one-step noise covariance (exact flow integral vs.
     its ``bins``-bin Riemann approximation).  Increments are sampled
     through the Cholesky factor of that covariance, which reproduces the
-    respective Gaussian law exactly.  ``noise`` overrides the underlying
-    standard normal draws (an (n, p+r) array; zeros give the noise-free
-    flow).  ``init="stationary"`` starts from a draw of the continuous
-    stationary Gaussian; ``discard`` drops leading samples as burn-in.
-    Requires a Hurwitz joint drift.
+    respective Gaussian law exactly.  ``noise`` overrides the increments
+    with an explicit (n, p+r) array (zeros give the noise-free flow).
+    ``init="stationary"`` starts from a draw of the continuous stationary
+    Gaussian.  Requires a Hurwitz joint drift.
     """
-    if eta <= 0:
-        raise ConstructionError("sampling step eta must be positive")
-    if n < 1:
-        raise ConstructionError("n must be at least 1")
+    if not (math.isfinite(eta) and eta > 0):
+        raise ConstructionError("sampling step eta must be finite and positive")
     joint = params.joint()
-    if joint.size and float(np.max(np.linalg.eigvals(joint).real)) >= 0:
+    if np.linalg.eigvals(joint).real.max(initial=-np.inf) >= 0:
         raise StabilityError("continuous simulation needs a Hurwitz joint drift")
     if mode == "exact":
         cov = exact_increment_covariance(joint, eta)
@@ -297,23 +274,11 @@ def simulate_continuous(
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"increment covariance not positive definite: {exc}") from exc
-    m = joint.shape[0]
-    rng = CounterRng(seed)
-    state = _initial_state(
-        params, x0, u0, init, rng,
+    return _sample(
+        params, matrix_exponential(joint * eta), chol,
         lambda: solve_lyapunov_continuous(joint),
+        eta, n, seed, x0, u0, init, noise, keep_latent,
     )
-    if noise is None:
-        z = rng.normal_matrix(n, m)
-    else:
-        z = np.asarray(noise, dtype=float)
-        if z.shape != (n, m):
-            raise ConstructionError(f"noise must have shape ({n}, {m})")
-    increments = z @ chol.T
-    f = matrix_exponential(joint * eta)
-    xs, us = _run_recursion(f, increments, state, params.p, keep_latent, check_blowup=False)
-    xs, us = _apply_discard(xs, us, discard, n)
-    return Trajectory(x=xs, eta=eta, u=us)
 
 
 def sufficient_stats(traj: Trajectory) -> SufficientStats:

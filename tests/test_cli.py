@@ -369,6 +369,22 @@ def test_cli_phase_rejects_bad_eta_or_theta(tmp_path, capsys, flag, values):
     assert not (tmp_path / "phase.csv").exists()
 
 
+@pytest.mark.parametrize("eta", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["gen", "fit"])
+def test_cli_non_finite_eta_is_one_error_line(tmp_path, capsys, eta, command):
+    if command == "gen":
+        argv = ["gen", "--p", "4", "--r", "2", "--s", "1", "--eta", eta]
+    else:
+        prices = _write_prices(tmp_path, ["1", "2", "3", "4"])
+        argv = ["fit", "--prices", str(prices), "--price-eta", eta, "--lambda-a", "0.1"]
+    code = run(argv + ["--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:ConstructionError:eta must be finite")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def _write_forecast_inputs(directory, p_estimate):
     Path(directory, "traj.csv").write_text("t,x1,x2\n0,1,2\n0.5,2,4\n1,1,2\n1.5,0.5,1.5\n")
     doc = {"Ahat": (-np.eye(p_estimate)).tolist(), "Lhat": np.zeros((p_estimate, p_estimate)).tolist(),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,21 @@ def test_cv_pure_lasso_mode():
     assert sel.d == 0.0  # latent weight unused in the latent-blind mode
 
 
+def test_cv_merges_each_fold_once(monkeypatch):
+    import sparsedyn.evaluate as evaluate_module
+
+    calls = []
+    real_merge = evaluate_module.merge_stats
+
+    def counting_merge(parts):
+        calls.append(len(parts))
+        return real_merge(parts)
+
+    monkeypatch.setattr(evaluate_module, "merge_stats", counting_merge)
+    block_cross_validate(_cv_trajectory(), grid_c=[0.5, 1.0], grid_d=[0.5, 1.0], chunk_count=5)
+    assert calls == [4] * 5
+
+
 # -------------------------------------------------------------- predict
 
 
@@ -303,6 +320,12 @@ def test_graph_dot_escapes_quotes_and_backslashes():
     dot = graph.to_dot()
     assert 'n0 [label="A\\"x"];' in dot
     assert 'n1 [label="B\\\\y"];' in dot
+
+
+@pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb"])
+def test_graph_rejects_labels_the_edge_list_cannot_carry(label):
+    with pytest.raises(ConstructionError, match=re.escape(f"label {label!r}")):
+        export_dependency_graph(np.array([[1, 0.5], [0, 1]]), zeta=0.1, labels=[label, "c"])
 
 
 def test_graph_symmetric_detection():

@@ -6,6 +6,7 @@ counters or break its run.  These tests only read ``perfbench/``."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -72,3 +73,70 @@ def test_import_scan_finds_the_package_imports():
     for path in PERFBENCH.glob("*.py"):
         if re.search(r"^\s*(from|import) sparsedyn", path.read_text(), re.MULTILINE):
             assert list(_package_imports(path)), path.name
+
+
+def _package_calls(path: Path):
+    """``(line, dotted name, callee or None, positional count, keyword
+    names)`` for every call in a file whose callee is reached from a name
+    the file imports from sparsedyn (``fit(...)``, ``ev.predict(...)``,
+    ``sparsedyn.cli.run(...)``).  Calls that unpack ``*args`` or
+    ``**kwargs`` cannot be bound by count and are left out."""
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sparsedyn"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                bound[alias.asname or alias.name] = getattr(module, alias.name, None)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("sparsedyn"):
+                    module = importlib.import_module(alias.name)
+                    bound[alias.asname or "sparsedyn"] = (
+                        module if alias.asname else importlib.import_module("sparsedyn")
+                    )
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(
+            k.arg is None for k in node.keywords
+        ):
+            continue
+        chain, func = [], node.func
+        while isinstance(func, ast.Attribute):
+            chain.append(func.attr)
+            func = func.value
+        if not isinstance(func, ast.Name) or func.id not in bound:
+            continue
+        callee = bound[func.id]
+        for attr in reversed(chain):
+            callee = getattr(callee, attr, None)
+        name = ".".join([func.id, *reversed(chain)])
+        yield node.lineno, name, callee, len(node.args), [k.arg for k in node.keywords]
+
+
+@pytest.mark.parametrize("path", sorted(PERFBENCH.glob("*.py")), ids=lambda p: p.name)
+def test_perfbench_calls_bind_to_package_signatures(path):
+    # A parameter the benchmark passes (init=, bins=, chunk_count=, ...)
+    # that is renamed or removed must fail here, not in the benchmark run.
+    broken = []
+    for line, name, callee, positional, keywords in _package_calls(path):
+        if callee is None:
+            broken.append(f"line {line}: {name} does not exist")
+            continue
+        try:
+            inspect.signature(callee).bind(*[None] * positional, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            broken.append(f"line {line}: {name}: {exc}")
+    assert not broken, f"{path.name} calls the package with arguments that do not bind: {broken}"
+
+
+def test_call_scan_finds_the_package_calls():
+    # Guards the scan above against passing by finding nothing.
+    workloads = list(_package_calls(PERFBENCH / "workloads.py"))
+    names = {name for _, name, _, _, _ in workloads}
+    assert {"ev.phase_transition", "ev.block_cross_validate", "fit", "GenSpec"} <= names
+    assert any(name == "simulate_continuous" and "init" in keywords
+               for _, name, _, _, keywords in workloads)
+    stage = {name for _, name, _, _, _ in _package_calls(PERFBENCH / "stage.py")}
+    assert "sparsedyn.cli.run" in stage

@@ -78,13 +78,15 @@ def test_discrete_rejects_divergent_step():
 
 
 def test_discrete_blowup_detection():
-    # Stable spectrum but enormous non-normal transient from a large start.
+    # Stable spectrum but enormous non-normal transient from a large start:
+    # x1(k) ~ 0.1 k * 9e9 first exceeds 1e10 at k = 12, and the message
+    # names that step.
     params = SystemParams(
         A=np.array([[-1.0, 1e6], [0.0, -1.0]]),
         B=np.zeros((2, 0)), C=np.zeros((0, 2)), D=np.zeros((0, 0)),
         eta=1e-7,
     )
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DivergenceError, match="exceeded 1e\\+10 at step 12$"):
         simulate_discrete(params, n=200, x0=np.array([0.0, 9e9]), seed=0)
 
 
@@ -104,6 +106,44 @@ def test_continuous_noise_free_flow_both_modes():
     for mode in ("exact", "binned"):
         traj = simulate_continuous(params, eta=0.3, n=1, mode=mode, x0=x0, noise=zeros)
         assert np.allclose(traj.x[1], flow @ x0, atol=1e-12)
+
+
+def test_continuous_one_step_with_injected_increments():
+    # ``noise`` is the one-step increments, as in the discrete sampler.
+    params = gen_random_system(GenSpec(p=4, r=2, s=1, seed=3))
+    w = CounterRng(9).normal_matrix(1, 6)
+    x0 = np.arange(1.0, 5.0)
+    u0 = np.array([0.5, -0.5])
+    state0 = np.concatenate([x0, u0])
+    expected = matrix_exponential(0.3 * params.joint()) @ state0 + w[0]
+    for mode in ("exact", "binned"):
+        traj = simulate_continuous(params, eta=0.3, n=1, mode=mode, x0=x0, u0=u0,
+                                   noise=w, keep_latent=True)
+        assert np.array_equal(traj.x[1], expected[:4])
+        assert np.array_equal(traj.u[1], expected[4:])
+
+
+def test_continuous_blowup_detection():
+    # Hurwitz but non-normal: the flow's transient carries a large start
+    # past the limit, as in the discrete case.
+    params = SystemParams(
+        A=np.array([[-1.0, 1e6], [0.0, -1.0]]),
+        B=np.zeros((2, 0)), C=np.zeros((0, 2)), D=np.zeros((0, 0)),
+    )
+    with pytest.raises(DivergenceError):
+        simulate_continuous(params, eta=1e-7, n=200, mode="exact", x0=np.array([0.0, 9e9]))
+
+
+@pytest.mark.parametrize("eta", [np.nan, np.inf])
+def test_non_finite_eta_is_rejected(eta):
+    with pytest.raises(ConstructionError):
+        Trajectory(x=np.zeros((3, 2)), eta=eta)
+    with pytest.raises(ConstructionError):
+        dataclasses.replace(_scalar_params(), eta=eta)
+    with pytest.raises(ConstructionError):
+        GenSpec(p=3, r=0, s=1, seed=0, eta=eta)
+    with pytest.raises(ConstructionError):
+        simulate_continuous(_scalar_params(eta=0.0), eta=eta, n=4)
 
 
 def test_exact_increment_variance_scalar():
@@ -178,6 +218,88 @@ def test_continuous_stationary_covariance_consistency():
     assert medians[0] > medians[1] > medians[2]
 
 
+# ----------------------------------------------------- golden paths
+
+# Paths of tiny systems (p=3, r=2, n=4, fixed seeds) written as float.hex
+# strings; every sampler change must reproduce them bit for bit.
+GOLDEN_PATHS = {
+    "discrete.x": [
+        ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+        ("-0x1.9244e409c9d99p-3", "-0x1.1494c60f01791p-3", "-0x1.aab01113706a3p-5"),
+        ("-0x1.2446237f61d88p-4", "-0x1.4d1e12e032753p-3", "0x1.4759bbae446afp-4"),
+        ("0x1.aacab062baf53p-4", "-0x1.f5f55dbb6e0aep-3", "0x1.b6c0c2a760e48p-4"),
+        ("0x1.171d3f85b95e6p-2", "-0x1.3b4f002156b33p-2", "-0x1.d5b3584086877p-4"),
+    ],
+    "exact.x": [
+        ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+        ("-0x1.38770749b04d1p-3", "-0x1.9cd39e3df460ep-3", "-0x1.1fe4f0108334ap-2"),
+        ("0x1.f1ed0dad258e4p-6", "-0x1.712bdbc4cc218p-5", "-0x1.8c092156aef8fp-2"),
+        ("0x1.0dc77895bd838p-2", "0x1.2f2660ed55612p-4", "-0x1.c84f63ae3a797p-2"),
+        ("0x1.2563b6fcd59c1p-1", "0x1.1db13d63f4df6p-2", "-0x1.b9e9e449da6d6p-3"),
+    ],
+    "binned.x": [
+        ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+        ("-0x1.8c11e8ff6ea94p-3", "-0x1.ee2ff56f9c0cep-5", "-0x1.2e322c968d79bp-2"),
+        ("-0x1.ddb4f3132f9a2p-4", "-0x1.26ee3a084f95ep-2", "-0x1.2dde6daaa1ebep-3"),
+        ("-0x1.6ae4b75642b90p-1", "-0x1.06ad4a139726dp-1", "-0x1.88f4b7ce12234p-4"),
+        ("-0x1.bb691bd45fa3ap-1", "0x1.e60f59d3b71c8p-5", "0x1.43e12739f7510p-5"),
+    ],
+    "stationary.x": [
+        ("-0x1.46316f0a54914p-1", "-0x1.62881d7472742p-2", "-0x1.51e056a760ddap-2"),
+        ("-0x1.3403cb3545ed8p-1", "-0x1.eaa941e6b2716p-4", "-0x1.dca7a6daac92dp-3"),
+        ("-0x1.eed77495cc259p-3", "-0x1.68c14f0ecf39bp-2", "-0x1.3670a8e413eb0p-7"),
+        ("-0x1.06077d143d29fp-2", "0x1.2b52663ab7608p-5", "-0x1.14b623d4e98f2p-1"),
+        ("-0x1.37bd8db0dd879p-3", "-0x1.2d98dfdff2d26p-3", "-0x1.03e5f31b7aa1ap-2"),
+    ],
+    "latent.x": [
+        ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+        ("-0x1.2c7305a943cc5p-2", "0x1.c3677e94eabe3p-4", "0x1.132bffc41c5fbp-2"),
+        ("0x1.df8607433fc8cp-5", "0x1.7f3b73ccf1af8p-5", "-0x1.be73f6d10e1a8p-6"),
+        ("0x1.52f8be5deffedp-3", "0x1.3e093f5493adbp-3", "-0x1.2bcc07ff633e7p-2"),
+        ("0x1.22fc004e638cap-5", "0x1.f126783ec8025p-4", "-0x1.88c702c38ab0ap-3"),
+    ],
+    "latent.u": [
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("-0x1.d682b2b5703eep-2", "0x1.91cb9ccc741c4p-2"),
+        ("-0x1.fb1235119432fp-3", "0x1.1fdaa19768eb5p-3"),
+        ("-0x1.448b9c59fd40cp-4", "0x1.a48dc7fe5dc38p-7"),
+        ("0x1.632fa4fda68a8p-3", "0x1.2f4c26d7b87f3p-4"),
+    ],
+}
+
+
+def _golden_systems():
+    discrete = gen_random_system(GenSpec(p=3, r=2, s=1, seed=21, eta=0.05))
+    continuous = gen_random_system(GenSpec(p=3, r=2, s=1, seed=22))
+    return discrete, continuous
+
+
+def _golden(name):
+    return np.array([[float.fromhex(v) for v in row] for row in GOLDEN_PATHS[name]])
+
+
+@pytest.mark.parametrize("case", ["discrete", "exact", "binned", "stationary"])
+def test_sampler_golden_paths(case):
+    discrete, continuous = _golden_systems()
+    traj = {
+        "discrete": lambda: simulate_discrete(discrete, n=4, seed=1),
+        "exact": lambda: simulate_continuous(continuous, eta=0.1, n=4, mode="exact", seed=2),
+        "binned": lambda: simulate_continuous(continuous, eta=0.1, n=4, mode="binned",
+                                              bins=3, seed=3),
+        "stationary": lambda: simulate_continuous(continuous, eta=0.1, n=4, mode="exact",
+                                                  seed=4, init="stationary"),
+    }[case]()
+    assert np.array_equal(traj.x, _golden(f"{case}.x"))
+    assert traj.u is None
+
+
+def test_sampler_golden_latent_path():
+    discrete, _ = _golden_systems()
+    traj = simulate_discrete(discrete, n=4, seed=5, keep_latent=True)
+    assert np.array_equal(traj.x, _golden("latent.x"))
+    assert np.array_equal(traj.u, _golden("latent.u"))
+
+
 # ------------------------------------------------- sufficient stats
 
 
@@ -235,17 +357,6 @@ def test_stationary_init_conflicts_with_explicit_start():
                             x0=np.zeros(2))
     with pytest.raises(ConstructionError):
         simulate_continuous(params, eta=0.1, n=4, init="bogus")
-
-
-def test_discard_drops_leading_samples():
-    params = gen_random_system(GenSpec(p=3, r=2, s=1, seed=16, eta=0.05))
-    full = simulate_discrete(params, n=50, seed=3, keep_latent=True)
-    cut = simulate_discrete(params, n=50, seed=3, keep_latent=True, discard=20)
-    assert cut.n == 30
-    assert np.array_equal(cut.x, full.x[20:])
-    assert np.array_equal(cut.u, full.u[20:])
-    with pytest.raises(ConstructionError):
-        simulate_discrete(params, n=50, seed=3, discard=50)
 
 
 def test_trajectory_validation():
