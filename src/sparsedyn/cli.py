@@ -6,10 +6,12 @@ Subcommands cover the full experiment pipeline: ``gen`` (system JSON),
 exports), ``phase`` (success-rate CSV), ``cv`` (constant selection JSON),
 ``predict`` (forecast CSV), and ``check`` (assumption-report JSON).
 
-Every artifact embeds the exact configuration and seeds that produced it,
-and contains no timestamps, so re-running a command reproduces its output
-byte for byte.  Errors exit nonzero with a single machine-parsable line
-``error:<kind>:<message>`` on stderr.
+Every artifact embeds its configuration and carries no timestamps.  The
+configuration is every flag except ``--out``, ``--graph-out``,
+``--edges-out`` and ``--config``, with ``null`` for a flag not given, so
+any artifact's config block replays it byte for byte through ``--config``
+(run from the same directory).  Errors exit nonzero with a single
+machine-parsable line ``error:<kind>:<message>`` on stderr.
 """
 
 from __future__ import annotations
@@ -35,29 +37,27 @@ from .simulate import price_trajectory
 
 __all__ = ["run", "main"]
 
+# Parsed names that say where a run writes, not what it computes.
+_NOT_CONFIG = {"command", "func", "config", "out", "graph_out", "edges_out"}
+
 
 def _write(path: Path, content: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(content)
 
 
-def _config_dict(args: argparse.Namespace, fields: list[str]) -> dict:
-    return {name: getattr(args, name) for name in fields}
-
-
 def _load_trajectory(args: argparse.Namespace) -> tuple[sim.Trajectory, list[str] | None]:
     """The input trajectory and its series labels (``None`` for ``--data``)."""
-    if getattr(args, "data", None):
+    if args.data:
         return sim.trajectory_from_csv(Path(args.data).read_text()), None
-    if getattr(args, "prices", None):
+    if args.prices:
         table = ingest_csv(args.prices, missing=args.missing)
         traj = price_trajectory(table, convert=args.convert, eta=args.price_eta)
         return traj, table.labels
     raise ConfigError("either --data or --prices is required")
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
-    config = _config_dict(args, ["kind", "p", "r", "s", "seed", "eta", "diag_margin"])
+def cmd_gen(args: argparse.Namespace, config: dict) -> int:
     if args.kind == "random":
         spec = gen.GenSpec(
             p=args.p, r=args.r, s=args.s, seed=args.seed,
@@ -65,15 +65,17 @@ def cmd_gen(args: argparse.Namespace) -> int:
         )
         params = gen.gen_random_system(spec)
     else:
+        for flag, value in (("--eta", args.eta), ("--diag-margin", args.diag_margin)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{flag} must be finite, got {value}")
         params = gen.gen_illustrative(args.p, args.r)
     _write(Path(args.out), gen.system_to_json(params, config))
     print(f"wrote system ({params.p} observed, {params.r} latent) to {args.out}")
     return 0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace, config: dict) -> int:
     params, _ = gen.system_from_json(Path(args.system).read_text())
-    config = _config_dict(args, ["system", "mode", "n", "eta", "bins", "seed"])
     if args.mode == "discrete":
         if args.eta is not None:
             params = dataclasses.replace(params, eta=args.eta)
@@ -90,14 +92,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
+def cmd_fit(args: argparse.Namespace, config: dict) -> int:
+    if args.zeta is not None and not math.isfinite(args.zeta):
+        raise ConfigError(f"--zeta must be finite, got {args.zeta}")
     traj, labels = _load_trajectory(args)
     stats = sim.sufficient_stats(traj)
-    config = _config_dict(
-        args,
-        ["data", "prices", "convert", "price_eta", "lambda_a", "lambda_l",
-         "mode", "max_iter", "tol", "zeta"],
-    )
     solver_config = slv.SolverConfig(
         lambda_a=args.lambda_a,
         lambda_l=args.lambda_l,
@@ -122,7 +121,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_phase(args: argparse.Namespace) -> int:
+def cmd_phase(args: argparse.Namespace, config: dict) -> int:
     base = gen.GenSpec(
         p=args.p, r=args.r, s=args.s, seed=0,
         diag_margin=args.diag_margin, eta=0.0,
@@ -139,27 +138,17 @@ def cmd_phase(args: argparse.Namespace) -> int:
         base, sweep, trials=args.trials, lambda_rule=(args.c, args.d),
         master_seed=args.master_seed, bins=args.bins, zeta=args.zeta,
     )
-    config = _config_dict(
-        args,
-        ["p", "r", "s", "etas", "thetas", "trials", "c", "d", "master_seed",
-         "bins", "diag_margin", "zeta"],
-    )
     comment = "config: " + json.dumps(config, sort_keys=True)
     _write(Path(args.out), result.to_csv(comments=[comment]))
     print(f"wrote {len(result.rows)} grid points to {args.out}")
     return 0
 
 
-def cmd_cv(args: argparse.Namespace) -> int:
+def cmd_cv(args: argparse.Namespace, config: dict) -> int:
     traj, _ = _load_trajectory(args)
     selection = ev.block_cross_validate(
         traj, args.grid_c, args.grid_d, chunk_count=args.chunks,
         mode=args.mode, s_ref=args.s_ref, r_ref=args.r_ref,
-    )
-    config = _config_dict(
-        args,
-        ["data", "prices", "convert", "price_eta", "grid_c", "grid_d",
-         "chunks", "mode", "s_ref", "r_ref"],
     )
     doc = {"config": config, **dataclasses.asdict(selection)}
     _write(Path(args.out), json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -170,7 +159,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
+def cmd_predict(args: argparse.Namespace, config: dict) -> int:
     traj, _ = _load_trajectory(args)
     est, _ = slv.estimate_from_json(Path(args.estimate).read_text())
     actuals = None
@@ -184,7 +173,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
         start = traj.x.shape[0] - args.holdout
         actuals = traj.x[start: start + args.horizon]
     preds, mse = ev.predict(est.Ahat, est.Lhat, history, args.horizon, actuals)
-    config = _config_dict(args, ["data", "prices", "estimate", "horizon", "holdout"])
     comments = ["config: " + json.dumps(config, sort_keys=True)]
     if mse is not None:
         comments.append("mse: " + number(mse))
@@ -196,12 +184,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: argparse.Namespace, config: dict) -> int:
     params, _ = gen.system_from_json(Path(args.system).read_text())
     report = mdl.assumption_report(
         params, n=args.n, delta=args.delta, K=args.K, horizon=args.horizon
     )
-    config = _config_dict(args, ["system", "n", "delta", "K", "horizon"])
     doc = {"config": config}
     doc.update(dataclasses.asdict(report))
     _write(Path(args.out), json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -217,8 +204,9 @@ def _expand_config_file(argv: list[str]) -> list[str]:
     """Splice ``--config FILE`` into equivalent command-line flags.
 
     The JSON file maps parameter names (underscored, as in the artifact
-    configs) to values; flags given explicitly on the command line take
-    precedence because they come later in the expanded argument list.
+    configs) to values; ``null`` means the flag was not given and is
+    skipped.  Flags given explicitly on the command line take precedence
+    because they come later in the expanded argument list.
     """
     if "--config" not in argv:
         return argv
@@ -239,6 +227,8 @@ def _expand_config_file(argv: list[str]) -> list[str]:
     extra: list[str] = []
     for key in sorted(doc):
         value = doc[key]
+        if value is None:
+            continue
         flag = "--" + str(key).replace("_", "-")
         if isinstance(value, bool):
             raise ConfigError(f"config field {key!r}: boolean values are not supported")
@@ -247,8 +237,6 @@ def _expand_config_file(argv: list[str]) -> list[str]:
                 raise ConfigError(f"config field {key!r}: empty list")
             extra.append(flag)
             extra.extend(str(v) for v in value)
-        elif value is None:
-            raise ConfigError(f"config field {key!r}: null is not a value")
         else:
             extra.extend([flag, str(value)])
     rest = argv[:i] + argv[i + 2:]
@@ -373,7 +361,9 @@ def run(argv: list[str] | None = None) -> int:
         if argv is None:
             argv = sys.argv[1:]
         args = parser.parse_args(_expand_config_file(list(argv)))
-        return args.func(args)
+        config = {name: value for name, value in vars(args).items()
+                  if name not in _NOT_CONFIG}
+        return args.func(args, config)
     except SparsedynError as exc:
         print(f"error:{type(exc).__name__}:{exc}", file=sys.stderr)
         return 1

@@ -20,7 +20,7 @@ import numpy as np
 from .csvio import write_table
 from .errors import ConfigError, ConstructionError, DivergenceError
 from .generate import GenSpec, gen_random_system
-from .model import control_parameter, steady_state
+from .model import _log_model_size, control_parameter, steady_state
 from .rng import derive_seed
 from .simulate import (
     Trajectory,
@@ -52,6 +52,15 @@ def default_support_threshold(ahat: np.ndarray) -> float:
     this only absorbs floating-point dust."""
     scale = float(np.max(np.abs(ahat))) if ahat.size else 0.0
     return 1e-6 * max(1.0, scale)
+
+
+def _support_threshold(ahat: np.ndarray, zeta: float | None) -> float:
+    """``zeta``, checked, or the default round-off guard when it is ``None``."""
+    if zeta is None:
+        return default_support_threshold(ahat)
+    if not 0 <= zeta < math.inf:
+        raise ConstructionError("zeta must be finite and non-negative")
+    return zeta
 
 
 @dataclass(frozen=True)
@@ -90,10 +99,7 @@ def recovery_report(
     lstar = np.asarray(lstar, dtype=float)
     if lhat.shape != lstar.shape:
         raise ConstructionError("Lhat and Lstar shapes differ")
-    if zeta is None:
-        zeta = default_support_threshold(ahat)
-    if zeta < 0:
-        raise ConstructionError("zeta must be non-negative")
+    zeta = _support_threshold(ahat, zeta)
     supp_hat = np.abs(ahat) > zeta
     supp_star = np.abs(astar) > zeta
     signs_hat = np.sign(ahat) * supp_hat
@@ -147,34 +153,19 @@ def lambda_pair_from_constants(
 ) -> tuple[float, float]:
     """Practical regularizer rule: ``lambda_A = c sqrt(log(4((s+2r)p + r^2)/delta) / (n eta))``
     and ``lambda_L = d sqrt(p) lambda_A``."""
-    log_term = math.log(4.0 * ((s + 2 * r) * p + r * r) / delta)
-    lam_a = c * math.sqrt(log_term / (n * eta))
+    lam_a = c * math.sqrt(_log_model_size(s, r, p, delta) / (n * eta))
     return lam_a, d * math.sqrt(p) * lam_a
-
-
-def _resolve_lambda_rule(rule, point: dict) -> tuple[float, float]:
-    if callable(rule):
-        lam_a, lam_l = rule(point)
-    else:
-        c, d = rule
-        lam_a, lam_l = lambda_pair_from_constants(
-            c, d, point["p"], point["r"], point["s"], point["eta"], point["n"]
-        )
-    return float(lam_a), float(lam_l)
 
 
 def phase_transition(
     base: GenSpec,
     sweep: list[dict],
     trials: int,
-    lambda_rule,
+    lambda_rule: tuple[float, float],
     master_seed: int,
     *,
-    mode: str = "binned",
     bins: int = 10,
     zeta: float | None = None,
-    max_iter: int = 2000,
-    tol: float = 1e-7,
 ) -> PhaseResult:
     """Success-probability grid over sampling/size variations.
 
@@ -182,15 +173,17 @@ def phase_transition(
     ``n``, ``s``, ``r``, ``p``); ``eta`` is the sampling step of the
     continuous-time protocol and ``n`` the sample count.  Per trial: draw a
     fresh system (seed derived from ``(master_seed, point, trial)``),
-    simulate, fit, and score exact signed-support recovery of the sparse
-    block.  ``lambda_rule`` is either a ``(c, d)`` pair for the practical
-    regularizer rule or a callable ``point -> (lambda_a, lambda_l)``.
-    Trials whose fit diverges count as failures.
+    simulate (binned sampler), fit (``max_iter = 2000``, ``tol = 1e-7``),
+    and score exact signed-support recovery of the sparse block.
+    ``lambda_rule`` is the ``(c, d)`` pair of the practical regularizer
+    rule (``lambda_pair_from_constants``).  Trials whose fit diverges count
+    as failures.
     """
     if trials < 1:
         raise ConstructionError("trials must be at least 1")
     if not sweep:
         raise ConstructionError("sweep must contain at least one point")
+    c, d = lambda_rule
     rows = []
     for g, overrides in enumerate(sweep):
         eta = float(overrides.get("eta", base.eta))
@@ -205,10 +198,9 @@ def phase_transition(
             diag_margin=base.diag_margin,
             eta=0.0,
         )
-        point = {"p": spec.p, "r": spec.r, "s": spec.s, "eta": eta, "n": n}
-        lam_a, lam_l = _resolve_lambda_rule(lambda_rule, point)
+        lam_a, lam_l = lambda_pair_from_constants(c, d, spec.p, spec.r, spec.s, eta, n)
         config = SolverConfig(
-            lambda_a=lam_a, lambda_l=lam_l, max_iter=max_iter, tol=tol
+            lambda_a=lam_a, lambda_l=lam_l, max_iter=2000, tol=1e-7
         )
         successes = 0
         for t in range(trials):
@@ -216,7 +208,7 @@ def phase_transition(
             system = gen_random_system(replace(spec, seed=seed))
             truth = steady_state(system)
             traj = simulate_continuous(
-                system, eta=eta, n=n, mode=mode, bins=bins,
+                system, eta=eta, n=n, mode="binned", bins=bins,
                 seed=derive_seed(seed, 1),
             )
             stats = sufficient_stats(traj)
@@ -422,8 +414,7 @@ def export_dependency_graph(
     p = ahat.shape[0]
     if ahat.shape != (p, p):
         raise ConstructionError("Ahat must be square")
-    if zeta is None:
-        zeta = default_support_threshold(ahat)
+    zeta = _support_threshold(ahat, zeta)
     if labels is None:
         labels = [f"x{i + 1}" for i in range(p)]
     if len(labels) != p:

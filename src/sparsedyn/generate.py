@@ -69,8 +69,8 @@ class GenSpec:
             raise ConstructionError(
                 "r = 1 is infeasible: each row needs two distinct latent indices"
             )
-        if self.diag_margin <= 0:
-            raise ConstructionError("diag_margin must be positive")
+        if not 0 < self.diag_margin < math.inf:
+            raise ConstructionError("diag_margin must be finite and positive")
         if not (math.isfinite(self.eta) and self.eta >= 0):
             raise ConstructionError("eta must be finite and non-negative")
 

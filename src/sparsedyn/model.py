@@ -188,11 +188,15 @@ def population_mle(params: SystemParams) -> np.ndarray:
     return params.A + steady_state(params).L
 
 
-def incoherence_mu(l_mat, rank_tol: float = 1e-8) -> float:
+# Relative singular-value cut-off that sets the effective rank of ``L``.
+_RANK_TOL = 1e-8
+
+
+def incoherence_mu(l_mat) -> float:
     """Incoherence of the singular subspaces of a low-rank matrix.
 
     With thin SVD ``L = U diag(s) V^T`` truncated at relative tolerance
-    ``rank_tol`` and effective rank ``k``, returns the smallest ``mu``
+    ``1e-8`` and effective rank ``k``, returns the smallest ``mu``
     satisfying all three subspace-spread conditions:
 
     ``max_i ||U^T e_i||^2 <= mu k / p``,
@@ -208,7 +212,7 @@ def incoherence_mu(l_mat, rank_tol: float = 1e-8) -> float:
     u, svals, vh = np.linalg.svd(l_mat)
     if svals.size == 0 or svals[0] <= 0:
         return 0.0
-    k = int(np.count_nonzero(svals > rank_tol * svals[0]))
+    k = int(np.count_nonzero(svals > _RANK_TOL * svals[0]))
     u = u[:, :k]
     v = vh[:k].T
     row_leverage = float(np.max(np.sum(u * u, axis=1)))
@@ -285,20 +289,15 @@ def max_row_l1(b: np.ndarray) -> float:
     return float(np.max(np.sum(np.abs(b), axis=1)))
 
 
-def latent_effect_constant(
-    params: SystemParams,
-    margin: float,
-    x0_norm2: float = 0.0,
-    u0_norm2: float = 0.0,
-) -> float:
-    """Constant ``m`` capturing initial-condition and latent-input effects:
-    ``max(80 / sqrt(margin) * ||B||_{inf,1}, sqrt(|x0|^2 + |u0|^2 + (sqrt(eta)+1)^2))``.
+def latent_effect_constant(params: SystemParams, margin: float) -> float:
+    """Constant ``m`` capturing initial-condition and latent-input effects
+    for a start at the origin:
+    ``max(80 / sqrt(margin) * ||B||_{inf,1}, sqrt(eta) + 1)``.
     """
     if margin <= 0:
         raise AssumptionError("A1: stability margin must be positive to form m")
     latent_term = 80.0 / math.sqrt(margin) * max_row_l1(params.B)
-    init_term = math.sqrt(x0_norm2 + u0_norm2 + (math.sqrt(params.eta) + 1.0) ** 2)
-    return max(latent_term, init_term)
+    return max(latent_term, math.sqrt(params.eta) + 1.0)
 
 
 def _log_model_size(s: int, r: int, p: int, delta: float) -> float:
@@ -314,8 +313,6 @@ def theoretical_lambdas(
     s: int,
     n: int,
     delta: float,
-    x0_norm2: float = 0.0,
-    u0_norm2: float = 0.0,
     horizon: float | None = None,
 ) -> tuple[float, float]:
     """Theory-prescribed regularizer weights ``(lambda_A, lambda_L)``.
@@ -345,7 +342,7 @@ def theoretical_lambdas(
             "observation horizon n * eta must be positive (pass horizon= for "
             "continuous systems)"
         )
-    m = latent_effect_constant(params, D, x0_norm2, u0_norm2)
+    m = latent_effect_constant(params, D)
     p, r = params.p, params.r
     lam_a = (
         16.0 * m * (4.0 - theta) / (theta * math.sqrt(D))
@@ -372,8 +369,8 @@ def sample_complexity_T(
     K: float = 3.0e6,
 ) -> float:
     """Worst-case horizon ``T = K s^3 / (D^2 theta^2 Cmin^2) * log(4((s+2r)p + r^2)/delta)``."""
-    if min(s, p) < 1 or r < 0 or D <= 0 or theta <= 0 or cmin <= 0 or K <= 0:
-        raise ConstructionError("sample_complexity_T needs positive inputs")
+    if min(s, p) < 1 or r < 0 or D <= 0 or theta <= 0 or cmin <= 0 or not 0 < K < math.inf:
+        raise ConstructionError("sample_complexity_T needs positive inputs and a finite K")
     if not 0 < delta < 1:
         raise ConstructionError("delta must lie in (0, 1)")
     return K * s**3 / (D**2 * theta**2 * cmin**2) * _log_model_size(s, r, p, delta)
@@ -449,10 +446,7 @@ def assumption_report(
     n: int,
     delta: float = 0.1,
     K: float = 3.0e6,
-    x0_norm2: float = 0.0,
-    u0_norm2: float = 0.0,
     horizon: float | None = None,
-    rank_tol: float = 1e-8,
 ) -> AssumptionReport:
     """Evaluate every assumption constant for ``params``.
 
@@ -461,9 +455,13 @@ def assumption_report(
     the regularizer/sample-complexity/error constants are filled only when
     the assumptions they rely on hold, otherwise left as ``None``.
     """
+    if not 0 < K < math.inf:
+        raise ConstructionError("K must be finite and positive")
+    if horizon is not None and not math.isfinite(horizon):
+        raise ConstructionError("horizon must be finite")
     ss = steady_state(params)
     margin = ss.stability_margin
-    mu = incoherence_mu(ss.L, rank_tol)
+    mu = incoherence_mu(ss.L)
     alpha = identifiability_alpha(mu, params.r, params.p)
     theta = lasso_incoherence_theta(ss.Q, row_supports(params.A))
     s = max(support_size(params.A), 1)
@@ -472,7 +470,7 @@ def assumption_report(
 
     m_const = lam_a = lam_l = t_req = nu = rho0 = None
     if passes["A1"]:
-        m_const = latent_effect_constant(params, margin, x0_norm2, u0_norm2)
+        m_const = latent_effect_constant(params, margin)
     if passes["A3"]:
         t_req = sample_complexity_T(s, params.r, params.p, margin, theta, ss.Cmin, delta, K) \
             if passes["A1"] else None
@@ -486,8 +484,6 @@ def assumption_report(
             s=s,
             n=n,
             delta=delta,
-            x0_norm2=x0_norm2,
-            u0_norm2=u0_norm2,
             horizon=horizon,
         )
         nu, rho0 = theorem_constants(alpha, theta, ss.Cmin, ss.Dmax, s, lam_a, l_spectral)

@@ -19,6 +19,7 @@ reproduces the latent-blind baseline.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -61,14 +62,16 @@ class SolverConfig:
     def __post_init__(self):
         if self.mode not in (MODE_SPARSE_LOWRANK, MODE_PURE_LASSO):
             raise ConstructionError(f"unknown solver mode {self.mode!r}")
-        if self.lambda_a <= 0:
-            raise ConstructionError("lambda_a must be positive")
+        if not 0 < self.lambda_a < math.inf:
+            raise ConstructionError("lambda_a must be finite and positive")
+        if not math.isfinite(self.lambda_l):
+            raise ConstructionError("lambda_l must be finite")
         if self.mode == MODE_SPARSE_LOWRANK and self.lambda_l <= 0:
             raise ConstructionError("lambda_l must be positive in sparse_plus_lowrank mode")
         if self.max_iter < 1:
             raise ConstructionError("max_iter must be at least 1")
-        if self.tol <= 0:
-            raise ConstructionError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ConstructionError("tol must be finite and positive")
 
 
 @dataclass(frozen=True)

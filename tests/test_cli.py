@@ -1,5 +1,8 @@
+import argparse
 import datetime
 import json
+import re
+import shlex
 import tempfile
 from pathlib import Path
 
@@ -399,8 +402,8 @@ def test_cli_forecast_csv_golden_bytes(tmp_path, monkeypatch):
     assert run(["predict", "--data", "traj.csv", "--estimate", "est.json",
                 "--horizon", "2", "--holdout", "2", "--out", "forecast.csv"]) == 0
     assert Path("forecast.csv").read_text() == (
-        '# config: {"data": "traj.csv", "estimate": "est.json", "holdout": 2, '
-        '"horizon": 2, "prices": null}\n'
+        '# config: {"convert": "raw", "data": "traj.csv", "estimate": "est.json", '
+        '"holdout": 2, "horizon": 2, "missing": "reject", "price_eta": 1.0, "prices": null}\n'
         "# mse: 0.0625\n"
         "step,x1,x2\n"
         "1,1,2\n"
@@ -418,3 +421,153 @@ def test_cli_predict_estimate_of_another_dimension_is_one_error_line(tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith("error:ConstructionError:Ahat and Lhat must have shape (2, 2)")
     assert err.count("\n") == 1
+
+
+# ------------------------------------------------------ config replay
+
+
+def _replay_commands(d: Path) -> dict[str, list[str]]:
+    """One invocation per artifact kind; each writes ``d / f"{name}.out"``."""
+    system, traj, prices = (str(d / name) for name in ("gen-random.out", "simulate-binned.out",
+                                                       "prices.csv"))
+    price_flags = ["--prices", prices, "--convert", "log", "--missing", "ffill",
+                   "--price-eta", "0.05"]
+    return {
+        "gen-random": ["gen", "--p", "6", "--r", "2", "--s", "1", "--seed", "3"],
+        "gen-illustrative": ["gen", "--kind", "illustrative", "--p", "4", "--r", "2"],
+        "simulate-binned": ["simulate", "--system", system, "--n", "600", "--eta", "0.05",
+                            "--seed", "4"],
+        "simulate-discrete": ["simulate", "--system", system, "--mode", "discrete",
+                              "--n", "600", "--eta", "0.05", "--seed", "5"],
+        "cv-data": ["cv", "--data", traj, "--grid-c", "0.5", "1.0", "--chunks", "3"],
+        "cv-prices": ["cv", *price_flags, "--grid-c", "0.5", "1.0", "--grid-d", "0.5",
+                      "--chunks", "3"],
+        "fit-data": ["fit", "--data", traj, "--lambda-a", "0.05", "--lambda-l", "0.2",
+                     "--zeta", "0.01", "--graph-out", str(d / "graph.dot")],
+        "fit-prices": ["fit", *price_flags, "--lambda-a", "0.05", "--mode", "pure_lasso",
+                       "--edges-out", str(d / "edges.csv")],
+        "predict-data": ["predict", "--data", traj, "--estimate", str(d / "fit-data.out"),
+                         "--horizon", "5", "--holdout", "5"],
+        "predict-prices": ["predict", *price_flags, "--estimate", str(d / "fit-prices.out"),
+                           "--horizon", "5", "--holdout", "5"],
+        "phase": ["phase", "--p", "8", "--r", "2", "--s", "1", "--etas", "0.1",
+                  "--thetas", "0.5", "--trials", "1", "--c", "0.6", "--d", "0.5"],
+        "check": ["check", "--system", system, "--n", "1000"],
+    }
+
+
+_REPLAY_NAMES = list(_replay_commands(Path(".")))
+
+
+def _config_block(text: str) -> dict:
+    """The config of a CSV artifact (``# config:`` line) or a JSON one."""
+    first = text.splitlines()[0]
+    if first.startswith("# config: "):
+        return json.loads(first[len("# config: "):])
+    return json.loads(text)["config"]
+
+
+@pytest.fixture(scope="module")
+def replay_runs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("replay")
+    rng = CounterRng(41)
+    values = 20.0 + np.cumsum(rng.normal_matrix(120, 3) * 0.1, axis=0)
+    lines = ["date,A,B,C"] + [f"{i}," + ",".join(f"{v:.10f}" for v in row)
+                              for i, row in enumerate(values)]
+    lines[30] = "29,,20.5,20.5"  # one missing cell, filled forward by --missing ffill
+    (d / "prices.csv").write_text("\n".join(lines) + "\n")
+    commands = _replay_commands(d)
+    for name, argv in commands.items():
+        assert run(argv + ["--out", str(d / f"{name}.out")]) == 0, name
+    return d, commands
+
+
+@pytest.mark.parametrize("name", _REPLAY_NAMES)
+def test_cli_config_block_replays_artifact_byte_for_byte(replay_runs, name):
+    d, commands = replay_runs
+    original = (d / f"{name}.out").read_bytes()
+    config = d / f"{name}.config.json"
+    config.write_text(json.dumps(_config_block(original.decode())))
+    replayed = d / f"{name}.replayed"
+    assert run([commands[name][0], "--config", str(config), "--out", str(replayed)]) == 0
+    assert replayed.read_bytes() == original
+
+
+def _subparsers() -> dict:
+    parser = cli_module.build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_cli_config_keys_are_the_parser_dests(replay_runs):
+    d, commands = replay_runs
+    subparsers = _subparsers()
+    assert {argv[0] for argv in commands.values()} == set(subparsers)
+    for name, argv in commands.items():
+        dests = {action.dest for action in subparsers[argv[0]]._actions} - {"help"}
+        config = _config_block((d / f"{name}.out").read_text())
+        assert set(config) == dests - cli_module._NOT_CONFIG, name
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["gen", "--kind", "illustrative", "--p", "4", "--r", "2", "--eta", "nan"],
+     "ConfigError:--eta must be finite"),
+    (["gen", "--kind", "illustrative", "--p", "4", "--r", "2", "--diag-margin", "inf"],
+     "ConfigError:--diag-margin must be finite"),
+    (["gen", "--p", "4", "--r", "2", "--s", "1", "--diag-margin", "nan"],
+     "ConstructionError:diag_margin must be finite and positive"),
+    (["fit", "--data", "traj.csv", "--lambda-a", "0.1", "--lambda-l", "0.1", "--tol", "inf"],
+     "ConstructionError:tol must be finite and positive"),
+    (["fit", "--data", "traj.csv", "--lambda-a", "0.1", "--lambda-l", "0.1", "--tol", "nan"],
+     "ConstructionError:tol must be finite and positive"),
+    (["fit", "--data", "traj.csv", "--lambda-a", "0.1", "--lambda-l", "0.1", "--zeta", "nan",
+      "--graph-out", "out/graph.dot"],
+     "ConfigError:--zeta must be finite"),
+    (["phase", "--p", "8", "--r", "2", "--s", "1", "--etas", "0.1", "--thetas", "1",
+      "--trials", "1", "--c", "nan", "--d", "0.5"],
+     "ConstructionError:lambda_a must be finite and positive"),
+    (["check", "--system", "system.json", "--K", "nan"],
+     "ConstructionError:K must be finite and positive"),
+    (["check", "--system", "system.json", "--horizon", "inf"],
+     "ConstructionError:horizon must be finite"),
+], ids=["gen-illustrative-eta", "gen-illustrative-diag-margin", "gen-random-diag-margin",
+        "fit-tol-inf", "fit-tol-nan", "fit-zeta", "phase-c", "check-K", "check-horizon"])
+def test_cli_non_finite_number_is_one_error_line(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    _write_forecast_inputs(tmp_path, 2)
+    assert run(["gen", "--p", "4", "--r", "2", "--s", "1", "--out", "system.json"]) == 0
+    capsys.readouterr()
+    Path("out").mkdir()
+    code = run(argv + ["--out", "out/artifact"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error:{message}")
+    assert err.count("\n") == 1
+    assert list(Path("out").iterdir()) == []
+
+
+# -------------------------------------------------------------- README
+
+
+def _readme_commands() -> list[str]:
+    """Every ``sparsedyn`` command in README's shell blocks, continuations joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("sparsedyn "):
+                commands.append(line)
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    parser = cli_module.build_parser()
+    parsed = []
+    for command in commands:
+        try:
+            parsed.append(parser.parse_args(shlex.split(command)[1:]))
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
+    assert {args.command for args in parsed} == set(_subparsers())
+    assert sum(bool(getattr(args, "prices", None)) for args in parsed) >= 2

@@ -24,6 +24,15 @@ from sparsedyn.simulate import Trajectory, simulate_continuous
 # ------------------------------------------------------ recovery report
 
 
+@pytest.mark.parametrize("zeta", [-1.0, float("nan"), float("inf")])
+def test_support_threshold_must_be_finite_and_non_negative(zeta):
+    eye = np.eye(2)
+    with pytest.raises(ConstructionError, match="^zeta must be finite and non-negative$"):
+        recovery_report(eye, eye, eye, eye, zeta=zeta)
+    with pytest.raises(ConstructionError, match="^zeta must be finite and non-negative$"):
+        export_dependency_graph(eye, zeta=zeta)
+
+
 def test_recovery_report_perfect():
     rng = CounterRng(1)
     a = rng.normal_matrix(4, 4)
@@ -119,18 +128,6 @@ def test_phase_csv_golden_bytes():
         "p,r,s,eta,n,theta,trials,successes,success_rate\n"
         "8,2,1,0.10000000000000001,123,0.33333333333333331,3,1,0.33333333333333331\n"
     )
-
-
-def test_phase_transition_callable_rule():
-    base, sweep = _tiny_sweep()
-    calls = []
-
-    def rule(point):
-        calls.append(point["n"])
-        return 0.5, 0.5
-
-    phase_transition(base, sweep[:1], trials=1, lambda_rule=rule, master_seed=3)
-    assert calls == [50]
 
 
 def test_phase_transition_sweeps_dimensions():

@@ -318,6 +318,12 @@ def test_sample_complexity_formula_and_scaling():
     assert abs(t2 / t1 - 8.0 * log2 / log1) < 1e-12
 
 
+@pytest.mark.parametrize("K", [0.0, float("nan"), float("inf")])
+def test_sample_complexity_rejects_non_finite_K(K):
+    with pytest.raises(ConstructionError, match="finite K"):
+        sample_complexity_T(s=1, r=2, p=16, D=1.0, theta=1.0, cmin=1.0, delta=0.1, K=K)
+
+
 def test_sample_complexity_illustrative_reduction():
     # Structured example with s = 1, D/theta/Cmin folded into K: the log
     # argument reduces to 4((1+2r)p + r^2)/delta.

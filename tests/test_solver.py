@@ -302,6 +302,14 @@ def test_solver_config_validation():
     SolverConfig(lambda_a=1.0, mode=MODE_PURE_LASSO)  # lambda_l optional here
 
 
+@pytest.mark.parametrize("field", ["lambda_a", "lambda_l", "tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_solver_config_rejects_non_finite_numbers(field, value):
+    kwargs = {"lambda_a": 1.0, "lambda_l": 1.0, "tol": 1e-8, field: value}
+    with pytest.raises(ConstructionError, match=f"^{field} must be finite"):
+        SolverConfig(**kwargs)
+
+
 # ------------------------------------------- statistical recovery runs
 
 
