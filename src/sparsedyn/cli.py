@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     """Parse arguments and execute one subcommand; returns the exit code.
 
-    Any subcommand accepts ``--config FILE`` (JSON object of parameter
+    Any subcommand accepts one ``--config FILE`` (JSON object of parameter
     names to values); explicit flags override config-file values, and
     unknown config fields are rejected by name.
     """
@@ -361,6 +361,10 @@ def run(argv: list[str] | None = None) -> int:
         if argv is None:
             argv = sys.argv[1:]
         args = parser.parse_args(_expand_config_file(list(argv)))
+        if args.config is not None:
+            # Only the first ``--config FILE`` is spliced; argparse would
+            # take any other spelling or a second one and drop it.
+            raise ConfigError("--config may be given only once, as '--config FILE'")
         config = {name: value for name, value in vars(args).items()
                   if name not in _NOT_CONFIG}
         return args.func(args, config)

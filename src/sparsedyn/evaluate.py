@@ -183,6 +183,7 @@ def phase_transition(
         raise ConstructionError("trials must be at least 1")
     if not sweep:
         raise ConstructionError("sweep must contain at least one point")
+    _support_threshold(np.zeros(0), zeta)  # a bad zeta fails before any trial runs
     c, d = lambda_rule
     rows = []
     for g, overrides in enumerate(sweep):

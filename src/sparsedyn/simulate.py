@@ -13,6 +13,11 @@ of the one-step increments ``w``:
   over ``K`` sub-bins (``mode="binned"``, matching integration schemes that
   hold the driving noise constant within each bin).
 
+The core runs the recursion as a two-level block scan in about
+``3 sqrt(n)`` vectorised steps rather than n one-step products.  It
+agrees with the one-step loop to about 1e-15 of the path's largest entry,
+not bit for bit; runs with the same seed give bit-identical paths.
+
 The solver never touches raw paths: ``sufficient_stats`` reduces a
 trajectory to the two cross-moment matrices and the squared-increment sum
 that determine the least-squares objective.  The trajectory CSV layout and
@@ -135,9 +140,27 @@ def _sample(params: SystemParams, f: np.ndarray, factor: np.ndarray, stationary_
 
     The increments are ``w = z @ factor.T`` for standard normals ``z``
     drawn after the starting state, or the given (n, p+r) ``noise``.
-    ``stationary_cov`` is called for ``init="stationary"`` only.  A state
-    entry that is not finite or exceeds ``_BLOWUP_LIMIT`` in absolute value
-    is a ``DivergenceError`` naming the first sample index that holds one.
+    ``stationary_cov`` is called for ``init="stationary"`` only.
+
+    The recursion runs as a two-level block scan (Blelloch 1990, "Prefix
+    sums and their applications") over the n+1 rows, cut into blocks of
+    ``b = isqrt(n+1)`` rows and padded with zero rows to whole blocks:
+
+    1. every block's response to its own increments from a zero state
+       before it, all blocks at once: b-1 steps;
+    2. each block's true end state, carried from the previous block's
+       with ``f^b``: one step per block;
+    3. row j of every later block adds ``f^(j+1)`` times the previous
+       block's end state: b-1 steps.
+
+    That is about ``3 sqrt(n)`` vectorised steps instead of n.  Block 0
+    starts from the starting state, so ``x(1) = f x(0) + w(0)`` as in the
+    one-step recursion; later rows agree with it to about 1e-15 of the
+    path's largest entry, not bit for bit.  Equal inputs give equal bits.
+
+    A state entry that is not finite or exceeds ``_BLOWUP_LIMIT`` in
+    absolute value is a ``DivergenceError`` naming the first sample index
+    that holds one.
     """
     if n < 1:
         raise ConstructionError("n must be at least 1")
@@ -145,16 +168,37 @@ def _sample(params: SystemParams, f: np.ndarray, factor: np.ndarray, stationary_
     rng = CounterRng(seed)
     start = _initial_state(params, x0, u0, init, rng, stationary_cov)
     if noise is None:
-        noise = rng.normal_matrix(n, m) @ factor.T
+        draws = rng.normal_matrix(n, m)
     else:
         noise = np.asarray(noise, dtype=float)
         if noise.shape != (n, m):
             raise ConstructionError(f"noise must have shape ({n}, {m})")
+    rows = n + 1
+    b = math.isqrt(rows)
+    nb = -(-rows // b)
     # Built after the draws: the normals' temporaries set the peak memory.
-    states = np.vstack([start, noise])
+    # The increments are written straight into the one padded state array.
+    states = np.empty((nb * b, m))
+    states[0] = start
+    states[rows:] = 0.0
+    if noise is None:
+        np.matmul(draws, factor.T, out=states[1:rows])
+        del draws
+    else:
+        states[1:rows] = noise
+    blocks = states.reshape(nb, b, m)
+    ends = blocks[:, -1]
     with np.errstate(over="ignore", invalid="ignore"):
-        for prev, row in zip(states, states[1:]):
-            row += f @ prev
+        for j in range(1, b):
+            blocks[:, j] += blocks[:, j - 1] @ f.T
+        f_b = np.linalg.matrix_power(f, b)
+        for k in range(1, nb):
+            ends[k] += f_b @ ends[k - 1]
+        f_j = f
+        for j in range(b - 1):
+            blocks[1:, j] += ends[:-1] @ f_j.T
+            f_j = f_j @ f
+    states = states[:rows]
     over = ~np.all(np.abs(states) <= _BLOWUP_LIMIT, axis=1)
     if over.any():
         step = int(np.argmax(over))

@@ -152,3 +152,11 @@ def random_stable_matrix(rng, n: int, margin: float = 0.5) -> np.ndarray:
     sym = 0.5 * (m + m.T)
     shift = np.max(np.linalg.eigvalsh(sym)) + margin
     return m - shift * np.eye(n)
+
+
+def sequential_recursion(f: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``x(0) = z(0)`` and ``x(i) = f x(i-1) + z(i)``, one step at a time."""
+    x = np.array(z, dtype=float)
+    for i in range(1, x.shape[0]):
+        x[i] = f @ x[i - 1] + z[i]
+    return x

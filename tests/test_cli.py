@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparsedyn.cli as cli_module
+import sparsedyn.evaluate as ev_module
 from sparsedyn.cli import ingest_csv, price_trajectory, run
 from sparsedyn.errors import DataError
 from sparsedyn.rng import CounterRng
@@ -306,6 +307,23 @@ def test_cli_config_file_must_exist(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:ConfigError")
 
 
+@pytest.mark.parametrize("form", ["repeated", "equals"])
+def test_cli_config_file_given_once(tmp_path, capsys, form):
+    # Only one ``--config FILE`` is spliced into the command line; any
+    # other spelling would be parsed and dropped, so it is an error.
+    first = tmp_path / "first.json"
+    first.write_text(json.dumps({"p": 4, "r": 2, "s": 1}))
+    second = tmp_path / "second.json"
+    second.write_text(json.dumps({"seed": 9}))
+    given = {"repeated": ["--config", str(first), "--config", str(second)],
+             "equals": ["--p", "4", "--r", "2", "--s", "1", f"--config={second}"]}[form]
+    out = tmp_path / "system.json"
+    assert run(["gen", *given, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error:ConfigError:--config may be given only once, as '--config FILE'\n")
+    assert not out.exists()
+
+
 def test_cli_fit_on_prices(tmp_path, monkeypatch):
     calls = []
     real_ingest = cli_module.ingest_csv
@@ -369,6 +387,20 @@ def test_cli_phase_rejects_bad_eta_or_theta(tmp_path, capsys, flag, values):
     err = capsys.readouterr().err
     assert err.startswith(f"error:ConfigError:{flag} must be finite and positive")
     assert err.count("\n") == 1
+    assert not (tmp_path / "phase.csv").exists()
+
+
+def test_cli_phase_rejects_bad_zeta_before_any_trial(tmp_path, capsys, monkeypatch):
+    def no_trial(spec):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(ev_module, "gen_random_system", no_trial)
+    code = run(["phase", "--p", "8", "--r", "2", "--s", "1", "--etas", "0.1",
+                "--thetas", "1", "--trials", "1", "--c", "0.6", "--d", "0.5",
+                "--zeta", "nan", "--out", str(tmp_path / "phase.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error:ConstructionError:zeta must be finite and non-negative\n")
     assert not (tmp_path / "phase.csv").exists()
 
 

@@ -20,6 +20,8 @@ from sparsedyn.simulate import (
     trajectory_to_csv,
 )
 
+from reference import sequential_recursion
+
 
 def _scalar_params(a: float = -1.0, eta: float = 0.1) -> SystemParams:
     return SystemParams(A=np.array([[a]]), B=np.zeros((1, 0)),
@@ -88,6 +90,24 @@ def test_discrete_blowup_detection():
     )
     with pytest.raises(DivergenceError, match="exceeded 1e\\+10 at step 12$"):
         simulate_discrete(params, n=200, x0=np.array([0.0, 9e9]), seed=0)
+
+
+def test_discrete_blowup_detection_past_first_block():
+    # The same system at eta = 2e-8: x1(k) ~ 0.02 k * 9e9 first exceeds
+    # 1e10 near k = 56, past block 0 of the scan (b = isqrt(201) = 14
+    # rows), and the message names the step the one-step recursion gives.
+    params = SystemParams(
+        A=np.array([[-1.0, 1e6], [0.0, -1.0]]),
+        B=np.zeros((2, 0)), C=np.zeros((0, 2)), D=np.zeros((0, 0)),
+        eta=2e-8,
+    )
+    x0 = np.array([0.0, 9e9])
+    w = np.sqrt(params.eta) * CounterRng(0).normal_matrix(200, 2)
+    path = sequential_recursion(np.eye(2) + params.eta * params.A, np.vstack([x0, w]))
+    step = int(np.argmax(np.abs(path).max(axis=1) > 1e10))
+    assert step > 14
+    with pytest.raises(DivergenceError, match=f"exceeded 1e\\+10 at step {step}$"):
+        simulate_discrete(params, n=200, x0=x0, noise=w)
 
 
 def test_discrete_requires_positive_eta():
@@ -227,43 +247,43 @@ GOLDEN_PATHS = {
         ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
         ("-0x1.9244e409c9d99p-3", "-0x1.1494c60f01791p-3", "-0x1.aab01113706a3p-5"),
         ("-0x1.2446237f61d88p-4", "-0x1.4d1e12e032753p-3", "0x1.4759bbae446afp-4"),
-        ("0x1.aacab062baf53p-4", "-0x1.f5f55dbb6e0aep-3", "0x1.b6c0c2a760e48p-4"),
-        ("0x1.171d3f85b95e6p-2", "-0x1.3b4f002156b33p-2", "-0x1.d5b3584086877p-4"),
+        ("0x1.aacab062baf52p-4", "-0x1.f5f55dbb6e0aep-3", "0x1.b6c0c2a760e49p-4"),
+        ("0x1.171d3f85b95e6p-2", "-0x1.3b4f002156b33p-2", "-0x1.d5b3584086876p-4"),
     ],
     "exact.x": [
         ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
         ("-0x1.38770749b04d1p-3", "-0x1.9cd39e3df460ep-3", "-0x1.1fe4f0108334ap-2"),
-        ("0x1.f1ed0dad258e4p-6", "-0x1.712bdbc4cc218p-5", "-0x1.8c092156aef8fp-2"),
-        ("0x1.0dc77895bd838p-2", "0x1.2f2660ed55612p-4", "-0x1.c84f63ae3a797p-2"),
+        ("0x1.f1ed0dad258e4p-6", "-0x1.712bdbc4cc218p-5", "-0x1.8c092156aef8ep-2"),
+        ("0x1.0dc77895bd838p-2", "0x1.2f2660ed55612p-4", "-0x1.c84f63ae3a796p-2"),
         ("0x1.2563b6fcd59c1p-1", "0x1.1db13d63f4df6p-2", "-0x1.b9e9e449da6d6p-3"),
     ],
     "binned.x": [
         ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
         ("-0x1.8c11e8ff6ea94p-3", "-0x1.ee2ff56f9c0cep-5", "-0x1.2e322c968d79bp-2"),
         ("-0x1.ddb4f3132f9a2p-4", "-0x1.26ee3a084f95ep-2", "-0x1.2dde6daaa1ebep-3"),
-        ("-0x1.6ae4b75642b90p-1", "-0x1.06ad4a139726dp-1", "-0x1.88f4b7ce12234p-4"),
+        ("-0x1.6ae4b75642b90p-1", "-0x1.06ad4a139726cp-1", "-0x1.88f4b7ce12234p-4"),
         ("-0x1.bb691bd45fa3ap-1", "0x1.e60f59d3b71c8p-5", "0x1.43e12739f7510p-5"),
     ],
     "stationary.x": [
         ("-0x1.46316f0a54914p-1", "-0x1.62881d7472742p-2", "-0x1.51e056a760ddap-2"),
         ("-0x1.3403cb3545ed8p-1", "-0x1.eaa941e6b2716p-4", "-0x1.dca7a6daac92dp-3"),
-        ("-0x1.eed77495cc259p-3", "-0x1.68c14f0ecf39bp-2", "-0x1.3670a8e413eb0p-7"),
-        ("-0x1.06077d143d29fp-2", "0x1.2b52663ab7608p-5", "-0x1.14b623d4e98f2p-1"),
-        ("-0x1.37bd8db0dd879p-3", "-0x1.2d98dfdff2d26p-3", "-0x1.03e5f31b7aa1ap-2"),
+        ("-0x1.eed77495cc259p-3", "-0x1.68c14f0ecf39ap-2", "-0x1.3670a8e413eb0p-7"),
+        ("-0x1.06077d143d2a0p-2", "0x1.2b52663ab7602p-5", "-0x1.14b623d4e98f2p-1"),
+        ("-0x1.37bd8db0dd87ap-3", "-0x1.2d98dfdff2d27p-3", "-0x1.03e5f31b7aa1ap-2"),
     ],
     "latent.x": [
         ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
         ("-0x1.2c7305a943cc5p-2", "0x1.c3677e94eabe3p-4", "0x1.132bffc41c5fbp-2"),
         ("0x1.df8607433fc8cp-5", "0x1.7f3b73ccf1af8p-5", "-0x1.be73f6d10e1a8p-6"),
         ("0x1.52f8be5deffedp-3", "0x1.3e093f5493adbp-3", "-0x1.2bcc07ff633e7p-2"),
-        ("0x1.22fc004e638cap-5", "0x1.f126783ec8025p-4", "-0x1.88c702c38ab0ap-3"),
+        ("0x1.22fc004e638cap-5", "0x1.f126783ec8027p-4", "-0x1.88c702c38ab0ap-3"),
     ],
     "latent.u": [
         ("0x0.0p+0", "0x0.0p+0"),
         ("-0x1.d682b2b5703eep-2", "0x1.91cb9ccc741c4p-2"),
         ("-0x1.fb1235119432fp-3", "0x1.1fdaa19768eb5p-3"),
-        ("-0x1.448b9c59fd40cp-4", "0x1.a48dc7fe5dc38p-7"),
-        ("0x1.632fa4fda68a8p-3", "0x1.2f4c26d7b87f3p-4"),
+        ("-0x1.448b9c59fd40cp-4", "0x1.a48dc7fe5dc20p-7"),
+        ("0x1.632fa4fda68a8p-3", "0x1.2f4c26d7b87f0p-4"),
     ],
 }
 
@@ -298,6 +318,42 @@ def test_sampler_golden_latent_path():
     traj = simulate_discrete(discrete, n=4, seed=5, keep_latent=True)
     assert np.array_equal(traj.x, _golden("latent.x"))
     assert np.array_equal(traj.u, _golden("latent.u"))
+
+
+# ------------------------------------------------- sequential oracle
+
+
+def _nonnormal_params() -> SystemParams:
+    # Upper-triangular drift: I + eta*A amplifies a start 18-fold before
+    # it decays, which stresses the carried block-end states.
+    return SystemParams(A=np.array([[-1.0, 50.0], [0.0, -1.0]]), B=np.zeros((2, 0)),
+                        C=np.zeros((0, 2)), D=np.zeros((0, 0)), eta=0.01)
+
+
+# n+1 = 9 is a perfect square and n+1 = 101 a prime.
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 100, 3050])
+@pytest.mark.parametrize("case", ["discrete", "exact", "binned", "stationary", "nonnormal"])
+def test_sampler_matches_sequential_recursion(case, n):
+    discrete, continuous = _golden_systems()
+    params = {"discrete": discrete, "nonnormal": _nonnormal_params()}.get(case, continuous)
+    m = params.p + params.r
+    eta = params.eta if case in ("discrete", "nonnormal") else 0.1
+    w = np.sqrt(eta) * CounterRng(n).normal_matrix(n, m)
+    start = {"x0": np.linspace(1.0, -1.0, params.p), "u0": np.full(params.r, 0.5)}
+    if case in ("discrete", "nonnormal"):
+        traj = simulate_discrete(params, n=n, noise=w, keep_latent=True, **start)
+        f = np.eye(m) + eta * params.joint()
+    else:
+        mode = "binned" if case == "binned" else "exact"
+        if case == "stationary":
+            start = {"init": "stationary"}
+        traj = simulate_continuous(params, eta=eta, n=n, mode=mode, bins=3, seed=n,
+                                   noise=w, keep_latent=True, **start)
+        f = matrix_exponential(eta * params.joint())
+    path = np.hstack([traj.x, traj.u])
+    expected = sequential_recursion(f, np.vstack([path[0], w]))
+    assert path.shape == (n + 1, m)
+    assert np.max(np.abs(path - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 # ------------------------------------------------- sufficient stats
