@@ -3,12 +3,14 @@ proximal operators of the l1 and nuclear norms, and the solver step size.
 
 Matrices are plain float64 ndarrays validated at the public entry points.
 All functions are pure; outputs are freshly allocated and safe to share.
+``scipy.linalg`` is imported by the three functions that call it, so
+importing the package (and every CLI command that never simulates) does
+not pay for it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConstructionError, NumericalError, StabilityError
 
@@ -42,6 +44,8 @@ def matrix_exponential(m) -> np.ndarray:
     """Matrix exponential ``e^M`` (scaling-and-squaring with a Pade core)."""
     m = as_matrix(m, "matrix_exponential input")
     _require_square(m, "matrix_exponential input")
+    import scipy.linalg
+
     with np.errstate(over="ignore", invalid="ignore"):
         out = scipy.linalg.expm(m)
     if not np.isfinite(out).all():
@@ -86,6 +90,8 @@ def solve_lyapunov_continuous(a) -> np.ndarray:
             f"(spectral abscissa {_spectral_abscissa(a):.6g} >= 0)"
         )
     n = a.shape[0]
+    import scipy.linalg
+
     try:
         q = scipy.linalg.solve_continuous_lyapunov(a, -np.eye(n))
     except (np.linalg.LinAlgError, ValueError) as exc:
@@ -113,6 +119,8 @@ def solve_lyapunov_discrete(a, eta: float) -> np.ndarray:
             f"discrete Lyapunov equation needs spectral radius of I + eta*A "
             f"below one (got {rho:.6g})"
         )
+    import scipy.linalg
+
     try:
         q = scipy.linalg.solve_discrete_lyapunov(m, eta * np.eye(n), method="bilinear")
     except (np.linalg.LinAlgError, ValueError) as exc:

@@ -10,9 +10,16 @@ arithmetic, and the stream is reproducible across platforms and processes
 Normal variates use the Box-Muller transform on explicit 53-bit uniforms;
 bounded integers use ``floor(u * k)``.  Both conventions are part of the
 reproducibility contract: identical seeds yield bit-identical streams.
+Large normal draws are computed in cache-sized blocks, in parallel over
+the CPUs the process may use; since every output depends only on its
+index, the split changes no bit of the stream.
 """
 
 from __future__ import annotations
+
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -22,13 +29,33 @@ _MIX1 = _U64(0xBF58476D1CE4E5B9)
 _MIX2 = _U64(0x94D049BB133111EB)
 _MASK = 0xFFFFFFFFFFFFFFFF
 _INV_2_53 = float(2.0**-53)
+_TWO_PI = 2.0 * np.pi
+# Box-Muller pairs per block: the block's five working arrays (1.25 MB)
+# stay in a 2 MB L2.
+_BLOCK = 1 << 15
+# Draws of fewer blocks than this run on the calling thread alone: below
+# it, starting a helper thread costs about what it saves.
+_MIN_PARALLEL_BLOCKS = 4
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer: bijective avalanche mix of 64-bit words."""
-    z = (z ^ (z >> _U64(30))) * _MIX1
-    z = (z ^ (z >> _U64(27))) * _MIX2
-    return z ^ (z >> _U64(31))
+def _mix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, in place: bijective avalanche mix of the
+    64-bit words in ``z``; ``tmp`` is scratch of the same shape."""
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, _U64(shift), out=tmp)
+        z ^= tmp
+        z *= mult
+    np.right_shift(z, _U64(31), out=tmp)
+    z ^= tmp
+    return z
+
+
+def _words(key: np.ndarray, z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """In place: counters ``i`` in ``z`` become the stream words
+    ``mix(key + i * GOLDEN)``; the one word generator."""
+    z *= _GOLDEN
+    z += key
+    return _mix(z, tmp)
 
 
 def derive_seed(master: int, *parts: int) -> int:
@@ -37,12 +64,78 @@ def derive_seed(master: int, *parts: int) -> int:
     Used to assign independent streams to grid points and trials by index,
     so results do not depend on scheduling order.
     """
-    state = np.array(master & _MASK, dtype=_U64)
+    state = np.array([master & _MASK], dtype=_U64)
+    token = np.empty(1, dtype=_U64)
+    tmp = np.empty(1, dtype=_U64)
     for part in parts:
-        token = np.array(part & _MASK, dtype=_U64)
-        with np.errstate(over="ignore"):
-            state = _mix(state ^ _mix(token + _GOLDEN))
-    return int(state)
+        token[0] = part & _MASK
+        token += _GOLDEN
+        state ^= _mix(token, tmp)
+        _mix(state, tmp)
+    return int(state[0])
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _fill_normals(key: np.ndarray, first: int, out: np.ndarray, claim) -> None:
+    """Fill the blocks that ``claim()`` hands out, until it returns None,
+    of a draw of ``m = len(out) // 2`` Box-Muller pairs whose first raw word
+    has counter ``first``.  Pair ``j`` takes its radius from word
+    ``first + j`` and its angle from word ``first + m + j``, and writes
+    ``r cos`` to ``out[j]`` and ``r sin`` to ``out[m + j]``.
+
+    Works in five reused block-sized arrays and calls only numpy, which
+    releases the GIL, so several threads can share one draw.
+    """
+    m = len(out) // 2
+    size = min(_BLOCK, m)
+    counters = np.arange(size, dtype=_U64)
+    z = np.empty(size, dtype=_U64)
+    tmp = np.empty(size, dtype=_U64)
+    radius = np.empty(size)
+    angle = np.empty(size)
+    trig = tmp.view(np.float64)
+    while (block := claim()) is not None:
+        start = block * _BLOCK
+        k = min(size, m - start)
+        zk, tk, rk, ak, ck = z[:k], tmp[:k], radius[:k], angle[:k], trig[:k]
+        # radius = sqrt(-2 log u1), u1 = ((w >> 11) + 1) / 2^53 in (0, 1]
+        np.add(counters[:k], _U64(first + start), out=zk)
+        _words(key, zk, tk)
+        zk >>= _U64(11)
+        np.add(zk, 1.0, out=rk, dtype=np.float64)
+        rk *= _INV_2_53
+        np.log(rk, out=rk)
+        rk *= -2.0
+        np.sqrt(rk, out=rk)
+        # angle = 2 pi u2, u2 = (w >> 11) / 2^53 in [0, 1)
+        np.add(counters[:k], _U64(first + m + start), out=zk)
+        _words(key, zk, tk)
+        zk >>= _U64(11)
+        np.multiply(zk, _INV_2_53, out=ak, dtype=np.float64)
+        ak *= _TWO_PI
+        np.cos(ak, out=ck)
+        np.multiply(rk, ck, out=out[start:start + k])
+        np.sin(ak, out=ck)
+        np.multiply(rk, ck, out=out[m + start:m + start + k])
+
+
+def _claimer(blocks: int):
+    """Hands out block indices 0..blocks-1, each once, to any thread."""
+    pending = iter(range(blocks))
+    lock = threading.Lock()
+
+    def claim():
+        with lock:
+            return next(pending, None)
+
+    return claim
 
 
 class CounterRng:
@@ -61,10 +154,9 @@ class CounterRng:
         """Next ``n`` raw 64-bit words as a uint64 array."""
         if n < 0:
             raise ValueError("n must be non-negative")
-        idx = np.arange(self._pos + 1, self._pos + n + 1, dtype=_U64)
+        z = np.arange(self._pos + 1, self._pos + n + 1, dtype=_U64)
         self._pos += n
-        with np.errstate(over="ignore"):
-            return _mix(self._key + idx * _GOLDEN)
+        return _words(self._key, z, np.empty_like(z))
 
     def uniforms(self, n: int) -> np.ndarray:
         """``n`` uniforms in [0, 1) with 53-bit resolution."""
@@ -75,19 +167,41 @@ class CounterRng:
 
         Consumes ``2 * ceil(n / 2)`` raw words: the first half of the block
         supplies radii (uniforms shifted into (0, 1] so log never sees 0),
-        the second half angles.
+        the second half angles; the cosine products come first in the
+        output, then the sine products.
+
+        The pairs are computed in cache-sized blocks written straight into
+        the output.  A draw of several blocks is shared by the calling
+        thread and short-lived helper threads, one thread per CPU the
+        process may use; each thread takes the next unclaimed block until
+        none is left, so a helper that starts late or is descheduled holds
+        nothing up.  Each value depends only on the seed and its index, so
+        the stream is the same bit for bit however the blocks are shared.
         """
+        if n < 0:
+            raise ValueError("n must be non-negative")
         m = (n + 1) // 2
-        block = self.raw(2 * m)
-        u1 = ((block[:m] >> _U64(11)).astype(np.float64) + 1.0) * _INV_2_53
-        u2 = (block[m:] >> _U64(11)).astype(np.float64) * _INV_2_53
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = 2.0 * np.pi * u2
-        out = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
+        first = self._pos + 1
+        self._pos += 2 * m
+        out = np.empty(2 * m)
+        blocks = -(-m // _BLOCK)
+        claim = _claimer(blocks)
+        workers = min(_cpus(), blocks) if blocks >= _MIN_PARALLEL_BLOCKS else 1
+        if workers == 1:
+            _fill_normals(self._key, first, out, claim)
+        else:
+            with ThreadPoolExecutor(workers - 1) as pool:
+                helpers = [pool.submit(_fill_normals, self._key, first, out, claim)
+                           for _ in range(workers - 1)]
+                _fill_normals(self._key, first, out, claim)
+                for helper in helpers:
+                    helper.result()
         return out[:n]
 
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
         """Standard normal matrix filled row-major from one ``normals`` call."""
+        if rows < 0 or cols < 0:
+            raise ValueError("rows and cols must be non-negative")
         return self.normals(rows * cols).reshape(rows, cols)
 
     def below(self, k: int) -> int:

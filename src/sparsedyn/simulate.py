@@ -176,7 +176,6 @@ def _sample(params: SystemParams, f: np.ndarray, factor: np.ndarray, stationary_
     rows = n + 1
     b = math.isqrt(rows)
     nb = -(-rows // b)
-    # Built after the draws: the normals' temporaries set the peak memory.
     # The increments are written straight into the one padded state array.
     states = np.empty((nb * b, m))
     states[0] = start
@@ -199,8 +198,9 @@ def _sample(params: SystemParams, f: np.ndarray, factor: np.ndarray, stationary_
             blocks[1:, j] += ends[:-1] @ f_j.T
             f_j = f_j @ f
     states = states[:rows]
-    over = ~np.all(np.abs(states) <= _BLOWUP_LIMIT, axis=1)
-    if over.any():
+    # One whole-array test (NaN fails it); the failing row only on failure.
+    if not (-_BLOWUP_LIMIT <= states.min() and states.max() <= _BLOWUP_LIMIT):
+        over = ~np.all(np.abs(states) <= _BLOWUP_LIMIT, axis=1)
         step = int(np.argmax(over))
         raise DivergenceError(f"state norm exceeded {_BLOWUP_LIMIT:g} at step {step}")
     return Trajectory(x=states[:, : params.p], eta=eta,

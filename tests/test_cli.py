@@ -1,8 +1,11 @@
 import argparse
 import datetime
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -16,6 +19,16 @@ import sparsedyn.evaluate as ev_module
 from sparsedyn.cli import ingest_csv, price_trajectory, run
 from sparsedyn.errors import DataError
 from sparsedyn.rng import CounterRng
+
+
+def test_cli_import_does_not_load_scipy():
+    # Only the matrix exponential and the Lyapunov solvers use scipy, and
+    # they import it when called; gen, cv, fit and predict never pay for it.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli_module.__file__).resolve().parents[1]))
+    probe = "import sys, sparsedyn.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 # -------------------------------------------------------------- ingest

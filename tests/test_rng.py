@@ -1,6 +1,12 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
+from reference import box_muller_normals
 
+import sparsedyn.rng as rng_module
 from sparsedyn.rng import CounterRng, derive_seed
 
 
@@ -81,3 +87,138 @@ def test_position_tracks_consumption():
     assert rng.position == 10
     rng.normals(3)  # two pairs -> 4 raw words
     assert rng.position == 14
+
+
+# ------------------------------------------------------ normal stream
+
+_B = rng_module._BLOCK
+_P = rng_module._MIN_PARALLEL_BLOCKS
+# Draw sizes at and around the block size and the point where a draw is
+# split over CPUs (a draw of n normals has ceil(n / 2) pairs), odd sizes
+# that drop the last sine, and one phase_sweep trajectory (48,807 x 42).
+_SIZES = sorted({0, 1, 2, 3, 5, 2 * _B - 2, 2 * _B - 1, 2 * _B, 2 * _B + 1, 2 * _B + 2,
+                 2 * _P * _B - 1, 2 * _P * _B, 2 * _P * _B + 1, 2 * _P * _B + 3,
+                 6 * _B + 1, 131071, 131072, 131073, 262145, 1000001, 2049894})
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_normals_match_box_muller_reference(seed):
+    # Bit for bit against the full-length formula, with one generator
+    # drawing every size in turn, so each draw starts mid-stream.
+    rng = CounterRng(seed)
+    rng.raw(1)
+    for n in _SIZES:
+        start = rng.position
+        got = rng.normals(n)
+        assert got.shape == (n,)
+        assert got.tobytes() == box_muller_normals(seed, start, n).tobytes(), n
+        assert rng.position == start + 2 * ((n + 1) // 2)
+
+
+def test_normals_golden():
+    # Pins the stream itself, so it cannot drift together with its oracle.
+    assert [x.hex() for x in CounterRng(7).normals(5).tolist()] == [
+        "-0x1.30c1f365d63e8p+0", "-0x1.5dbda157ee8d1p+1", "0x1.ac17c7ef1d694p-10",
+        "-0x1.5dd9483d9aeb1p-1", "0x1.aeefb4641c28ap-1",
+    ]
+
+
+def _threads(monkeypatch):
+    """Record, per call of the normal filler, its thread and the blocks it
+    claims."""
+    calls = []
+    fill = rng_module._fill_normals
+
+    def recorded(key, first, out, claim):
+        blocks = []
+
+        def noted():
+            block = claim()
+            if block is not None:
+                blocks.append(block)
+            return block
+
+        calls.append((threading.get_ident(), blocks))
+        fill(key, first, out, noted)
+
+    monkeypatch.setattr(rng_module, "_fill_normals", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2049894, 2 * _P * _B + 1, 2 * _P * _B - 1, 2 * _B + 1, 7])
+def test_normals_same_bytes_on_any_number_of_cpus(monkeypatch, n):
+    draws, fills = {}, {}
+    for cpus in (1, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        calls = _threads(monkeypatch)
+        rng = CounterRng(11)
+        rng.raw(3)
+        draws[cpus] = rng.normals(n).tobytes()
+        monkeypatch.undo()
+        fills[cpus] = calls
+    assert draws[1] == draws[3]
+    blocks = -(-((n + 1) // 2) // _B)
+    workers = min(3, blocks) if blocks >= _P else 1
+    assert len(fills[1]) == 1
+    # One filler per thread, never more than CPUs or blocks, and every
+    # block claimed exactly once.
+    assert len(fills[3]) == len({thread for thread, _ in fills[3]}) == workers
+    for calls in fills.values():
+        assert sorted(b for _, claimed in calls for b in claimed) == list(range(blocks))
+
+
+def test_normals_with_more_threads_than_cores(monkeypatch):
+    # Eight threads on any host, switching as often as the interpreter
+    # allows: each block is claimed once and written to its own slices of
+    # the output, so no byte moves.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    n = 2 * 16 * _B + 5
+    want = box_muller_normals(13, 0, n).tobytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert CounterRng(13).normals(n).tobytes() == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_normals_cpu_count_fallback(monkeypatch):
+    # Without sched_getaffinity the number of CPUs comes from os.cpu_count.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    calls = _threads(monkeypatch)
+    n = 2 * 3 * _P * _B
+    assert CounterRng(5).normals(n).tobytes() == box_muller_normals(5, 0, n).tobytes()
+    assert len(calls) == 3
+
+
+def test_normal_matrix_draws_through_normals_once(monkeypatch):
+    calls = []
+    normals = CounterRng.normals
+
+    def counted(self, n):
+        calls.append(n)
+        return normals(self, n)
+
+    monkeypatch.setattr(CounterRng, "normals", counted)
+    rng = CounterRng(3)
+    mat = rng.normal_matrix(1001, 7)
+    assert calls == [7007]
+    assert mat.shape == (1001, 7)
+    assert mat.tobytes() == box_muller_normals(3, 0, 7007).tobytes()
+    assert rng.position == 7008
+
+
+@pytest.mark.parametrize("draw", [
+    lambda r: r.normals(-1), lambda r: r.normals(-2), lambda r: r.raw(-1),
+    lambda r: r.uniforms(-1), lambda r: r.normal_matrix(-1, 3),
+    lambda r: r.normal_matrix(3, -1), lambda r: r.normal_matrix(-2, -3),
+], ids=["normals-1", "normals-2", "raw-1", "uniforms-1", "matrix-rows", "matrix-cols",
+        "matrix-both"])
+def test_negative_sizes_rejected_without_consuming(draw):
+    rng = CounterRng(9)
+    rng.raw(2)
+    with pytest.raises(ValueError, match="non-negative"):
+        draw(rng)
+    assert rng.position == 2

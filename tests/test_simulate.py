@@ -110,6 +110,17 @@ def test_discrete_blowup_detection_past_first_block():
         simulate_discrete(params, n=200, x0=x0, noise=w)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -2e10])
+def test_blowup_guard_names_first_bad_step(bad):
+    # The guard tests the whole path at once; a NaN must fail that test
+    # too, and the message still names the first row that holds the value.
+    params = _scalar_params()
+    noise = np.zeros((30, 1))
+    noise[16, 0] = bad
+    with pytest.raises(DivergenceError, match="at step 17$"):
+        simulate_discrete(params, n=30, noise=noise)
+
+
 def test_discrete_requires_positive_eta():
     with pytest.raises(ConstructionError):
         simulate_discrete(_scalar_params(-1.0, 0.0), n=10)
