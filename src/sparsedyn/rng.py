@@ -11,7 +11,7 @@ Normal variates use the Box-Muller transform on explicit 53-bit uniforms;
 bounded integers use ``floor(u * k)``.  Both conventions are part of the
 reproducibility contract: identical seeds yield bit-identical streams.
 Large normal draws are computed in cache-sized blocks, in parallel over
-the CPUs the process may use; since every output depends only on its
+the CPUs the process may use (capped by a cgroup CPU quota); since every output depends only on its
 index, the split changes no bit of the stream.
 """
 
@@ -33,9 +33,12 @@ _TWO_PI = 2.0 * np.pi
 # Box-Muller pairs per block: the block's five working arrays (1.25 MB)
 # stay in a 2 MB L2.
 _BLOCK = 1 << 15
-# Draws of fewer blocks than this run on the calling thread alone: below
-# it, starting a helper thread costs about what it saves.
-_MIN_PARALLEL_BLOCKS = 4
+# Each thread of a draw gets at least this many blocks, so draws of fewer
+# than twice as many run on the calling thread alone.  Measured on a 2-CPU
+# VM: two threads lose at 2-3 blocks, tie at 4-5 and win from 6 on.
+_BLOCKS_PER_THREAD = 3
+# The cgroup v2 CPU quota of the process's cgroup namespace, "max" if none.
+_CPU_MAX = "/sys/fs/cgroup/cpu.max"
 
 
 def _mix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -76,11 +79,18 @@ def derive_seed(master: int, *parts: int) -> int:
 
 
 def _cpus() -> int:
-    """CPUs this process may run on."""
+    """CPUs this process may use: those it may run on, capped by a cgroup
+    CPU quota (whole CPUs, at least one) when one is set."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    try:
+        with open(_CPU_MAX) as f:
+            quota, period = f.read().split()
+        return max(1, min(cpus, int(quota) // int(period)))
+    except (OSError, ValueError):  # no cgroup v2, or no quota ("max")
+        return cpus
 
 
 def _fill_normals(key: np.ndarray, first: int, out: np.ndarray, claim) -> None:
@@ -173,9 +183,10 @@ class CounterRng:
         The pairs are computed in cache-sized blocks written straight into
         the output.  A draw of several blocks is shared by the calling
         thread and short-lived helper threads, one thread per CPU the
-        process may use; each thread takes the next unclaimed block until
-        none is left, so a helper that starts late or is descheduled holds
-        nothing up.  Each value depends only on the seed and its index, so
+        process may use (capped by a cgroup CPU quota) and per three
+        blocks.  Each thread takes the next unclaimed block until none is
+        left, so a helper that starts late delays nothing, but one that is
+        descheduled mid-block delays the call until it resumes.  Each value depends only on the seed and its index, so
         the stream is the same bit for bit however the blocks are shared.
         """
         if n < 0:
@@ -186,7 +197,9 @@ class CounterRng:
         out = np.empty(2 * m)
         blocks = -(-m // _BLOCK)
         claim = _claimer(blocks)
-        workers = min(_cpus(), blocks) if blocks >= _MIN_PARALLEL_BLOCKS else 1
+        workers = 1
+        if blocks >= 2 * _BLOCKS_PER_THREAD:
+            workers = min(_cpus(), blocks // _BLOCKS_PER_THREAD)
         if workers == 1:
             _fill_normals(self._key, first, out, claim)
         else:

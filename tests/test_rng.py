@@ -92,7 +92,8 @@ def test_position_tracks_consumption():
 # ------------------------------------------------------ normal stream
 
 _B = rng_module._BLOCK
-_P = rng_module._MIN_PARALLEL_BLOCKS
+_T = rng_module._BLOCKS_PER_THREAD
+_P = 2 * _T  # fewest blocks a draw shares between threads
 # Draw sizes at and around the block size and the point where a draw is
 # split over CPUs (a draw of n normals has ceil(n / 2) pairs), odd sizes
 # that drop the last sine, and one phase_sweep trajectory (48,807 x 42).
@@ -123,6 +124,12 @@ def test_normals_golden():
     ]
 
 
+def _force_cpus(monkeypatch, cpus):
+    """Let the process run on ``cpus`` CPUs, under no cgroup CPU quota."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(rng_module, "_CPU_MAX", os.devnull)
+
+
 def _threads(monkeypatch):
     """Record, per call of the normal filler, its thread and the blocks it
     claims."""
@@ -149,7 +156,7 @@ def _threads(monkeypatch):
 def test_normals_same_bytes_on_any_number_of_cpus(monkeypatch, n):
     draws, fills = {}, {}
     for cpus in (1, 3):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        _force_cpus(monkeypatch, cpus)
         calls = _threads(monkeypatch)
         rng = CounterRng(11)
         rng.raw(3)
@@ -158,7 +165,7 @@ def test_normals_same_bytes_on_any_number_of_cpus(monkeypatch, n):
         fills[cpus] = calls
     assert draws[1] == draws[3]
     blocks = -(-((n + 1) // 2) // _B)
-    workers = min(3, blocks) if blocks >= _P else 1
+    workers = min(3, blocks // _T) if blocks >= _P else 1
     assert len(fills[1]) == 1
     # One filler per thread, never more than CPUs or blocks, and every
     # block claimed exactly once.
@@ -171,8 +178,8 @@ def test_normals_with_more_threads_than_cores(monkeypatch):
     # Eight threads on any host, switching as often as the interpreter
     # allows: each block is claimed once and written to its own slices of
     # the output, so no byte moves.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-    n = 2 * 16 * _B + 5
+    _force_cpus(monkeypatch, 8)
+    n = 2 * 8 * _P * _B + 5
     want = box_muller_normals(13, 0, n).tobytes()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -187,10 +194,29 @@ def test_normals_cpu_count_fallback(monkeypatch):
     # Without sched_getaffinity the number of CPUs comes from os.cpu_count.
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(rng_module, "_CPU_MAX", os.devnull)
     calls = _threads(monkeypatch)
     n = 2 * 3 * _P * _B
     assert CounterRng(5).normals(n).tobytes() == box_muller_normals(5, 0, n).tobytes()
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("cpu_max, cpus", [
+    ("max 100000\n", 3), ("200000 100000\n", 2), ("250000 100000\n", 2),
+    ("50000 100000\n", 1), ("800000 100000\n", 3), (None, 3),
+], ids=["no-quota", "two", "two-and-a-half", "half", "above-affinity", "no-cgroup-v2"])
+def test_normals_threads_capped_by_cgroup_quota(monkeypatch, tmp_path, cpu_max, cpus):
+    # A container may be given fewer CPUs of time than it may run on; a
+    # draw then starts no more threads than whole CPUs of its quota.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+    path = tmp_path / "cpu.max"
+    if cpu_max is not None:
+        path.write_text(cpu_max)
+    monkeypatch.setattr(rng_module, "_CPU_MAX", str(path))
+    calls = _threads(monkeypatch)
+    n = 2 * 3 * _P * _B
+    assert CounterRng(5).normals(n).tobytes() == box_muller_normals(5, 0, n).tobytes()
+    assert len(calls) == cpus
 
 
 def test_normal_matrix_draws_through_normals_once(monkeypatch):
