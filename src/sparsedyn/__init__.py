@@ -62,7 +62,7 @@ from .simulate import (
     simulate_discrete,
     sufficient_stats,
 )
-from .solver import Estimate, SolverConfig, fit, fit_lasso, objective, smooth_gradient
+from .solver import Estimate, SolverConfig, fit, objective, smooth_gradient
 
 __version__ = "0.1.0"
 
@@ -95,7 +95,6 @@ __all__ = [
     "derive_seed",
     "export_dependency_graph",
     "fit",
-    "fit_lasso",
     "gen_illustrative",
     "gen_random_system",
     "identifiability_alpha",

@@ -31,7 +31,7 @@ from . import generate as gen
 from . import model as mdl
 from . import simulate as sim
 from . import solver as slv
-from .csvio import ingest_csv, number, write_table
+from .csvio import ingest_csv, number, read_text, write_table
 from .errors import ConfigError, SparsedynError
 from .simulate import price_trajectory
 
@@ -40,16 +40,21 @@ __all__ = ["run", "main"]
 # Parsed names that say where a run writes, not what it computes.
 _NOT_CONFIG = {"command", "func", "config", "out", "graph_out", "edges_out"}
 
+# Characters per write: only this much of an artifact is ever held encoded.
+_SLICE = 1 << 20
+
 
 def _write(path: Path, content: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(content)
+    with path.open("w", encoding="utf-8") as handle:
+        for start in range(0, len(content), _SLICE):
+            handle.write(content[start:start + _SLICE])
 
 
 def _load_trajectory(args: argparse.Namespace) -> tuple[sim.Trajectory, list[str] | None]:
     """The input trajectory and its series labels (``None`` for ``--data``)."""
     if args.data:
-        return sim.trajectory_from_csv(Path(args.data).read_text()), None
+        return sim.trajectory_from_csv(read_text(args.data)), None
     if args.prices:
         table = ingest_csv(args.prices, missing=args.missing)
         traj = price_trajectory(table, convert=args.convert, eta=args.price_eta)
@@ -75,7 +80,7 @@ def cmd_gen(args: argparse.Namespace, config: dict) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace, config: dict) -> int:
-    params, _ = gen.system_from_json(Path(args.system).read_text())
+    params, _ = gen.system_from_json(read_text(args.system))
     if args.mode == "discrete":
         if args.eta is not None:
             params = dataclasses.replace(params, eta=args.eta)
@@ -161,7 +166,7 @@ def cmd_cv(args: argparse.Namespace, config: dict) -> int:
 
 def cmd_predict(args: argparse.Namespace, config: dict) -> int:
     traj, _ = _load_trajectory(args)
-    est, _ = slv.estimate_from_json(Path(args.estimate).read_text())
+    est, _ = slv.estimate_from_json(read_text(args.estimate))
     actuals = None
     history = traj
     if args.holdout:
@@ -185,7 +190,7 @@ def cmd_predict(args: argparse.Namespace, config: dict) -> int:
 
 
 def cmd_check(args: argparse.Namespace, config: dict) -> int:
-    params, _ = gen.system_from_json(Path(args.system).read_text())
+    params, _ = gen.system_from_json(read_text(args.system))
     report = mdl.assumption_report(
         params, n=args.n, delta=args.delta, K=args.K, horizon=args.horizon
     )
@@ -219,7 +224,7 @@ def _expand_config_file(argv: list[str]) -> list[str]:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -254,8 +259,16 @@ def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
                         help="missing-cell policy for price CSVs")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ``ConfigError``, so it ends in the one ``error:``
+    line like every other error; subparsers inherit the class."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sparsedyn",
         description="Sparse dependency recovery for linear stochastic systems "
                     "with latent time series.",

@@ -21,7 +21,7 @@ from .errors import ConfigError, DataError
 log = logging.getLogger("sparsedyn")
 
 __all__ = ["Table", "read_table", "require_complete", "write_table", "number",
-           "PriceTable", "ingest_csv"]
+           "PriceTable", "ingest_csv", "read_text"]
 
 _NUMBER = "%.17g"
 
@@ -43,6 +43,15 @@ def write_table(header: list[str], rows, comments: list[str] | None = None) -> s
     for start in range(0, len(values), 4096):
         parts.append("".join(line % tuple(row) for row in values[start:start + 4096].tolist()))
     return "".join(parts)
+
+
+def read_text(path) -> str:
+    """The text of an input file; bytes that are not UTF-8 are a
+    ``DataError`` naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
 
 def _cell(text: str) -> float:
@@ -144,7 +153,7 @@ def ingest_csv(path, missing: str = "reject") -> PriceTable:
     path = Path(path)
     if not path.exists():
         raise DataError(f"price file not found: {path}")
-    table = read_table(path.read_text())
+    table = read_table(read_text(path))
     labels = table.header[1:]
     empty = [k + 2 for k, label in enumerate(labels) if not label]
     if empty:

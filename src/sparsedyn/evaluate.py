@@ -149,11 +149,11 @@ def lambda_pair_from_constants(
     s: int,
     eta: float,
     n: int,
-    delta: float = 0.1,
 ) -> tuple[float, float]:
     """Practical regularizer rule: ``lambda_A = c sqrt(log(4((s+2r)p + r^2)/delta) / (n eta))``
-    and ``lambda_L = d sqrt(p) lambda_A``."""
-    lam_a = c * math.sqrt(_log_model_size(s, r, p, delta) / (n * eta))
+    with ``delta = 0.1``, and ``lambda_L = d sqrt(p) lambda_A``; ``c``
+    absorbs any other ``delta``."""
+    lam_a = c * math.sqrt(_log_model_size(s, r, p, 0.1) / (n * eta))
     return lam_a, d * math.sqrt(p) * lam_a
 
 
@@ -265,7 +265,6 @@ def block_cross_validate(
     chunk_count: int = 5,
     *,
     mode: str = "sparse_plus_lowrank",
-    delta: float = 0.1,
     s_ref: int = 1,
     r_ref: int = 1,
     max_iter: int = 2000,
@@ -301,9 +300,7 @@ def block_cross_validate(
     ]
 
     def rule(c: float, d: float, n: int) -> tuple[float, float]:
-        return lambda_pair_from_constants(
-            c, d, traj.p, r_ref, s_ref, traj.eta, n, delta
-        )
+        return lambda_pair_from_constants(c, d, traj.p, r_ref, s_ref, traj.eta, n)
 
     errors = [[math.inf] * len(grid_d) for _ in grid_c]
     best = (math.inf, -math.inf, -math.inf)
@@ -315,7 +312,7 @@ def block_cross_validate(
                 lam_a, lam_l = rule(c, d, train.n)
                 config = SolverConfig(
                     lambda_a=lam_a,
-                    lambda_l=lam_l if mode != MODE_PURE_LASSO else 0.0,
+                    lambda_l=lam_l,
                     mode=mode,
                     max_iter=max_iter,
                     tol=tol,

@@ -162,10 +162,7 @@ def steady_state(params: SystemParams) -> SteadyState:
     p_blk = qj[p:, p:]
     if float(np.min(np.linalg.eigvalsh(q))) < 1e-12:
         raise NumericalError("observed-block stationary covariance is numerically singular")
-    if params.r:
-        l_mat = params.B @ np.linalg.solve(q, r_blk.T).T
-    else:
-        l_mat = np.zeros((p, p))
+    l_mat = params.B @ np.linalg.solve(q, r_blk.T).T
     eigs = np.linalg.eigvalsh(qj)
     return SteadyState(
         Q=q,

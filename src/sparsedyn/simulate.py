@@ -109,33 +109,25 @@ class SufficientStats:
     sq_increment_sum: float
 
 
-def _initial_state(params: SystemParams, x0, u0, init: str, rng, stationary_cov) -> np.ndarray:
-    """Starting joint state: zeros (default), explicit vectors, or a draw
-    from the stationary Gaussian (which removes burn-in)."""
-    if init not in ("zero", "stationary"):
-        raise ConstructionError(f"unknown init {init!r} (expected 'zero' or 'stationary')")
-    if init == "stationary":
-        if x0 is not None or u0 is not None:
-            raise ConstructionError("explicit x0/u0 conflict with init='stationary'")
-        cov = stationary_cov()
-        return np.linalg.cholesky(cov) @ rng.normals(params.p + params.r)
+def _initial_state(params: SystemParams, init, rng, stationary_cov) -> np.ndarray:
+    """Starting joint state ``[x(0); u(0)]``: zeros, a draw from the
+    stationary Gaussian (which removes burn-in), or the given vector."""
     m = params.p + params.r
-    state = np.zeros(m)
-    if x0 is not None:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (params.p,):
-            raise ConstructionError(f"x0 must have shape ({params.p},)")
-        state[: params.p] = x0
-    if u0 is not None:
-        u0 = np.asarray(u0, dtype=float)
-        if u0.shape != (params.r,):
-            raise ConstructionError(f"u0 must have shape ({params.r},)")
-        state[params.p:] = u0
+    if isinstance(init, str):
+        if init == "zero":
+            return np.zeros(m)
+        if init == "stationary":
+            return np.linalg.cholesky(stationary_cov()) @ rng.normals(m)
+        raise ConstructionError(
+            f"unknown init {init!r} (expected 'zero', 'stationary' or a vector)")
+    state = np.asarray(init, dtype=float)
+    if state.shape != (m,):
+        raise ConstructionError(f"init vector must have shape ({m},), the joint [x(0); u(0)]")
     return state
 
 
 def _sample(params: SystemParams, f: np.ndarray, factor: np.ndarray, stationary_cov, eta: float,
-            n: int, seed: int, x0, u0, init: str, noise, keep_latent: bool) -> Trajectory:
+            n: int, seed: int, init, noise, keep_latent: bool) -> Trajectory:
     """Run ``X(i+1) = f X(i) + w(i)`` for ``n`` steps; the one sampling core.
 
     The increments are ``w = z @ factor.T`` for standard normals ``z``
@@ -166,7 +158,7 @@ def _sample(params: SystemParams, f: np.ndarray, factor: np.ndarray, stationary_
         raise ConstructionError("n must be at least 1")
     m = f.shape[0]
     rng = CounterRng(seed)
-    start = _initial_state(params, x0, u0, init, rng, stationary_cov)
+    start = _initial_state(params, init, rng, stationary_cov)
     if noise is None:
         draws = rng.normal_matrix(n, m)
     else:
@@ -210,21 +202,19 @@ def _sample(params: SystemParams, f: np.ndarray, factor: np.ndarray, stationary_
 def simulate_discrete(
     params: SystemParams,
     n: int,
-    x0=None,
-    u0=None,
     seed: int = 0,
     keep_latent: bool = False,
     noise: np.ndarray | None = None,
-    init: str = "zero",
+    init: str | np.ndarray = "zero",
 ) -> Trajectory:
     """Iterate ``X(i+1) = (I + eta*joint) X(i) + w(i)``, ``w ~ N(0, eta I)``.
 
     ``noise`` overrides the increments ``w`` with an explicit (n, p+r)
-    array (used by tests to inject specific increments).
-    ``init="stationary"`` draws the starting state from the stationary
-    Gaussian instead of zeros (consuming p+r normals before the path
-    noise).  Requires spectral radius of ``I + eta*joint`` below one so the
-    iteration is convergent.
+    array (used by tests to inject specific increments).  ``init`` is the
+    starting state: ``"zero"``, ``"stationary"`` (a draw from the
+    stationary Gaussian, consuming p+r normals before the path noise), or
+    the joint vector ``[x(0); u(0)]`` of length p+r.  Requires spectral
+    radius of ``I + eta*joint`` below one so the iteration is convergent.
     """
     if params.eta <= 0:
         raise ConstructionError("discrete simulation needs params.eta > 0")
@@ -238,7 +228,7 @@ def simulate_discrete(
     return _sample(
         params, f, np.sqrt(params.eta) * np.eye(m),
         lambda: solve_lyapunov_discrete(params.joint(), params.eta),
-        params.eta, n, seed, x0, u0, init, noise, keep_latent,
+        params.eta, n, seed, init, noise, keep_latent,
     )
 
 
@@ -286,11 +276,9 @@ def simulate_continuous(
     mode: str = "binned",
     bins: int = 10,
     seed: int = 0,
-    x0=None,
-    u0=None,
     keep_latent: bool = False,
     noise: np.ndarray | None = None,
-    init: str = "zero",
+    init: str | np.ndarray = "zero",
 ) -> Trajectory:
     """Subsample the continuous-time flow at step ``eta``.
 
@@ -300,8 +288,9 @@ def simulate_continuous(
     through the Cholesky factor of that covariance, which reproduces the
     respective Gaussian law exactly.  ``noise`` overrides the increments
     with an explicit (n, p+r) array (zeros give the noise-free flow).
-    ``init="stationary"`` starts from a draw of the continuous stationary
-    Gaussian.  Requires a Hurwitz joint drift.
+    ``init`` is the starting state: ``"zero"``, ``"stationary"`` (a draw
+    from the continuous stationary Gaussian), or the joint vector
+    ``[x(0); u(0)]`` of length p+r.  Requires a Hurwitz joint drift.
     """
     if not (math.isfinite(eta) and eta > 0):
         raise ConstructionError("sampling step eta must be finite and positive")
@@ -321,7 +310,7 @@ def simulate_continuous(
     return _sample(
         params, matrix_exponential(joint * eta), chol,
         lambda: solve_lyapunov_continuous(joint),
-        eta, n, seed, x0, u0, init, noise, keep_latent,
+        eta, n, seed, init, noise, keep_latent,
     )
 
 

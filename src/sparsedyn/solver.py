@@ -9,18 +9,18 @@ a low-rank latent-effect matrix ``L`` by minimizing
 
 over both blocks.  The smooth part depends on the data only through the
 sufficient statistics, so one pass over the trajectory suffices and each
-iteration costs two p x p products plus one p x p SVD (a momentum restart
-adds a second).  The nuclear-norm term of each iterate's objective is the
-sum of the singular values the prox step already shrank, so scoring an
-iterate needs no SVD of its own.  A pure-lasso mode pins ``L = 0`` and
-reproduces the latent-blind baseline.
+iteration costs two p x p products plus one p x p SVD (a rejected momentum
+step costs one more).  The nuclear-norm term of each iterate's objective
+is the sum of the singular values the prox step already shrank, so
+scoring an iterate needs no SVD of its own.  A pure-lasso mode of ``fit``
+pins ``L = 0`` and reproduces the latent-blind baseline.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "objective",
     "smooth_gradient",
     "fit",
-    "fit_lasso",
     "estimate_to_json",
     "estimate_from_json",
 ]
@@ -132,12 +131,13 @@ def fit(
     Each iteration extrapolates with the momentum sequence, takes one
     gradient step shared by both blocks, then applies the entrywise soft
     threshold to the ``A`` block and singular value thresholding to the
-    ``L`` block, which is the iteration's one SVD.  When an accelerated
-    step would increase the objective, the momentum is reset and the
-    iteration falls back to a plain proximal gradient step from the
-    previous iterate, which cannot increase the objective at this step
-    size; if even that step makes no progress the solver stops.  Stops when
-    the relative objective change drops below ``config.tol``.
+    ``L`` block, which is the iteration's one SVD.  An accelerated step
+    that would increase the objective is rejected, and the next pass takes
+    a plain proximal gradient step, which cannot increase it at this step
+    size, from the last accepted iterate with the momentum reset; a
+    rejected step is not an iteration.  A plain step that makes no
+    progress keeps the iterate and stops the solver; otherwise it stops
+    when the relative objective change drops below ``config.tol``.
     """
     p = stats.S1.shape[0]
     if stats.S2.shape != (p, p):
@@ -145,19 +145,6 @@ def fit(
     lasso = config.mode == MODE_PURE_LASSO
     smax = power_spectral_norm(stats.S1)
     step = 1.0 / (2.0 * smax) if smax > 0 else 1.0
-
-    def prox_step(ya: np.ndarray, yl: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """One proximal gradient step from ``(ya, yl)`` and its objective;
-        the nuclear norm of the new ``L`` is the sum of its shrunk values."""
-        grad = smooth_gradient(ya + yl, stats)
-        a_new = prox_l1(ya - step * grad, step * config.lambda_a)
-        if lasso:
-            l_new, nuclear = yl, 0.0
-        else:
-            l_new, shrunk = prox_nuclear(yl - step * grad, step * config.lambda_l)
-            nuclear = config.lambda_l * float(shrunk.sum())
-        smooth_l1 = objective(a_new, l_new, stats, sq_increment_sum, config.lambda_a, 0.0)
-        return a_new, l_new, smooth_l1 + nuclear
 
     a = np.zeros((p, p))
     l_mat = np.zeros((p, p))
@@ -168,28 +155,36 @@ def fit(
     converged = False
     iterations = 0
 
-    for k in range(1, config.max_iter + 1):
-        a_new, l_new, obj_new = prox_step(ya, yl)
+    while iterations < config.max_iter:
+        # The nuclear norm of the new L is the sum of the values its prox shrank.
+        grad = smooth_gradient(ya + yl, stats)
+        a_new = prox_l1(ya - step * grad, step * config.lambda_a)
+        if lasso:
+            l_new, nuclear = yl, 0.0
+        else:
+            l_new, shrunk = prox_nuclear(yl - step * grad, step * config.lambda_l)
+            nuclear = config.lambda_l * float(shrunk.sum())
+        obj_new = objective(a_new, l_new, stats, sq_increment_sum, config.lambda_a, 0.0) + nuclear
         if not np.isfinite(obj_new):
-            raise DivergenceError(f"objective became non-finite at iteration {k}")
+            raise DivergenceError(f"objective became non-finite at iteration {iterations + 1}")
         if obj_new > obj:
-            # Momentum overshot: restart from the last accepted iterate.
-            t_momentum = 1.0
-            a_new, l_new, obj_new = prox_step(a, l_mat)
-            if not np.isfinite(obj_new):
-                raise DivergenceError(f"objective became non-finite at iteration {k}")
-            if obj_new > obj:
-                # Plain step cannot make progress: numerically converged.
-                a_new, l_new, obj_new = a, l_mat, obj
+            if t_momentum > 1.0:
+                # Momentum overshot: reject the step and take a plain one
+                # from the last accepted iterate on the next pass.
+                t_momentum = 1.0
+                ya, yl = a, l_mat
+                continue
+            # Plain step cannot make progress: numerically converged.
+            a_new, l_new, obj_new = a, l_mat, obj
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2))
         beta = (t_momentum - 1.0) / t_next
         ya = a_new + beta * (a_new - a)
-        yl = l_new if lasso else l_new + beta * (l_new - l_mat)
+        yl = l_new + beta * (l_new - l_mat)
         t_momentum = t_next
         rel_change = abs(obj - obj_new) / max(1.0, abs(obj))
         a, l_mat, obj = a_new, l_new, obj_new
         trace.append(obj)
-        iterations = k
+        iterations += 1
         if rel_change < config.tol:
             converged = True
             break
@@ -202,18 +197,6 @@ def fit(
         converged=converged,
         step_used=float(step),
     )
-
-
-def fit_lasso(
-    stats: SufficientStats,
-    sq_increment_sum: float,
-    config: SolverConfig,
-) -> Estimate:
-    """Latent-blind baseline: identical to :func:`fit` with ``L`` pinned
-    to zero (no nuclear-norm proximal step, no ``L`` update)."""
-    if config.mode != MODE_PURE_LASSO:
-        config = replace(config, lambda_l=0.0, mode=MODE_PURE_LASSO)
-    return fit(stats, sq_increment_sum, config)
 
 
 def estimate_to_json(est: Estimate, config: dict | None = None) -> str:

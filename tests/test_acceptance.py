@@ -43,7 +43,6 @@ from sparsedyn.solver import (
     MODE_PURE_LASSO,
     SolverConfig,
     fit,
-    fit_lasso,
     smooth_gradient,
     objective,
 )
@@ -444,10 +443,10 @@ def test_criterion_6_latent_vs_lasso_sparsity():
                         SolverConfig(lambda_a=sel_joint.lambda_a,
                                      lambda_l=sel_joint.lambda_l,
                                      max_iter=2000, tol=1e-7))
-        est_lasso = fit_lasso(stats, stats.sq_increment_sum,
-                              SolverConfig(lambda_a=sel_lasso.lambda_a,
-                                           mode=MODE_PURE_LASSO,
-                                           max_iter=2000, tol=1e-7))
+        est_lasso = fit(stats, stats.sq_increment_sum,
+                        SolverConfig(lambda_a=sel_lasso.lambda_a,
+                                     mode=MODE_PURE_LASSO,
+                                     max_iter=2000, tol=1e-7))
         dens_joint = np.count_nonzero(est_joint.Ahat) / p**2
         dens_lasso = np.count_nonzero(est_lasso.Ahat) / p**2
         ratios.append(dens_joint / dens_lasso if dens_lasso else np.inf)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import sparsedyn.cli as cli_module
 import sparsedyn.evaluate as ev_module
 from sparsedyn.cli import ingest_csv, price_trajectory, run
-from sparsedyn.errors import DataError
+from sparsedyn.errors import ConfigError, DataError
 from sparsedyn.rng import CounterRng
 
 
@@ -305,12 +305,15 @@ def test_cli_config_file_defaults_and_overrides(tmp_path):
     assert json.loads(out_c.read_text())["A"] != json.loads(out_a.read_text())["A"]
 
 
-def test_cli_config_file_rejects_unknown_field(tmp_path):
+def test_cli_config_file_rejects_unknown_field(tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"not_a_field": 1}))
-    with pytest.raises(SystemExit):
-        run(["gen", "--config", str(config), "--p", "4",
-             "--out", str(tmp_path / "x.json")])
+    code = run(["gen", "--config", str(config), "--p", "4",
+                "--out", str(tmp_path / "x.json")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error:ConfigError:unrecognized arguments: --not-a-field 1\n")
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_cli_config_file_must_exist(tmp_path, capsys):
@@ -591,6 +594,138 @@ def test_cli_non_finite_number_is_one_error_line(tmp_path, capsys, monkeypatch, 
     assert list(Path("out").iterdir()) == []
 
 
+_OUT = "out/artifact"
+_FIT = ["--lambda-a", "0.1", "--lambda-l", "0.1", "--out", _OUT]
+_PREDICT = ["predict", "--data", "traj.csv", "--estimate", "est.json"]
+
+
+def _error_path_inputs(directory):
+    """``traj.csv`` (4 rows, p = 2), ``est.json``, ``system.json`` and the
+    malformed files of the error-path cases."""
+    _write_forecast_inputs(directory, 2)
+    assert run(["gen", "--p", "4", "--r", "2", "--s", "1", "--out",
+                str(Path(directory, "system.json"))]) == 0
+    files = {
+        "one_row.csv": "t,x1,x2\n0,1,2\n",
+        "one_price.csv": "date,a,b\n2020-01-01,1,2\n",
+        "two_prices.csv": "date,a,b\n2020-01-01,1,2\n2020-01-02,2,3\n",
+        "negative.csv": "date,a,b\n2020-01-01,1,-2\n2020-01-02,2,3\n",
+        "zero.csv": "date,a,b\n2020-01-01,0,2\n2020-01-02,2,3\n2020-01-03,3,4\n",
+        "not_json.json": "{",
+        "partial.json": json.dumps({"Ahat": [[-1.0, 0.0], [0.0, -1.0]]}),
+        "list.json": "[1]",
+        "bool.json": json.dumps({"seed": True}),
+        "empty_list.json": json.dumps({"seed": []}),
+    }
+    for name, text in files.items():
+        Path(directory, name).write_text(text)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--system", "system.json", "--n", "10", "--out", _OUT],
+     "ConfigError:--eta (sampling step) is required"),
+    ([*_PREDICT, "--horizon", "3", "--holdout", "2", "--out", _OUT],
+     "ConfigError:--holdout must be at least --horizon"),
+    ([*_PREDICT, "--horizon", "2", "--holdout", "3", "--out", _OUT],
+     "ConfigError:not enough samples for the requested holdout"),
+    (["gen", "--out", _OUT, "--p", "4", "--config"], "ConfigError:--config requires a file path"),
+    (["--config", "list.json", "gen", "--p", "4", "--out", _OUT],
+     "ConfigError:--config must follow a subcommand"),
+    (["gen", "--config", "not_json.json", "--out", _OUT],
+     "ConfigError:config file is not valid JSON"),
+    (["gen", "--config", "list.json", "--out", _OUT],
+     "ConfigError:config file must hold a JSON object"),
+    (["gen", "--p", "4", "--config", "bool.json", "--out", _OUT],
+     "ConfigError:config field 'seed': boolean values are not supported"),
+    (["gen", "--p", "4", "--config", "empty_list.json", "--out", _OUT],
+     "ConfigError:config field 'seed': empty list"),
+    (["fit", "--prices", "missing.csv", *_FIT], "DataError:price file not found: missing.csv"),
+    (["fit", "--prices", "one_price.csv", *_FIT],
+     "DataError:price CSV needs a header and at least two data rows"),
+    (["fit", "--data", "one_row.csv", *_FIT],
+     "DataError:trajectory CSV needs a header and at least two rows"),
+    (["fit", "--prices", "negative.csv", "--convert", "log", *_FIT],
+     "DataError:log conversion requires strictly positive prices"),
+    (["fit", "--prices", "zero.csv", "--convert", "returns", *_FIT],
+     "DataError:returns conversion divides by zero price"),
+    (["fit", "--prices", "two_prices.csv", "--convert", "returns", *_FIT],
+     "DataError:not enough rows after conversion"),
+    (["predict", "--data", "traj.csv", "--estimate", "not_json.json", "--out", _OUT],
+     "DataError:invalid estimate JSON"),
+    (["predict", "--data", "traj.csv", "--estimate", "partial.json", "--out", _OUT],
+     "DataError:estimate JSON missing or malformed field"),
+    (["gen", "--p", "0", "--out", _OUT], "ConstructionError:p must be positive"),
+    (["gen", "--p", "4", "--r", "-1", "--out", _OUT], "ConstructionError:r must be non-negative"),
+    (["gen", "--p", "4", "--r", "2", "--s", "1", "--eta", "5", "--out", _OUT],
+     "ConstructionError:eta = 5 is not below 2/sigma_max(joint)"),
+    (["cv", "--data", "traj.csv", "--grid-c", "1", "--chunks", "100", "--out", _OUT],
+     "ConfigError:not enough transitions for the requested chunk count"),
+    # Usage errors that argparse finds end the same way.
+    (["gen", "--p", "x", "--out", _OUT], "ConfigError:argument --p: invalid int value: 'x'"),
+    (["gen", "--out", _OUT], "ConfigError:the following arguments are required: --p"),
+    (["gen", "--p", "4", "--bogus", "1", "--out", _OUT],
+     "ConfigError:unrecognized arguments: --bogus 1"),
+    (["simulate", "--system", "system.json", "--n", "10", "--mode", "weird", "--out", _OUT],
+     "ConfigError:argument --mode: invalid choice: 'weird'"),
+], ids=["simulate-no-eta", "holdout-below-horizon", "holdout-too-long", "config-no-path",
+        "config-before-command", "config-not-json", "config-not-object", "config-boolean",
+        "config-empty-list", "prices-missing", "prices-one-row", "trajectory-one-row",
+        "log-negative", "returns-zero", "returns-too-few-rows", "estimate-not-json",
+        "estimate-missing-field", "gen-p-0", "gen-r-negative", "gen-eta-too-large",
+        "cv-too-many-chunks", "usage-bad-int", "usage-missing-required", "usage-unknown-flag",
+        "usage-bad-choice"])
+def test_cli_error_path_is_one_error_line(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    _error_path_inputs(tmp_path)
+    Path("out").mkdir()
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error:{message}")
+    assert err.count("\n") == 1
+    assert list(Path("out").iterdir()) == []
+
+
+def test_cli_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run(["gen", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: sparsedyn gen")
+
+
+@pytest.mark.parametrize("flag", ["--data", "--prices", "--system", "--config", "--estimate"])
+def test_cli_non_utf8_input_is_one_error_line(tmp_path, capsys, monkeypatch, flag):
+    monkeypatch.chdir(tmp_path)
+    _write_forecast_inputs(tmp_path, 2)
+    Path("bad").write_bytes(b"t,x1\n0,\xff\n")
+    Path("out").mkdir()
+    argv = {
+        "--data": ["fit", "--data", "bad", *_FIT],
+        "--prices": ["fit", "--prices", "bad", *_FIT],
+        "--system": ["simulate", "--system", "bad", "--n", "10", "--eta", "0.1", "--out", _OUT],
+        "--config": ["gen", "--config", "bad", "--out", _OUT],
+        "--estimate": ["predict", "--data", "traj.csv", "--estimate", "bad", "--out", _OUT],
+    }[flag]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:DataError:bad is not UTF-8 text")
+    assert err.count("\n") == 1
+    assert list(Path("out").iterdir()) == []
+
+
+def test_cli_check_reports_theory_constants_when_assumptions_hold(tmp_path):
+    # The one small system found where A1-A3 all hold: the regularizer and
+    # error-bound constants are filled in rather than null.
+    system, report = tmp_path / "system.json", tmp_path / "report.json"
+    assert run(["gen", "--p", "10", "--r", "0", "--s", "1", "--seed", "3",
+                "--diag-margin", "2", "--out", str(system)]) == 0
+    assert run(["check", "--system", str(system), "--horizon", "100",
+                "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert doc["passes"] == {"A1": True, "A2": True, "A3": True}
+    assert all(doc[key] is not None for key in ("lambda_a_theory", "nu", "rho0"))
+
+
 # -------------------------------------------------------------- README
 
 
@@ -612,7 +747,18 @@ def test_readme_commands_parse():
     for command in commands:
         try:
             parsed.append(parser.parse_args(shlex.split(command)[1:]))
-        except SystemExit:
+        except ConfigError:
             pytest.fail(f"README command does not parse: {command}")
     assert {args.command for args in parsed} == set(_subparsers())
     assert sum(bool(getattr(args, "prices", None)) for args in parsed) >= 2
+
+
+def test_readme_library_quickstart_runs():
+    # The quickstart calls the public API by name, so a removed or renamed
+    # function fails here instead of leaving the README stale.
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (code,) = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli_module.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -36,8 +36,8 @@ def test_discrete_one_step_with_injected_noise():
     w = CounterRng(9).normal_matrix(1, 6)
     x0 = np.arange(1.0, 5.0)
     u0 = np.array([0.5, -0.5])
-    traj = simulate_discrete(params, n=1, x0=x0, u0=u0, noise=w, keep_latent=True)
     state0 = np.concatenate([x0, u0])
+    traj = simulate_discrete(params, n=1, init=state0, noise=w, keep_latent=True)
     expected = (np.eye(6) + params.eta * params.joint()) @ state0 + w[0]
     assert np.allclose(traj.x[1], expected[:4], atol=0, rtol=0)
     assert np.allclose(traj.u[1], expected[4:], atol=0, rtol=0)
@@ -89,7 +89,7 @@ def test_discrete_blowup_detection():
         eta=1e-7,
     )
     with pytest.raises(DivergenceError, match="exceeded 1e\\+10 at step 12$"):
-        simulate_discrete(params, n=200, x0=np.array([0.0, 9e9]), seed=0)
+        simulate_discrete(params, n=200, init=np.array([0.0, 9e9]), seed=0)
 
 
 def test_discrete_blowup_detection_past_first_block():
@@ -107,7 +107,7 @@ def test_discrete_blowup_detection_past_first_block():
     step = int(np.argmax(np.abs(path).max(axis=1) > 1e10))
     assert step > 14
     with pytest.raises(DivergenceError, match=f"exceeded 1e\\+10 at step {step}$"):
-        simulate_discrete(params, n=200, x0=x0, noise=w)
+        simulate_discrete(params, n=200, init=x0, noise=w)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -2e10])
@@ -135,7 +135,7 @@ def test_continuous_noise_free_flow_both_modes():
     zeros = np.zeros((1, 3))
     flow = matrix_exponential(0.3 * params.joint())
     for mode in ("exact", "binned"):
-        traj = simulate_continuous(params, eta=0.3, n=1, mode=mode, x0=x0, noise=zeros)
+        traj = simulate_continuous(params, eta=0.3, n=1, mode=mode, init=x0, noise=zeros)
         assert np.allclose(traj.x[1], flow @ x0, atol=1e-12)
 
 
@@ -148,7 +148,7 @@ def test_continuous_one_step_with_injected_increments():
     state0 = np.concatenate([x0, u0])
     expected = matrix_exponential(0.3 * params.joint()) @ state0 + w[0]
     for mode in ("exact", "binned"):
-        traj = simulate_continuous(params, eta=0.3, n=1, mode=mode, x0=x0, u0=u0,
+        traj = simulate_continuous(params, eta=0.3, n=1, mode=mode, init=state0,
                                    noise=w, keep_latent=True)
         assert np.array_equal(traj.x[1], expected[:4])
         assert np.array_equal(traj.u[1], expected[4:])
@@ -162,7 +162,7 @@ def test_continuous_blowup_detection():
         B=np.zeros((2, 0)), C=np.zeros((0, 2)), D=np.zeros((0, 0)),
     )
     with pytest.raises(DivergenceError):
-        simulate_continuous(params, eta=1e-7, n=200, mode="exact", x0=np.array([0.0, 9e9]))
+        simulate_continuous(params, eta=1e-7, n=200, mode="exact", init=np.array([0.0, 9e9]))
 
 
 @pytest.mark.parametrize("eta", [np.nan, np.inf])
@@ -350,7 +350,7 @@ def test_sampler_matches_sequential_recursion(case, n):
     m = params.p + params.r
     eta = params.eta if case in ("discrete", "nonnormal") else 0.1
     w = np.sqrt(eta) * CounterRng(n).normal_matrix(n, m)
-    start = {"x0": np.linspace(1.0, -1.0, params.p), "u0": np.full(params.r, 0.5)}
+    start = {"init": np.concatenate([np.linspace(1.0, -1.0, params.p), np.full(params.r, 0.5)])}
     if case in ("discrete", "nonnormal"):
         traj = simulate_discrete(params, n=n, noise=w, keep_latent=True, **start)
         f = np.eye(m) + eta * params.joint()
@@ -417,13 +417,16 @@ def test_stationary_init_removes_burn_in():
     assert np.mean(early_zero) == 0.0
 
 
-def test_stationary_init_conflicts_with_explicit_start():
-    params = gen_random_system(GenSpec(p=2, r=0, s=1, seed=15))
-    with pytest.raises(ConstructionError):
-        simulate_continuous(params, eta=0.1, n=4, init="stationary",
-                            x0=np.zeros(2))
+def test_init_rejects_unknown_name_and_wrong_length():
+    # The start is the joint vector [x(0); u(0)], p + r = 4 entries.
+    params = gen_random_system(GenSpec(p=2, r=2, s=1, seed=15))
     with pytest.raises(ConstructionError):
         simulate_continuous(params, eta=0.1, n=4, init="bogus")
+    for bad in (np.zeros(2), np.zeros(5), np.zeros((1, 4))):
+        with pytest.raises(ConstructionError, match="shape \\(4,\\)"):
+            simulate_continuous(params, eta=0.1, n=4, init=bad)
+        with pytest.raises(ConstructionError, match="shape \\(4,\\)"):
+            simulate_discrete(dataclasses.replace(params, eta=0.05), n=4, init=bad)
 
 
 def test_trajectory_validation():

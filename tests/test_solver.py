@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparsedyn.errors import ConstructionError
+from sparsedyn.errors import ConstructionError, DivergenceError
 from sparsedyn.evaluate import block_cross_validate, recovery_report
 from sparsedyn.generate import GenSpec, gen_illustrative, gen_random_system
 from sparsedyn.model import steady_state
@@ -16,7 +16,6 @@ from sparsedyn.solver import (
     MODE_PURE_LASSO,
     SolverConfig,
     fit,
-    fit_lasso,
     objective,
     smooth_gradient,
 )
@@ -135,8 +134,8 @@ def test_fit_over_regularized_returns_zero():
 def test_fit_lasso_over_regularized_returns_zero():
     stats, _ = _stats_from_system(seed=5, n=60)
     lam_a = float(np.max(np.abs(stats.S2))) * 1.5
-    est = fit_lasso(stats, stats.sq_increment_sum,
-                    SolverConfig(lambda_a=lam_a, mode=MODE_PURE_LASSO))
+    est = fit(stats, stats.sq_increment_sum,
+              SolverConfig(lambda_a=lam_a, mode=MODE_PURE_LASSO))
     assert np.all(est.Ahat == 0)
 
 
@@ -262,6 +261,42 @@ def test_fit_fixed_point_exact_at_zero_solution():
     assert move < 10 * config.tol
 
 
+def test_fit_divergence_names_first_iteration():
+    stats = SufficientStats(S1=np.eye(3), S2=np.full((3, 3), 1e308), n=10, eta=0.1,
+                            sq_increment_sum=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError, match="at iteration 1$"):
+            fit(stats, stats.sq_increment_sum, SolverConfig(lambda_a=0.1, lambda_l=0.1))
+
+
+def test_fit_stops_when_a_plain_step_makes_no_progress(monkeypatch):
+    # tol = 1e-300 never fires on a moving objective, so the fit ends only
+    # when a momentum step overshoots and the plain step from the last
+    # accepted iterate cannot lower the objective either: the trace ends
+    # in one flat step.  Three overshoots cost one extra prox step each.
+    import sparsedyn.solver as solver_module
+
+    calls = {"prox": 0}
+    real_prox = solver_module.prox_nuclear
+
+    def counting_prox(*args, **kwargs):
+        calls["prox"] += 1
+        return real_prox(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "prox_nuclear", counting_prox)
+    params = gen_random_system(GenSpec(p=10, r=2, s=2, seed=4))
+    stats = sufficient_stats(simulate_continuous(params, eta=0.05, n=2000, seed=5))
+    est = fit(stats, stats.sq_increment_sum,
+              SolverConfig(lambda_a=0.05, lambda_l=0.2, tol=1e-300, max_iter=20000))
+    assert (est.iterations, est.converged, len(est.objective_trace)) == (49, True, 50)
+    assert calls["prox"] == 52
+    assert [v.hex() for v in est.objective_trace[:2]] == [
+        "0x1.7eef99b896205p+6", "0x1.738569d110a2fp+6"]
+    assert [v.hex() for v in est.objective_trace[-3:]] == [
+        "0x1.6ab12f460a09ep+6", "0x1.6ab12f460a09cp+6", "0x1.6ab12f460a09cp+6"]
+    assert np.count_nonzero(est.Ahat) == 41 and np.all(est.Lhat == 0)
+
+
 def test_fit_mode_equivalence_without_latents():
     stats, _ = _stats_from_system(seed=8, p=4, r=0, s=2, n=4000, eta=0.05)
     lam_a = 0.05
@@ -269,9 +304,9 @@ def test_fit_mode_equivalence_without_latents():
     joint = fit(stats, stats.sq_increment_sum,
                 SolverConfig(lambda_a=lam_a, lambda_l=lam_l_big,
                              max_iter=20000, tol=1e-13))
-    lasso = fit_lasso(stats, stats.sq_increment_sum,
-                      SolverConfig(lambda_a=lam_a, mode=MODE_PURE_LASSO,
-                                   max_iter=20000, tol=1e-13))
+    lasso = fit(stats, stats.sq_increment_sum,
+                SolverConfig(lambda_a=lam_a, mode=MODE_PURE_LASSO,
+                             max_iter=20000, tol=1e-13))
     assert np.all(joint.Lhat == 0)
     assert np.linalg.norm(joint.Ahat - lasso.Ahat) < 1e-6
 
@@ -357,9 +392,9 @@ def test_fit_lasso_denser_than_joint_on_latent_systems():
         lam_a, lam_l = lambda_pair_from_constants(0.6, 0.5, 20, 2, 2, 0.05, traj.n)
         joint = fit(stats, stats.sq_increment_sum,
                     SolverConfig(lambda_a=lam_a, lambda_l=lam_l, max_iter=3000, tol=1e-9))
-        lasso = fit_lasso(stats, stats.sq_increment_sum,
-                          SolverConfig(lambda_a=lam_a, mode=MODE_PURE_LASSO,
-                                       max_iter=3000, tol=1e-9))
+        lasso = fit(stats, stats.sq_increment_sum,
+                    SolverConfig(lambda_a=lam_a, mode=MODE_PURE_LASSO,
+                                 max_iter=3000, tol=1e-9))
         nnz_joint = int(np.count_nonzero(joint.Ahat))
         nnz_lasso = int(np.count_nonzero(lasso.Ahat))
         sparser_or_equal.append(nnz_joint <= nnz_lasso)
