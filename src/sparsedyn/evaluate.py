@@ -208,11 +208,11 @@ def phase_transition(
             seed = derive_seed(master_seed, g, t)
             system = gen_random_system(replace(spec, seed=seed))
             truth = steady_state(system)
-            traj = simulate_continuous(
+            # The path is reduced at once, so no trial's path outlives it.
+            stats = sufficient_stats(simulate_continuous(
                 system, eta=eta, n=n, mode="binned", bins=bins,
                 seed=derive_seed(seed, 1),
-            )
-            stats = sufficient_stats(traj)
+            ))
             try:
                 est = fit(stats, stats.sq_increment_sum, config)
             except DivergenceError:

@@ -78,9 +78,8 @@ class GenSpec:
 def _row_support(rng: CounterRng, p: int, row: int, s: int) -> list[int]:
     """s distinct off-diagonal column indices via partial Fisher-Yates."""
     cands = [j for j in range(p) if j != row]
-    for t in range(s):
-        j = t + rng.below(len(cands) - t)
-        cands[t], cands[j] = cands[j], cands[t]
+    for t, j in enumerate(rng.below_each(range(len(cands), len(cands) - s, -1))):
+        cands[t], cands[t + j] = cands[t + j], cands[t]
     return sorted(cands[:s])
 
 

@@ -95,15 +95,17 @@ def _cpus() -> int:
 
 def _fill_normals(key: np.ndarray, first: int, out: np.ndarray, claim) -> None:
     """Fill the blocks that ``claim()`` hands out, until it returns None,
-    of a draw of ``m = len(out) // 2`` Box-Muller pairs whose first raw word
-    has counter ``first``.  Pair ``j`` takes its radius from word
+    of a draw of ``m = ceil(len(out) / 2)`` Box-Muller pairs whose first
+    raw word has counter ``first``.  Pair ``j`` takes its radius from word
     ``first + j`` and its angle from word ``first + m + j``, and writes
-    ``r cos`` to ``out[j]`` and ``r sin`` to ``out[m + j]``.
+    ``r cos`` to ``out[j]`` and ``r sin`` to ``out[m + j]``; an odd length
+    drops the last sine.
 
     Works in five reused block-sized arrays and calls only numpy, which
     releases the GIL, so several threads can share one draw.
     """
-    m = len(out) // 2
+    n = len(out)
+    m = (n + 1) // 2
     size = min(_BLOCK, m)
     counters = np.arange(size, dtype=_U64)
     z = np.empty(size, dtype=_U64)
@@ -133,7 +135,8 @@ def _fill_normals(key: np.ndarray, first: int, out: np.ndarray, claim) -> None:
         np.cos(ak, out=ck)
         np.multiply(rk, ck, out=out[start:start + k])
         np.sin(ak, out=ck)
-        np.multiply(rk, ck, out=out[m + start:m + start + k])
+        sines = min(k, n - m - start)
+        np.multiply(rk[:sines], ck[:sines], out=out[m + start:m + start + sines])
 
 
 def _claimer(blocks: int):
@@ -172,13 +175,19 @@ class CounterRng:
         """``n`` uniforms in [0, 1) with 53-bit resolution."""
         return (self.raw(n) >> _U64(11)).astype(np.float64) * _INV_2_53
 
-    def normals(self, n: int) -> np.ndarray:
+    def normals(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
         """``n`` standard normal variates via Box-Muller.
 
         Consumes ``2 * ceil(n / 2)`` raw words: the first half of the block
         supplies radii (uniforms shifted into (0, 1] so log never sees 0),
         the second half angles; the cosine products come first in the
         output, then the sine products.
+
+        ``out``, if given, receives the draw in row-major order and is
+        returned: a C-contiguous float64 array of ``n`` entries, of any
+        shape.  Its values are the same bits ``normals(n)`` would return,
+        and no other array of the draw's size is made.  A wrong ``out``
+        is a ``ValueError`` before any word is consumed.
 
         The pairs are computed in cache-sized blocks written straight into
         the output.  A draw of several blocks is shared by the calling
@@ -191,25 +200,30 @@ class CounterRng:
         """
         if n < 0:
             raise ValueError("n must be non-negative")
+        if out is None:
+            out = np.empty(n)
+        elif (out.dtype != np.float64 or out.size != n or not out.flags.c_contiguous
+              or not out.flags.writeable):
+            raise ValueError(f"out must be a writeable C-contiguous float64 array of {n} entries")
+        flat = out.reshape(-1)
         m = (n + 1) // 2
         first = self._pos + 1
         self._pos += 2 * m
-        out = np.empty(2 * m)
         blocks = -(-m // _BLOCK)
         claim = _claimer(blocks)
         workers = 1
         if blocks >= 2 * _BLOCKS_PER_THREAD:
             workers = min(_cpus(), blocks // _BLOCKS_PER_THREAD)
         if workers == 1:
-            _fill_normals(self._key, first, out, claim)
+            _fill_normals(self._key, first, flat, claim)
         else:
             with ThreadPoolExecutor(workers - 1) as pool:
-                helpers = [pool.submit(_fill_normals, self._key, first, out, claim)
+                helpers = [pool.submit(_fill_normals, self._key, first, flat, claim)
                            for _ in range(workers - 1)]
-                _fill_normals(self._key, first, out, claim)
+                _fill_normals(self._key, first, flat, claim)
                 for helper in helpers:
                     helper.result()
-        return out[:n]
+        return out
 
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
         """Standard normal matrix filled row-major from one ``normals`` call."""
@@ -219,13 +233,19 @@ class CounterRng:
 
     def below(self, k: int) -> int:
         """One integer uniform on {0, ..., k-1}."""
-        if k <= 0:
+        return self.below_each([k])[0]
+
+    def below_each(self, bounds) -> list[int]:
+        """One integer uniform on {0, ..., k-1} for each ``k`` in
+        ``bounds``, from one ``uniforms`` call: word ``t`` gives
+        ``floor(u_t * k_t)``, clamped against rounding up to ``k_t``."""
+        bounds = list(bounds)
+        if any(k <= 0 for k in bounds):
             raise ValueError("k must be positive")
-        value = int(self.uniforms(1)[0] * k)
-        return min(value, k - 1)
+        return [min(int(u * k), k - 1) for u, k in zip(self.uniforms(len(bounds)).tolist(), bounds)]
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle (consumes ``len(items) - 1`` words)."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+        swaps = self.below_each(range(len(items), 1, -1))
+        for i, j in zip(range(len(items) - 1, 0, -1), swaps):
             items[i], items[j] = items[j], items[i]

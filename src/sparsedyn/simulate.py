@@ -53,6 +53,9 @@ __all__ = [
 ]
 
 _BLOWUP_LIMIT = 1e10
+# Rows of normals turned into increments per matrix product (a 1.4 MB
+# buffer at p+r = 42).
+_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -132,7 +135,13 @@ def _sample(params: SystemParams, f: np.ndarray, factor: np.ndarray, stationary_
 
     The increments are ``w = z @ factor.T`` for standard normals ``z``
     drawn after the starting state, or the given (n, p+r) ``noise``.
-    ``stationary_cov`` is called for ``init="stationary"`` only.
+    ``stationary_cov`` is called for ``init="stationary"`` only.  The
+    normals are drawn straight into the state array and turned into
+    increments there, a chunk of at most ``_CHUNK_ROWS`` rows at a time,
+    so the path is the one array of its size.  The chunks differ in size
+    by one row at most, so none is small enough for the BLAS to take
+    another kernel (a lone tail row would go through a matrix-vector
+    product): each row's bits are those of one product over all rows.
 
     The recursion runs as a two-level block scan (Blelloch 1990, "Prefix
     sums and their applications") over the n+1 rows, cut into blocks of
@@ -159,9 +168,7 @@ def _sample(params: SystemParams, f: np.ndarray, factor: np.ndarray, stationary_
     m = f.shape[0]
     rng = CounterRng(seed)
     start = _initial_state(params, init, rng, stationary_cov)
-    if noise is None:
-        draws = rng.normal_matrix(n, m)
-    else:
+    if noise is not None:
         noise = np.asarray(noise, dtype=float)
         if noise.shape != (n, m):
             raise ConstructionError(f"noise must have shape ({n}, {m})")
@@ -173,8 +180,14 @@ def _sample(params: SystemParams, f: np.ndarray, factor: np.ndarray, stationary_
     states[0] = start
     states[rows:] = 0.0
     if noise is None:
-        np.matmul(draws, factor.T, out=states[1:rows])
-        del draws
+        rng.normals(n * m, out=states[1:rows])
+        chunks = -(-n // _CHUNK_ROWS)
+        edges = [1 + i * n // chunks for i in range(chunks + 1)]
+        buf = np.empty((-(-n // chunks), m))
+        for lo, hi in zip(edges, edges[1:]):
+            np.matmul(states[lo:hi], factor.T, out=buf[:hi - lo])
+            states[lo:hi] = buf[:hi - lo]
+        del buf  # not alive beside the Trajectory's finiteness check
     else:
         states[1:rows] = noise
     blocks = states.reshape(nb, b, m)
@@ -315,20 +328,25 @@ def simulate_continuous(
 
 
 def sufficient_stats(traj: Trajectory) -> SufficientStats:
-    """Reduce a trajectory to its least-squares sufficient statistics."""
+    """Reduce a trajectory to its least-squares sufficient statistics.
+
+    The increments are the one temporary of the path's size; they are
+    squared in place for their sum.  Statistics that overflow are a
+    ``DataError`` naming the data's largest magnitude.
+    """
     xc = traj.x[:-1]
-    dx = traj.x[1:] - xc
     n = traj.n
-    s1 = xc.T @ xc / n
-    s1 = 0.5 * (s1 + s1.T)
-    s2 = dx.T @ xc / (traj.eta * n)
-    return SufficientStats(
-        S1=s1,
-        S2=s2,
-        n=n,
-        eta=traj.eta,
-        sq_increment_sum=float(np.sum(dx * dx)),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = traj.x[1:] - xc
+        s1 = xc.T @ xc / n
+        s1 = 0.5 * (s1 + s1.T)
+        s2 = dx.T @ xc / (traj.eta * n)
+        sq = float(np.sum(np.square(dx, out=dx)))
+    if not (np.isfinite(s1).all() and np.isfinite(s2).all() and math.isfinite(sq)):
+        raise DataError(
+            f"sufficient statistics overflow: the trajectory's largest |x| is "
+            f"{np.abs(traj.x).max():.3g}; rescale the data")
+    return SufficientStats(S1=s1, S2=s2, n=n, eta=traj.eta, sq_increment_sum=sq)
 
 
 def merge_stats(parts: list[SufficientStats]) -> SufficientStats:

@@ -762,3 +762,24 @@ def test_readme_library_quickstart_runs():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--data", "big.csv", "--lambda-a", "0.1", "--lambda-l", "0.1", "--out", "out/e.json"],
+    ["cv", "--data", "big.csv", "--grid-c", "0.3", "--grid-d", "0.5", "--chunks", "2",
+     "--out", "out/cv.json"],
+], ids=["fit", "cv"])
+def test_cli_overflowing_statistics_are_one_error_line(tmp_path, argv):
+    # Finite entries near 1e200 overflow the statistics.  A fresh process,
+    # so numpy's RuntimeWarnings would reach stderr as a user sees them.
+    (tmp_path / "big.csv").write_text(
+        "t,x1,x2\n0,1e200,-2e200\n0.1,3e200,1e200\n0.2,-1e200,2e200\n0.3,2e200,1e200\n")
+    (tmp_path / "out").mkdir()
+    env = dict(os.environ, PYTHONPATH=str(Path(cli_module.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", "import sys, sparsedyn.cli as c; c.main()", *argv],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:DataError:sufficient statistics overflow")
+    assert "3e+200" in done.stderr
+    assert done.stderr.count("\n") == 1
+    assert list((tmp_path / "out").iterdir()) == []

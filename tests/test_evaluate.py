@@ -1,4 +1,5 @@
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -342,3 +343,22 @@ def test_graph_threshold_excludes_small_entries():
 def test_graph_label_validation():
     with pytest.raises(ConstructionError):
         export_dependency_graph(np.eye(3), labels=["a", "b"])
+
+
+def test_phase_transition_frees_each_path_before_the_next_trial(monkeypatch):
+    # Only one trial's path is alive at a time: each is reduced to its
+    # statistics and dropped before the next trial samples.
+    import sparsedyn.evaluate as ev_module
+
+    paths = []
+
+    def tracked(*args, **kwargs):
+        assert all(path() is None for path in paths)
+        traj = simulate_continuous(*args, **kwargs)
+        paths.append(weakref.ref(traj))
+        return traj
+
+    monkeypatch.setattr(ev_module, "simulate_continuous", tracked)
+    base, sweep = _tiny_sweep()
+    phase_transition(base, sweep, trials=2, lambda_rule=(0.6, 0.5), master_seed=7)
+    assert len(paths) == 2 * len(sweep)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -124,3 +125,25 @@ def test_system_json_rejects_garbage():
         system_from_json("not json")
     with pytest.raises(DataError):
         system_from_json(json.dumps({"p": 2, "r": 0}))
+
+
+# sha256 of every entry of A, B, C, D (row-major, as float.hex, space
+# separated) of gen_random_system, pinned before Fisher-Yates drew each
+# pass's uniforms in one call: the draw order is part of the stream.
+GOLDEN_SYSTEM_DIGESTS = {
+    (40, 2, 3, 7): "cb9f0cb20d2eb38490be297ba53d0e815353a50de1a76a7879fa89c47372a138",
+    (24, 8, 2, 1): "1c2616711e5a38cf8f63d043d9462854be2ddf66476daf46671c4ec06395482f",
+    (12, 3, 5, 5): "5beaf6ae06996bbedcb8beca9e9df155093b494597ee948a513f5e6c58341bf2",
+    (5, 2, 4, 9): "b4e4c8cb941b0d43af751de66ddd5a143c49eba151486019b50cf0deea615b59",
+}
+
+
+@pytest.mark.parametrize("p, r, s, seed", sorted(GOLDEN_SYSTEM_DIGESTS),
+                         ids=lambda v: str(v))
+def test_random_system_golden_digest(p, r, s, seed):
+    # The README's system (p=40, r=2, s=3, seed 7) and three others: a
+    # many-latent shuffle, a wide row support, and the largest s for p.
+    params = gen_random_system(GenSpec(p=p, r=r, s=s, seed=seed))
+    words = [float(v).hex() for m in (params.A, params.B, params.C, params.D) for v in m.ravel()]
+    digest = hashlib.sha256(" ".join(words).encode()).hexdigest()
+    assert digest == GOLDEN_SYSTEM_DIGESTS[(p, r, s, seed)]

@@ -1,6 +1,7 @@
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,3 +249,96 @@ def test_negative_sizes_rejected_without_consuming(draw):
     with pytest.raises(ValueError, match="non-negative"):
         draw(rng)
     assert rng.position == 2
+
+
+# ------------------------------------------------ draws into a given array
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_normals_into_out_match_a_fresh_draw(monkeypatch, cpus):
+    # Every size of the stream tests, on one CPU and shared by three
+    # threads: the same bytes and the same words consumed as normals(n).
+    _force_cpus(monkeypatch, cpus)
+    fresh, into = CounterRng(31), CounterRng(31)
+    fresh.raw(5)
+    into.raw(5)
+    for n in _SIZES:
+        want = fresh.normals(n)
+        out = np.full(n, np.nan)
+        assert into.normals(n, out=out) is out
+        assert out.tobytes() == want.tobytes(), n
+        assert into.position == fresh.position
+
+
+def test_normals_fill_a_two_dimensional_out_row_major():
+    out = np.empty((7, 5))
+    CounterRng(4).normals(35, out=out)
+    assert out.tobytes() == CounterRng(4).normal_matrix(7, 5).tobytes()
+
+
+@pytest.mark.parametrize("out", [
+    np.empty(12, dtype=np.float32), np.empty(12, dtype=np.int64), np.empty(11), np.empty(13),
+    np.empty(24)[::2], np.empty((3, 4), order="F"), np.empty((12, 2))[:, 0],
+    np.frombuffer(bytes(96)),
+], ids=["float32", "int64", "short", "long", "strided", "fortran", "column", "read-only"])
+def test_normals_reject_a_bad_out_without_consuming(out):
+    rng = CounterRng(9)
+    rng.raw(2)
+    with pytest.raises(ValueError, match="out must be"):
+        rng.normals(12, out=out)
+    assert rng.position == 2
+
+
+def test_odd_normal_draw_makes_no_second_full_length_array(monkeypatch):
+    # An odd draw drops its last sine without a second copy of the draw:
+    # into a given array it needs only the block buffers (1.25 MB), and a
+    # fresh draw allocates its result once.
+    _force_cpus(monkeypatch, 1)
+    n = 2049895
+    out = np.empty(n)
+    tracemalloc.start()
+    try:
+        CounterRng(2).normals(n, out=out)
+        into_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        CounterRng(2).normals(n)
+        fresh_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert into_peak < 0.25 * out.nbytes
+    assert fresh_peak < 1.25 * out.nbytes
+
+
+# --------------------------------------------------- bounded integers
+
+
+def test_below_each_is_one_below_per_bound():
+    bounds = [7, 1, 40, 2, 1000, 3]
+    one_by_one = CounterRng(19)
+    singles = [one_by_one.below(k) for k in bounds]
+    together = CounterRng(19)
+    assert together.below_each(bounds) == singles
+    assert together.position == one_by_one.position == len(bounds)
+
+
+def test_below_each_rejects_a_bound_without_consuming():
+    rng = CounterRng(19)
+    with pytest.raises(ValueError, match="positive"):
+        rng.below_each([3, 0, 2])
+    assert rng.position == 0
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 17])
+def test_shuffle_draws_as_one_below_per_swap(size):
+    # The Fisher-Yates swaps of one pass are the word-by-word draws of
+    # below(i + 1), i from the last index down to 1.
+    items = list(range(size))
+    rng = CounterRng(29)
+    rng.shuffle(items)
+    want = list(range(size))
+    ref = CounterRng(29)
+    for i in range(size - 1, 0, -1):
+        j = ref.below(i + 1)
+        want[i], want[j] = want[j], want[i]
+    assert items == want
+    assert rng.position == ref.position == max(size - 1, 0)

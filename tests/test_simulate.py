@@ -1,4 +1,6 @@
 import dataclasses
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -492,3 +494,83 @@ def test_trajectory_csv_rejects_malformed():
         trajectory_from_csv("t,x1\n0.0,1.0\n0.3,2.0\n0.4,3.0\n")  # non-uniform
     with pytest.raises(DataError):
         trajectory_from_csv("x1,x2\n1.0,2.0\n")
+
+
+# ------------------------------------------------------ bounded memory
+
+
+@pytest.mark.parametrize("p, r, n, init", [
+    (3, 2, 1, "zero"), (3, 2, 4097, "zero"), (40, 2, 4097, "zero"), (40, 2, 4100, "stationary"),
+    (40, 2, 8193, "zero"), (40, 2, 12289, "zero")])
+def test_sampler_increments_are_one_product_over_all_rows(p, r, n, init):
+    # The normals are turned into increments in row chunks inside the
+    # state array; a chunk count that left a short tail (here n % 4096 of
+    # 1 or 4 rows) would let the BLAS take another kernel for it.  The
+    # path must equal the one built from one full-length product, drawn
+    # after the stationary start when there is one.
+    params = gen_random_system(GenSpec(p=p, r=r, s=1, seed=n))
+    chol = np.linalg.cholesky(binned_increment_covariance(params.joint(), 0.05, 10))
+    rng = CounterRng(n)
+    if init == "stationary":
+        rng.normals(p + r)
+    w = rng.normal_matrix(n, p + r) @ chol.T
+    drawn = simulate_continuous(params, eta=0.05, n=n, seed=n, init=init, keep_latent=True)
+    given = simulate_continuous(params, eta=0.05, n=n, seed=n, init=init, noise=w,
+                                keep_latent=True)
+    assert drawn.x.tobytes() == given.x.tobytes()
+    assert drawn.u.tobytes() == given.u.tobytes()
+
+
+def _traced_peaks(monkeypatch):
+    """Traced peak bytes of ``simulate_continuous`` and then of
+    ``sufficient_stats`` on its path, at n = 20,000 and p+r = 42, with the
+    normals shared by two threads; and the bytes of the path's state array."""
+    import os
+
+    import sparsedyn.rng as rng_module
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(rng_module, "_CPU_MAX", os.devnull)
+    params = gen_random_system(GenSpec(p=40, r=2, s=3, seed=7))
+    n = 20000
+    simulate_continuous(params, eta=0.05, n=2)  # scipy and the BLAS loaded before tracing
+    tracemalloc.start()
+    try:
+        traj = simulate_continuous(params, eta=0.05, n=n, seed=8)
+        simulate_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        sufficient_stats(traj)
+        stats_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return simulate_peak, stats_peak, (n + 1) * 42 * 8
+
+
+def test_simulate_peak_is_bounded_by_the_state_array(monkeypatch):
+    # The normals are drawn into the state array and become increments
+    # there through one 4,096-row buffer: no second array of the path's
+    # size (a separate normals matrix made this 2.0x).
+    simulate_peak, _, state_bytes = _traced_peaks(monkeypatch)
+    assert simulate_peak <= 1.5 * state_bytes
+
+
+def test_sufficient_stats_peak_is_bounded_by_the_state_array(monkeypatch):
+    # The path plus its increments, squared in place (squaring into a new
+    # array made this 2.9x).
+    _, stats_peak, state_bytes = _traced_peaks(monkeypatch)
+    assert stats_peak <= 2.1 * state_bytes
+
+
+def test_sufficient_stats_square_sum_is_the_product_sum():
+    params = gen_random_system(GenSpec(p=5, r=2, s=2, seed=4))
+    traj = simulate_continuous(params, eta=0.05, n=3001, seed=9)
+    dx = np.diff(traj.x, axis=0)
+    assert sufficient_stats(traj).sq_increment_sum == float(np.sum(dx * dx))
+
+
+def test_sufficient_stats_overflow_is_a_data_error_naming_the_scale():
+    x = np.array([[1e200, -2e200], [3e200, 1e200], [-1e200, 2e200], [2e200, 1e200]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=r"largest \|x\| is 3e\+200"):
+            sufficient_stats(Trajectory(x=x, eta=0.1))
