@@ -48,7 +48,6 @@ from .model import (
     incoherence_mu,
     lasso_incoherence_theta,
     population_mle,
-    sample_complexity_T,
     stability_margin,
     steady_state,
     theorem_constants,
@@ -109,7 +108,6 @@ __all__ = [
     "prox_l1",
     "prox_nuclear",
     "recovery_report",
-    "sample_complexity_T",
     "simulate_continuous",
     "simulate_discrete",
     "smooth_gradient",

@@ -191,9 +191,7 @@ def cmd_predict(args: argparse.Namespace, config: dict) -> int:
 
 def cmd_check(args: argparse.Namespace, config: dict) -> int:
     params, _ = gen.system_from_json(read_text(args.system))
-    report = mdl.assumption_report(
-        params, n=args.n, delta=args.delta, K=args.K, horizon=args.horizon
-    )
+    report = mdl.assumption_report(params, horizon=args.horizon, delta=args.delta)
     doc = {"config": config}
     doc.update(dataclasses.asdict(report))
     _write(Path(args.out), json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -345,11 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="evaluate model assumptions for a system")
     p_check.add_argument("--system", required=True)
-    p_check.add_argument("--n", type=int, default=10000)
     p_check.add_argument("--delta", type=float, default=0.1)
-    p_check.add_argument("--K", type=float, default=3.0e6)
     p_check.add_argument("--horizon", type=float, default=None,
-                         help="observation horizon T (for continuous systems)")
+                         help="observation horizon T = n * eta of the data")
     p_check.set_defaults(func=cmd_check)
 
     for sub_parser in sub.choices.values():

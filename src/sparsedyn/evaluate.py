@@ -169,9 +169,10 @@ def phase_transition(
 ) -> PhaseResult:
     """Success-probability grid over sampling/size variations.
 
-    Each grid point overrides fields of ``base`` (recognized keys: ``eta``,
-    ``n``, ``s``, ``r``, ``p``); ``eta`` is the sampling step of the
-    continuous-time protocol and ``n`` the sample count.  Per trial: draw a
+    Each grid point carries ``eta``, the sampling step of the
+    continuous-time protocol, and ``n``, the sample count, and may override
+    ``p``, ``r`` and ``s`` of ``base``; any other key is an error.  Every
+    point is checked before the first trial runs.  Per trial: draw a
     fresh system (seed derived from ``(master_seed, point, trial)``),
     simulate (binned sampler), fit (``max_iter = 2000``, ``tol = 1e-7``),
     and score exact signed-support recovery of the sparse block.
@@ -185,12 +186,15 @@ def phase_transition(
         raise ConstructionError("sweep must contain at least one point")
     _support_threshold(np.zeros(0), zeta)  # a bad zeta fails before any trial runs
     c, d = lambda_rule
-    rows = []
+    points = []
     for g, overrides in enumerate(sweep):
-        eta = float(overrides.get("eta", base.eta))
-        if "n" not in overrides:
-            raise ConstructionError(f"sweep point {g} must carry a sample count 'n'")
-        n = int(overrides["n"])
+        unknown = sorted(set(overrides) - {"eta", "n", "p", "r", "s"})
+        if unknown:
+            raise ConstructionError(f"sweep point {g} has unrecognised keys {unknown}")
+        for key, what in (("eta", "a sampling step"), ("n", "a sample count")):
+            if key not in overrides:
+                raise ConstructionError(f"sweep point {g} must carry {what} {key!r}")
+        eta, n = float(overrides["eta"]), int(overrides["n"])
         spec = GenSpec(
             p=int(overrides.get("p", base.p)),
             r=int(overrides.get("r", base.r)),
@@ -199,10 +203,14 @@ def phase_transition(
             diag_margin=base.diag_margin,
             eta=0.0,
         )
+        theta = control_parameter(eta, n, spec.s, spec.r, spec.p)
         lam_a, lam_l = lambda_pair_from_constants(c, d, spec.p, spec.r, spec.s, eta, n)
         config = SolverConfig(
             lambda_a=lam_a, lambda_l=lam_l, max_iter=2000, tol=1e-7
         )
+        points.append((spec, eta, n, theta, config))
+    rows = []
+    for g, (spec, eta, n, theta, config) in enumerate(points):
         successes = 0
         for t in range(trials):
             seed = derive_seed(master_seed, g, t)
@@ -221,8 +229,7 @@ def phase_transition(
             successes += int(report.signed_match)
         rows.append(
             PhasePoint(
-                p=spec.p, r=spec.r, s=spec.s, eta=eta, n=n,
-                theta=control_parameter(eta, n, spec.s, spec.r, spec.p),
+                p=spec.p, r=spec.r, s=spec.s, eta=eta, n=n, theta=theta,
                 trials=trials, successes=successes,
             )
         )

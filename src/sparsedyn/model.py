@@ -6,8 +6,11 @@ A system couples ``p`` observed variables ``x`` and ``r`` latent variables
 the latent series biases the naive least-squares estimate of ``A`` by the
 low-rank matrix ``L = B R Q^{-1}`` built from the stationary covariance
 blocks; everything in this module exists to compute that bias and the
-constants (stability margin, incoherence, sample complexity, error
+constants (stability margin, incoherence, regularizer weights, error
 multipliers) that govern when the sparse part of ``A`` is recoverable.
+The data enter the theory only through the observation horizon
+``T = eta n`` of the sampled path, which is also the scale of the control
+parameter ``Theta``.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ __all__ = [
     "max_row_l1",
     "latent_effect_constant",
     "theoretical_lambdas",
-    "sample_complexity_T",
     "control_parameter",
     "theorem_constants",
     "assumption_report",
@@ -308,15 +310,14 @@ def theoretical_lambdas(
     theta: float,
     alpha: float,
     s: int,
-    n: int,
+    horizon: float,
     delta: float,
-    horizon: float | None = None,
 ) -> tuple[float, float]:
     """Theory-prescribed regularizer weights ``(lambda_A, lambda_L)``.
 
     ``lambda_A = 16 m (4 - theta) / (theta sqrt(D)) * sqrt(log(4((s+2r)p + r^2)/delta) / T)``
-    with ``T = n * eta`` (override via ``horizon`` for continuous systems),
-    and ``lambda_L = lambda_A * sqrt(p) * ratio`` where
+    for the observation horizon ``T = eta n`` of the data, and
+    ``lambda_L = lambda_A * sqrt(p) * ratio`` where
 
     ``ratio = (1/(1-alpha)) * ((3 alpha sqrt(s)/4 + (8-theta) s / (theta (4-theta)))
     * (theta sqrt(p) / (9 s sqrt(s)) + 1) + 1/2)``.
@@ -327,23 +328,17 @@ def theoretical_lambdas(
         raise AssumptionError("A3: incoherence theta must be positive")
     if not alpha < 1:
         raise AssumptionError("A2: identifiability alpha must be below one")
-    if n < 1:
-        raise ConstructionError("n must be at least 1")
+    if not 0 < horizon < math.inf:
+        raise ConstructionError("horizon must be finite and positive")
     if not 0 < delta < 1:
         raise ConstructionError("delta must lie in (0, 1)")
     if s < 1:
         raise ConstructionError("s must be at least 1")
-    horizon_t = horizon if horizon is not None else n * params.eta
-    if horizon_t <= 0:
-        raise ConstructionError(
-            "observation horizon n * eta must be positive (pass horizon= for "
-            "continuous systems)"
-        )
     m = latent_effect_constant(params, D)
     p, r = params.p, params.r
     lam_a = (
         16.0 * m * (4.0 - theta) / (theta * math.sqrt(D))
-        * math.sqrt(_log_model_size(s, r, p, delta) / horizon_t)
+        * math.sqrt(_log_model_size(s, r, p, delta) / horizon)
     )
     sqrt_s = math.sqrt(s)
     ratio = (1.0 / (1.0 - alpha)) * (
@@ -353,24 +348,6 @@ def theoretical_lambdas(
     )
     lam_l = lam_a * math.sqrt(p) * ratio
     return lam_a, lam_l
-
-
-def sample_complexity_T(
-    s: int,
-    r: int,
-    p: int,
-    D: float,
-    theta: float,
-    cmin: float,
-    delta: float,
-    K: float = 3.0e6,
-) -> float:
-    """Worst-case horizon ``T = K s^3 / (D^2 theta^2 Cmin^2) * log(4((s+2r)p + r^2)/delta)``."""
-    if min(s, p) < 1 or r < 0 or D <= 0 or theta <= 0 or cmin <= 0 or not 0 < K < math.inf:
-        raise ConstructionError("sample_complexity_T needs positive inputs and a finite K")
-    if not 0 < delta < 1:
-        raise ConstructionError("delta must lie in (0, 1)")
-    return K * s**3 / (D**2 * theta**2 * cmin**2) * _log_model_size(s, r, p, delta)
 
 
 def control_parameter(eta: float, n: int, s: int, r: int, p: int) -> float:
@@ -429,33 +406,28 @@ class AssumptionReport:
     m: float | None
     lambda_a_theory: float | None
     lambda_l_theory: float | None
-    t_required: float | None
     nu: float | None
     rho0: float | None
-    n: int
-    delta: float
-    K: float
     passes: dict = field(default_factory=dict)
 
 
 def assumption_report(
     params: SystemParams,
-    n: int,
-    delta: float = 0.1,
-    K: float = 3.0e6,
     horizon: float | None = None,
+    delta: float = 0.1,
 ) -> AssumptionReport:
     """Evaluate every assumption constant for ``params``.
 
     Computes the stability margin, incoherence, identifiability and design
     incoherence unconditionally (they only need a solvable steady state);
-    the regularizer/sample-complexity/error constants are filled only when
-    the assumptions they rely on hold, otherwise left as ``None``.
+    the regularizer and error constants are filled only when A1-A3 hold
+    and an observation horizon ``T = eta n`` is given, otherwise left as
+    ``None``.
     """
-    if not 0 < K < math.inf:
-        raise ConstructionError("K must be finite and positive")
-    if horizon is not None and not math.isfinite(horizon):
-        raise ConstructionError("horizon must be finite")
+    if horizon is not None and not 0 < horizon < math.inf:
+        raise ConstructionError("horizon must be finite and positive")
+    if not 0 < delta < 1:
+        raise ConstructionError("delta must lie in (0, 1)")
     ss = steady_state(params)
     margin = ss.stability_margin
     mu = incoherence_mu(ss.L)
@@ -465,23 +437,12 @@ def assumption_report(
     l_spectral = float(np.linalg.norm(ss.L, 2))
     passes = {"A1": margin > 0, "A2": alpha < 1, "A3": theta > 0}
 
-    m_const = lam_a = lam_l = t_req = nu = rho0 = None
+    m_const = lam_a = lam_l = nu = rho0 = None
     if passes["A1"]:
         m_const = latent_effect_constant(params, margin)
-    if passes["A3"]:
-        t_req = sample_complexity_T(s, params.r, params.p, margin, theta, ss.Cmin, delta, K) \
-            if passes["A1"] else None
-    horizon_t = horizon if horizon is not None else n * params.eta
-    if all(passes.values()) and horizon_t > 0:
+    if all(passes.values()) and horizon is not None:
         lam_a, lam_l = theoretical_lambdas(
-            params,
-            D=margin,
-            theta=theta,
-            alpha=alpha,
-            s=s,
-            n=n,
-            delta=delta,
-            horizon=horizon,
+            params, D=margin, theta=theta, alpha=alpha, s=s, horizon=horizon, delta=delta
         )
         nu, rho0 = theorem_constants(alpha, theta, ss.Cmin, ss.Dmax, s, lam_a, l_spectral)
     return AssumptionReport(
@@ -496,11 +457,7 @@ def assumption_report(
         m=m_const,
         lambda_a_theory=lam_a,
         lambda_l_theory=lam_l,
-        t_required=t_req,
         nu=nu,
         rho0=rho0,
-        n=n,
-        delta=delta,
-        K=K,
         passes=passes,
     )

@@ -205,8 +205,8 @@ def test_cli_gen_check_illustrative(tmp_path):
     report_path = tmp_path / "report.json"
     assert run(["gen", "--kind", "illustrative", "--p", "16", "--r", "2",
                 "--out", str(sys_path)]) == 0
-    assert run(["check", "--system", str(sys_path), "--n", "1000",
-                "--horizon", "100", "--out", str(report_path)]) == 0
+    assert run(["check", "--system", str(sys_path), "--horizon", "100",
+                "--out", str(report_path)]) == 0
     report = json.loads(report_path.read_text())
     # honest constants of the structured example (see test_model for the
     # closed-form derivations)
@@ -500,7 +500,7 @@ def _replay_commands(d: Path) -> dict[str, list[str]]:
                            "--horizon", "5", "--holdout", "5"],
         "phase": ["phase", "--p", "8", "--r", "2", "--s", "1", "--etas", "0.1",
                   "--thetas", "0.5", "--trials", "1", "--c", "0.6", "--d", "0.5"],
-        "check": ["check", "--system", system, "--n", "1000"],
+        "check": ["check", "--system", system, "--horizon", "50"],
     }
 
 
@@ -574,12 +574,12 @@ def test_cli_config_keys_are_the_parser_dests(replay_runs):
     (["phase", "--p", "8", "--r", "2", "--s", "1", "--etas", "0.1", "--thetas", "1",
       "--trials", "1", "--c", "nan", "--d", "0.5"],
      "ConstructionError:lambda_a must be finite and positive"),
-    (["check", "--system", "system.json", "--K", "nan"],
-     "ConstructionError:K must be finite and positive"),
+    (["check", "--system", "system.json", "--delta", "nan"],
+     "ConstructionError:delta must lie in (0, 1)"),
     (["check", "--system", "system.json", "--horizon", "inf"],
      "ConstructionError:horizon must be finite"),
 ], ids=["gen-illustrative-eta", "gen-illustrative-diag-margin", "gen-random-diag-margin",
-        "fit-tol-inf", "fit-tol-nan", "fit-zeta", "phase-c", "check-K", "check-horizon"])
+        "fit-tol-inf", "fit-tol-nan", "fit-zeta", "phase-c", "check-delta", "check-horizon"])
 def test_cli_non_finite_number_is_one_error_line(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     _write_forecast_inputs(tmp_path, 2)
@@ -605,6 +605,8 @@ def _error_path_inputs(directory):
     _write_forecast_inputs(directory, 2)
     assert run(["gen", "--p", "4", "--r", "2", "--s", "1", "--out",
                 str(Path(directory, "system.json"))]) == 0
+    assert run(["gen", "--kind", "illustrative", "--p", "18", "--r", "2", "--out",
+                str(Path(directory, "illustrative.json"))]) == 0
     files = {
         "one_row.csv": "t,x1,x2\n0,1,2\n",
         "one_price.csv": "date,a,b\n2020-01-01,1,2\n",
@@ -660,6 +662,16 @@ def _error_path_inputs(directory):
      "ConstructionError:eta = 5 is not below 2/sigma_max(joint)"),
     (["cv", "--data", "traj.csv", "--grid-c", "1", "--chunks", "100", "--out", _OUT],
      "ConfigError:not enough transitions for the requested chunk count"),
+    (["check", "--system", "system.json", "--horizon", "0", "--out", _OUT],
+     "ConstructionError:horizon must be finite and positive"),
+    (["check", "--system", "system.json", "--horizon", "-5", "--out", _OUT],
+     "ConstructionError:horizon must be finite and positive"),
+    # A1 fails on this system, so no constant would have used delta.
+    (["check", "--system", "illustrative.json", "--delta", "5", "--out", _OUT],
+     "ConstructionError:delta must lie in (0, 1)"),
+    (["phase", "--p", "8", "--r", "2", "--s", "0", "--etas", "0.1", "--thetas", "1",
+      "--trials", "3", "--c", "0.6", "--d", "0.5", "--out", _OUT],
+     "ConstructionError:control_parameter needs positive inputs"),
     # Usage errors that argparse finds end the same way.
     (["gen", "--p", "x", "--out", _OUT], "ConfigError:argument --p: invalid int value: 'x'"),
     (["gen", "--out", _OUT], "ConfigError:the following arguments are required: --p"),
@@ -672,8 +684,9 @@ def _error_path_inputs(directory):
         "config-empty-list", "prices-missing", "prices-one-row", "trajectory-one-row",
         "log-negative", "returns-zero", "returns-too-few-rows", "estimate-not-json",
         "estimate-missing-field", "gen-p-0", "gen-r-negative", "gen-eta-too-large",
-        "cv-too-many-chunks", "usage-bad-int", "usage-missing-required", "usage-unknown-flag",
-        "usage-bad-choice"])
+        "cv-too-many-chunks", "check-horizon-0", "check-horizon-negative",
+        "check-delta-A1-fails", "phase-s-0", "usage-bad-int", "usage-missing-required",
+        "usage-unknown-flag", "usage-bad-choice"])
 def test_cli_error_path_is_one_error_line(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     _error_path_inputs(tmp_path)

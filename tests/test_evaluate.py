@@ -148,14 +148,34 @@ def test_phase_transition_sweeps_dimensions():
                - control_parameter(0.1, 100, 1, 4, 12)) < 1e-12
 
 
-def test_phase_transition_validates_inputs():
+def test_phase_transition_validates_inputs(monkeypatch):
+    # Every point is checked before the first trial: each bad point comes
+    # after the good ones, and no system is ever drawn.
+    import sparsedyn.evaluate as ev_module
+
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return gen_random_system(spec)
+
+    monkeypatch.setattr(ev_module, "gen_random_system", counted)
     base, sweep = _tiny_sweep()
     with pytest.raises(ConstructionError):
         phase_transition(base, sweep, trials=0, lambda_rule=(0.5, 0.5), master_seed=0)
     with pytest.raises(ConstructionError):
         phase_transition(base, [], trials=1, lambda_rule=(0.5, 0.5), master_seed=0)
-    with pytest.raises(ConstructionError):
-        phase_transition(base, [{"eta": 0.1}], trials=1, lambda_rule=(0.5, 0.5), master_seed=0)
+    for point, message in [
+        ({"eta": 0.1}, "sample count 'n'"),
+        ({"n": 200}, "sampling step 'eta'"),
+        ({"eta": 0.1, "n": 50, "diag_margin": 5.0, "bogus": 1},
+         r"unrecognised keys \['bogus', 'diag_margin'\]"),
+        ({"eta": 0.1, "n": 50, "s": 0}, "control_parameter needs positive inputs"),
+    ]:
+        with pytest.raises(ConstructionError, match=message):
+            phase_transition(base, sweep + [point], trials=2, lambda_rule=(0.6, 0.5),
+                             master_seed=7)
+    assert calls == []
 
 
 # ------------------------------------------------------ cross-validation

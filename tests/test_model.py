@@ -14,7 +14,6 @@ from sparsedyn.model import (
     lasso_incoherence_theta,
     population_mle,
     row_supports,
-    sample_complexity_T,
     stability_margin,
     steady_state,
     support_size,
@@ -254,7 +253,7 @@ def test_theoretical_lambdas_direct_instantiation():
     params = _random_system(seed=21, p=6, r=2, s=2, eta=0.05)
     s, n, delta = 3, 400, 0.1
     lam_a, lam_l = theoretical_lambdas(
-        params, D=2.0, theta=0.5, alpha=0.5, s=s, n=n, delta=delta
+        params, D=2.0, theta=0.5, alpha=0.5, s=s, horizon=n * params.eta, delta=delta
     )
     binf = float(np.max(np.sum(np.abs(params.B), axis=1)))
     m = max(80.0 / math.sqrt(2.0) * binf,
@@ -268,8 +267,8 @@ def test_theoretical_lambdas_direct_instantiation():
 def test_theoretical_lambda_sqrt_scaling():
     params = _random_system(seed=21, p=6, r=2, s=2, eta=0.05)
     kw = dict(D=2.0, theta=0.5, alpha=0.5, s=3, delta=0.1)
-    lam1, _ = theoretical_lambdas(params, n=400, **kw)
-    lam2, _ = theoretical_lambdas(params, n=800, **kw)
+    lam1, _ = theoretical_lambdas(params, horizon=400 * params.eta, **kw)
+    lam2, _ = theoretical_lambdas(params, horizon=800 * params.eta, **kw)
     assert abs(lam1 / lam2 - math.sqrt(2.0)) < 1e-12
 
 
@@ -287,49 +286,21 @@ def test_lambda_ratio_matches_symbolic_oracle():
 
     params = _random_system(seed=77, p=36, r=2, s=3, eta=0.02)
     lam_a, lam_l = theoretical_lambdas(
-        params, D=1.0, theta=theta_v, alpha=alpha_v, s=s_v, n=1000, delta=0.05
+        params, D=1.0, theta=theta_v, alpha=alpha_v, s=s_v, horizon=1000 * params.eta,
+        delta=0.05
     )
     assert abs(lam_l / (lam_a * math.sqrt(p_v)) - expected_ratio) < 1e-10 * expected_ratio
 
 
 def test_theoretical_lambdas_assumption_errors():
     params = _random_system(seed=21, p=6, r=2, s=2, eta=0.05)
+    kw = dict(s=2, horizon=10 * params.eta, delta=0.1)
     with pytest.raises(AssumptionError, match="A1"):
-        theoretical_lambdas(params, D=-1.0, theta=0.5, alpha=0.5, s=2, n=10, delta=0.1)
+        theoretical_lambdas(params, D=-1.0, theta=0.5, alpha=0.5, **kw)
     with pytest.raises(AssumptionError, match="A3"):
-        theoretical_lambdas(params, D=1.0, theta=0.0, alpha=0.5, s=2, n=10, delta=0.1)
+        theoretical_lambdas(params, D=1.0, theta=0.0, alpha=0.5, **kw)
     with pytest.raises(AssumptionError, match="A2"):
-        theoretical_lambdas(params, D=1.0, theta=0.5, alpha=1.0, s=2, n=10, delta=0.1)
-
-
-# ------------------------------------------------- sample complexity
-
-
-def test_sample_complexity_formula_and_scaling():
-    kw = dict(r=2, p=40, D=2.0, theta=0.5, cmin=0.5, delta=0.1, K=3.0e6)
-    t1 = sample_complexity_T(s=3, **kw)
-    # independent evaluation
-    expected = 3.0e6 * 27 / (4.0 * 0.25 * 0.25) * math.log(4 * ((3 + 4) * 40 + 4) / 0.1)
-    assert abs(t1 - expected) < 1e-9 * expected
-    # cubic scaling in s up to the slowly varying log factor
-    t2 = sample_complexity_T(s=6, **kw)
-    log1 = math.log(4 * ((3 + 4) * 40 + 4) / 0.1)
-    log2 = math.log(4 * ((6 + 4) * 40 + 4) / 0.1)
-    assert abs(t2 / t1 - 8.0 * log2 / log1) < 1e-12
-
-
-@pytest.mark.parametrize("K", [0.0, float("nan"), float("inf")])
-def test_sample_complexity_rejects_non_finite_K(K):
-    with pytest.raises(ConstructionError, match="finite K"):
-        sample_complexity_T(s=1, r=2, p=16, D=1.0, theta=1.0, cmin=1.0, delta=0.1, K=K)
-
-
-def test_sample_complexity_illustrative_reduction():
-    # Structured example with s = 1, D/theta/Cmin folded into K: the log
-    # argument reduces to 4((1+2r)p + r^2)/delta.
-    r, p, delta = 2, 16, 0.1
-    t = sample_complexity_T(s=1, r=r, p=p, D=1.0, theta=1.0, cmin=1.0, delta=delta, K=1.0)
-    assert abs(t - math.log(4 * ((1 + 2 * r) * p + r**2) / delta)) < 1e-14
+        theoretical_lambdas(params, D=1.0, theta=0.5, alpha=1.0, **kw)
 
 
 # ------------------------------------------------- control parameter
@@ -382,7 +353,7 @@ def test_rho0_vanishes_with_lambda():
 
 def test_assumption_report_random_system():
     params = _random_system(seed=6, p=8, r=2, s=2, eta=0.05)
-    report = assumption_report(params, n=5000)
+    report = assumption_report(params, horizon=5000 * params.eta)
     assert report.passes["A1"]
     assert report.D > 0
     assert report.s >= 3  # s off-diagonal entries plus the diagonal
@@ -395,7 +366,7 @@ def test_assumption_report_random_system():
 
 def test_assumption_report_illustrative_flags_failures():
     # p = 16, r = 2 fails A1 (margin 1 - sqrt(8)/2 < 0) and A2 (alpha = 1.5).
-    report = assumption_report(gen_illustrative(16, 2), n=1000, horizon=100.0)
+    report = assumption_report(gen_illustrative(16, 2), horizon=100.0)
     assert not report.passes["A1"]
     assert not report.passes["A2"]
     assert report.passes["A3"]
@@ -409,7 +380,7 @@ def test_assumption_report_passing_illustrative():
     # p = 36, r = 1: p/r < 4 fails... sqrt(36) = 6 -> sqrt(p/r)/2 = 3 > 1,
     # so A1 still fails; use p = 12, r = 4 (sqrt(3)/2 < 1, alpha = 3/sqrt(3*...)).
     params = gen_illustrative(12, 4)
-    report = assumption_report(params, n=1000, horizon=50.0)
+    report = assumption_report(params, horizon=50.0)
     assert report.passes["A1"] and report.passes["A3"]
     # alpha = 3 sqrt(mu r / p) = 3 sqrt(16/12) > 1: A2 fails here; the
     # structured family needs r < sqrt(p)/3 for A2, impossible with r >= 2
