@@ -25,7 +25,6 @@ from .evaluate import (
     RecoveryReport,
     block_cross_validate,
     export_dependency_graph,
-    lambda_pair_from_constants,
     phase_transition,
     predict,
     recovery_report,
@@ -46,6 +45,7 @@ from .model import (
     control_parameter,
     identifiability_alpha,
     incoherence_mu,
+    lambda_pair_from_constants,
     lasso_incoherence_theta,
     population_mle,
     stability_margin,

@@ -136,12 +136,15 @@ def cmd_phase(args: argparse.Namespace, config: dict) -> int:
             raise ConfigError(f"{flag} must be finite and positive, got {values}")
     sweep = []
     for eta in args.etas:
+        theta_per_sample = mdl.control_parameter(eta, 1, args.s, args.r, args.p)
         for theta in args.thetas:
-            n = max(1, round(theta * args.s**3 * math.log((args.s + 2 * args.r) * args.p + args.r**2) / eta))
-            sweep.append({"eta": eta, "n": n})
+            n = theta / theta_per_sample
+            if not math.isfinite(n):
+                raise ConfigError(f"--thetas {theta} at --etas {eta} needs n = {n} samples")
+            sweep.append({"eta": eta, "n": max(1, round(n))})
     result = ev.phase_transition(
         base, sweep, trials=args.trials, lambda_rule=(args.c, args.d),
-        master_seed=args.master_seed, bins=args.bins, zeta=args.zeta,
+        master_seed=args.master_seed,
     )
     comment = "config: " + json.dumps(config, sort_keys=True)
     _write(Path(args.out), result.to_csv(comments=[comment]))
@@ -153,7 +156,7 @@ def cmd_cv(args: argparse.Namespace, config: dict) -> int:
     traj, _ = _load_trajectory(args)
     selection = ev.block_cross_validate(
         traj, args.grid_c, args.grid_d, chunk_count=args.chunks,
-        mode=args.mode, s_ref=args.s_ref, r_ref=args.r_ref,
+        mode=args.mode,
     )
     doc = {"config": config, **dataclasses.asdict(selection)}
     _write(Path(args.out), json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -317,9 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_phase.add_argument("--c", type=float, required=True)
     p_phase.add_argument("--d", type=float, required=True)
     p_phase.add_argument("--master-seed", dest="master_seed", type=int, default=0)
-    p_phase.add_argument("--bins", type=int, default=10)
     p_phase.add_argument("--diag-margin", dest="diag_margin", type=float, default=1.0)
-    p_phase.add_argument("--zeta", type=float, default=None)
     p_phase.set_defaults(func=cmd_phase)
 
     p_cv = sub.add_parser("cv", help="cross-validate regularizer constants")
@@ -329,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv.add_argument("--chunks", type=int, default=5)
     p_cv.add_argument("--mode", default=slv.MODE_SPARSE_LOWRANK,
                       choices=[slv.MODE_SPARSE_LOWRANK, slv.MODE_PURE_LASSO])
-    p_cv.add_argument("--s-ref", dest="s_ref", type=int, default=1)
-    p_cv.add_argument("--r-ref", dest="r_ref", type=int, default=1)
     p_cv.set_defaults(func=cmd_cv)
 
     p_pred = sub.add_parser("predict", help="forecast with a fitted estimate")

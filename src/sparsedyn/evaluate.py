@@ -20,7 +20,7 @@ import numpy as np
 from .csvio import write_table
 from .errors import ConfigError, ConstructionError, DivergenceError
 from .generate import GenSpec, gen_random_system
-from .model import _log_model_size, control_parameter, steady_state
+from .model import control_parameter, lambda_pair_from_constants, steady_state
 from .rng import derive_seed
 from .simulate import (
     Trajectory,
@@ -37,7 +37,6 @@ __all__ = [
     "CvSelection",
     "default_support_threshold",
     "recovery_report",
-    "lambda_pair_from_constants",
     "phase_transition",
     "block_cross_validate",
     "predict",
@@ -141,31 +140,12 @@ class PhaseResult:
         return write_table(header, rows, comments)
 
 
-def lambda_pair_from_constants(
-    c: float,
-    d: float,
-    p: int,
-    r: int,
-    s: int,
-    eta: float,
-    n: int,
-) -> tuple[float, float]:
-    """Practical regularizer rule: ``lambda_A = c sqrt(log(4((s+2r)p + r^2)/delta) / (n eta))``
-    with ``delta = 0.1``, and ``lambda_L = d sqrt(p) lambda_A``; ``c``
-    absorbs any other ``delta``."""
-    lam_a = c * math.sqrt(_log_model_size(s, r, p, 0.1) / (n * eta))
-    return lam_a, d * math.sqrt(p) * lam_a
-
-
 def phase_transition(
     base: GenSpec,
     sweep: list[dict],
     trials: int,
     lambda_rule: tuple[float, float],
     master_seed: int,
-    *,
-    bins: int = 10,
-    zeta: float | None = None,
 ) -> PhaseResult:
     """Success-probability grid over sampling/size variations.
 
@@ -174,9 +154,10 @@ def phase_transition(
     ``p``, ``r`` and ``s`` of ``base``; any other key is an error.  Every
     point is checked before the first trial runs.  Per trial: draw a
     fresh system (seed derived from ``(master_seed, point, trial)``),
-    simulate (binned sampler), fit (``max_iter = 2000``, ``tol = 1e-7``),
-    and score exact signed-support recovery of the sparse block.
-    ``lambda_rule`` is the ``(c, d)`` pair of the practical regularizer
+    simulate (binned, ``bins = 10``), fit (``max_iter = 2000``, ``tol = 1e-7``),
+    and score exact signed-support recovery of the sparse block above the
+    round-off guard ``default_support_threshold``.  These protocol
+    constants are fixed.  ``lambda_rule`` is the ``(c, d)`` pair of the practical regularizer
     rule (``lambda_pair_from_constants``).  Trials whose fit diverges count
     as failures.
     """
@@ -184,7 +165,6 @@ def phase_transition(
         raise ConstructionError("trials must be at least 1")
     if not sweep:
         raise ConstructionError("sweep must contain at least one point")
-    _support_threshold(np.zeros(0), zeta)  # a bad zeta fails before any trial runs
     c, d = lambda_rule
     points = []
     for g, overrides in enumerate(sweep):
@@ -218,14 +198,14 @@ def phase_transition(
             truth = steady_state(system)
             # The path is reduced at once, so no trial's path outlives it.
             stats = sufficient_stats(simulate_continuous(
-                system, eta=eta, n=n, mode="binned", bins=bins,
+                system, eta=eta, n=n, mode="binned", bins=10,
                 seed=derive_seed(seed, 1),
             ))
             try:
                 est = fit(stats, stats.sq_increment_sum, config)
             except DivergenceError:
                 continue
-            report = recovery_report(est.Ahat, system.A, est.Lhat, truth.L, zeta)
+            report = recovery_report(est.Ahat, system.A, est.Lhat, truth.L)
             successes += int(report.signed_match)
         rows.append(
             PhasePoint(

@@ -38,6 +38,7 @@ __all__ = [
     "max_row_l1",
     "latent_effect_constant",
     "theoretical_lambdas",
+    "lambda_pair_from_constants",
     "control_parameter",
     "theorem_constants",
     "assumption_report",
@@ -299,8 +300,25 @@ def latent_effect_constant(params: SystemParams, margin: float) -> float:
     return max(latent_term, math.sqrt(params.eta) + 1.0)
 
 
-def _log_model_size(s: int, r: int, p: int, delta: float) -> float:
-    return math.log(4.0 * ((s + 2 * r) * p + r * r) / delta)
+def _log_model_size(s: int, r: int, p: int, delta: float | None = None) -> float:
+    """``log((s+2r)p + r^2)`` of ``Theta``, or ``log(4((s+2r)p + r^2)/delta)`` of the regularizers."""
+    for name, value, least in (("r", r, 0), ("p", p, 1)):
+        if value < least:
+            raise ConstructionError(f"{name} must be at least {least}, got {value}")
+    size = (s + 2 * r) * p + r * r
+    if size < 1:
+        raise ConstructionError(f"the model size (s+2r)p + r^2 must be at least 1, got {size} "
+                                f"at s = {s}, r = {r}, p = {p}")
+    return math.log(size if delta is None else 4.0 * size / delta)
+
+
+def _horizon(eta: float, n: int) -> float:
+    """The observation horizon ``T = eta n`` of ``n`` samples at step ``eta``."""
+    if not 0 < eta < math.inf:
+        raise ConstructionError(f"eta must be finite and positive, got {eta}")
+    if n < 1:
+        raise ConstructionError(f"n must be at least 1, got {n}")
+    return eta * n
 
 
 def theoretical_lambdas(
@@ -350,15 +368,35 @@ def theoretical_lambdas(
     return lam_a, lam_l
 
 
+def lambda_pair_from_constants(
+    c: float,
+    d: float,
+    p: int,
+    r: int,
+    s: int,
+    eta: float,
+    n: int,
+) -> tuple[float, float]:
+    """Practical regularizer rule: ``lambda_A = c sqrt(log(4((s+2r)p + r^2)/delta) / (n eta))``
+    with ``delta = 0.1``, and ``lambda_L = d sqrt(p) lambda_A``; ``c``
+    absorbs any other ``delta``.  It checks ``eta``, ``n``, ``r``, ``p``
+    and the model size as ``control_parameter`` does."""
+    lam_a = c * math.sqrt(_log_model_size(s, r, p, 0.1) / _horizon(eta, n))
+    return lam_a, d * math.sqrt(p) * lam_a
+
+
 def control_parameter(eta: float, n: int, s: int, r: int, p: int) -> float:
     """Rescaled horizon ``Theta = eta n / (s^3 log((s+2r)p + r^2))``.
 
     The success-probability curves of the recovery experiments collapse
-    when plotted against this parameter (natural logarithm).
+    when plotted against this parameter (natural logarithm).  It needs
+    ``0 < eta < inf``, ``n, s, p >= 1``, ``r >= 0`` and a model size
+    ``(s+2r)p + r^2`` of at least 1; a ``ConstructionError`` names the
+    input that fails.
     """
-    if eta <= 0 or n < 1 or s < 1 or r < 0 or p < 1:
-        raise ConstructionError("control_parameter needs positive inputs")
-    return eta * n / (s**3 * math.log((s + 2 * r) * p + r * r))
+    if s < 1:
+        raise ConstructionError(f"s must be at least 1, got {s}")
+    return _horizon(eta, n) / (s**3 * _log_model_size(s, r, p))
 
 
 def theorem_constants(

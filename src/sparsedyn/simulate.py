@@ -176,7 +176,11 @@ def _sample(params: SystemParams, f: np.ndarray, factor: np.ndarray, stationary_
     b = math.isqrt(rows)
     nb = -(-rows // b)
     # The increments are written straight into the one padded state array.
-    states = np.empty((nb * b, m))
+    try:
+        states = np.empty((nb * b, m))
+    except (ValueError, MemoryError) as exc:  # numpy refuses the shape or its bytes
+        raise ConstructionError(f"n = {n} samples of {m} states are more than numpy "
+                                f"can allocate: {exc}") from exc
     states[0] = start
     states[rows:] = 0.0
     if noise is None:

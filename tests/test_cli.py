@@ -1,6 +1,7 @@
 import argparse
 import datetime
 import json
+import math
 import os
 import re
 import shlex
@@ -406,18 +407,37 @@ def test_cli_phase_rejects_bad_eta_or_theta(tmp_path, capsys, flag, values):
     assert not (tmp_path / "phase.csv").exists()
 
 
-def test_cli_phase_rejects_bad_zeta_before_any_trial(tmp_path, capsys, monkeypatch):
-    def no_trial(spec):
-        raise AssertionError("a trial ran")
+def _inline_phase_n(theta, eta, p, r, s):
+    """The sample count ``sparsedyn phase`` computed inline before it asked
+    ``control_parameter`` for the Theta of one sample."""
+    return max(1, round(theta * s**3 * math.log((s + 2 * r) * p + r**2) / eta))
 
-    monkeypatch.setattr(ev_module, "gen_random_system", no_trial)
-    code = run(["phase", "--p", "8", "--r", "2", "--s", "1", "--etas", "0.1",
-                "--thetas", "1", "--trials", "1", "--c", "0.6", "--d", "0.5",
-                "--zeta", "nan", "--out", str(tmp_path / "phase.csv")])
-    assert code == 1
-    assert capsys.readouterr().err == (
-        "error:ConstructionError:zeta must be finite and non-negative\n")
-    assert not (tmp_path / "phase.csv").exists()
+
+def test_cli_phase_n_matches_the_inline_formula(tmp_path, monkeypatch):
+    sweeps = []
+
+    def record(base, sweep, **kwargs):
+        sweeps.append(sweep)
+        return ev_module.PhaseResult(rows=[])
+
+    monkeypatch.setattr(ev_module, "phase_transition", record)
+    readme = (40, 2, 3, [0.05, 0.1], [0.25, 1.0, 4.0, 16.0])
+    rng = CounterRng(12)
+    grid = []
+    for _ in range(60):
+        u = rng.uniforms(9).tolist()
+        s, r = 1 + int(u[0] * 12), 2 * int(u[1] * 5)  # GenSpec needs r = 0 or even
+        p = s + 1 + int(u[2] * 200)
+        p = -(-p // r) * r if r else p  # and r dividing 2p
+        grid.append((p, r, s, [10 ** (-3 + 3 * v) for v in u[3:6]],
+                     [10 ** (-1 + 4 * v) for v in u[6:9]]))
+    for p, r, s, etas, thetas in [readme, *grid]:
+        argv = ["phase", "--p", str(p), "--r", str(r), "--s", str(s),
+                "--etas", *map(repr, etas), "--thetas", *map(repr, thetas),
+                "--c", "0.4", "--d", "0.5", "--out", str(tmp_path / "phase.csv")]
+        assert run(argv) == 0
+        assert [point["n"] for point in sweeps.pop()] == [
+            _inline_phase_n(theta, eta, p, r, s) for eta in etas for theta in thetas]
 
 
 @pytest.mark.parametrize("eta", ["nan", "inf"])
@@ -539,6 +559,26 @@ def test_cli_config_block_replays_artifact_byte_for_byte(replay_runs, name):
     replayed = d / f"{name}.replayed"
     assert run([commands[name][0], "--config", str(config), "--out", str(replayed)]) == 0
     assert replayed.read_bytes() == original
+
+
+@pytest.mark.parametrize("name, removed", [
+    ("phase", {"bins": 10, "zeta": None}),
+    ("cv-data", {"r_ref": 1, "s_ref": 1}),
+])
+def test_cli_config_block_with_removed_flags_is_one_error_line(replay_runs, capsys, name,
+                                                               removed):
+    # phase and cv artifacts written while --bins, --zeta, --s-ref and --r-ref
+    # existed carry those keys in their config blocks.
+    d, commands = replay_runs
+    config = d / f"{name}.old-config.json"
+    config.write_text(json.dumps({**_config_block((d / f"{name}.out").read_text()), **removed}))
+    replayed = d / f"{name}.old-replayed"
+    capsys.readouterr()
+    assert run([commands[name][0], "--config", str(config), "--out", str(replayed)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:ConfigError:unrecognized arguments:")
+    assert err.count("\n") == 1
+    assert not replayed.exists()
 
 
 def _subparsers() -> dict:
@@ -671,7 +711,14 @@ def _error_path_inputs(directory):
      "ConstructionError:delta must lie in (0, 1)"),
     (["phase", "--p", "8", "--r", "2", "--s", "0", "--etas", "0.1", "--thetas", "1",
       "--trials", "3", "--c", "0.6", "--d", "0.5", "--out", _OUT],
-     "ConstructionError:control_parameter needs positive inputs"),
+     "ConstructionError:s must be at least 1, got 0"),
+    (["phase", "--p", "8", "--r", "2", "--s", "1", "--etas", "0.1", "--thetas", "1e308",
+      "--trials", "1", "--c", "0.6", "--d", "0.5", "--out", _OUT],
+     "ConfigError:--thetas 1e+308 at --etas 0.1 needs n = inf samples"),
+    # n = 3.8e300 rows: numpy refuses the shape before it allocates anything.
+    (["phase", "--p", "8", "--r", "2", "--s", "1", "--etas", "1e-300", "--thetas", "1",
+      "--trials", "1", "--c", "0.6", "--d", "0.5", "--out", _OUT],
+     "ConstructionError:n = 3784189633918260"),
     # Usage errors that argparse finds end the same way.
     (["gen", "--p", "x", "--out", _OUT], "ConfigError:argument --p: invalid int value: 'x'"),
     (["gen", "--out", _OUT], "ConfigError:the following arguments are required: --p"),
@@ -685,7 +732,8 @@ def _error_path_inputs(directory):
         "log-negative", "returns-zero", "returns-too-few-rows", "estimate-not-json",
         "estimate-missing-field", "gen-p-0", "gen-r-negative", "gen-eta-too-large",
         "cv-too-many-chunks", "check-horizon-0", "check-horizon-negative",
-        "check-delta-A1-fails", "phase-s-0", "usage-bad-int", "usage-missing-required",
+        "check-delta-A1-fails", "phase-s-0", "phase-thetas-overflow", "phase-etas-tiny",
+        "usage-bad-int", "usage-missing-required",
         "usage-unknown-flag", "usage-bad-choice"])
 def test_cli_error_path_is_one_error_line(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)

@@ -170,7 +170,9 @@ def test_phase_transition_validates_inputs(monkeypatch):
         ({"n": 200}, "sampling step 'eta'"),
         ({"eta": 0.1, "n": 50, "diag_margin": 5.0, "bogus": 1},
          r"unrecognised keys \['bogus', 'diag_margin'\]"),
-        ({"eta": 0.1, "n": 50, "s": 0}, "control_parameter needs positive inputs"),
+        ({"eta": 0.1, "n": 50, "s": 0}, "^s must be at least 1, got 0$"),
+        ({"eta": float("nan"), "n": 50}, "^eta must be finite and positive, got nan$"),
+        ({"eta": 0.1, "n": 0}, "^n must be at least 1, got 0$"),
     ]:
         with pytest.raises(ConstructionError, match=message):
             phase_transition(base, sweep + [point], trials=2, lambda_rule=(0.6, 0.5),
@@ -236,6 +238,11 @@ def test_cv_validates_arguments():
         block_cross_validate(traj, grid_c=[], grid_d=[1.0])
     with pytest.raises(ConfigError):
         block_cross_validate(traj, grid_c=[1.0], grid_d=[1.0], chunk_count=1)
+
+
+def test_cv_reference_sizes_are_checked_by_the_rule():
+    with pytest.raises(ConstructionError, match="^r must be at least 0, got -5$"):
+        block_cross_validate(_cv_trajectory(), grid_c=[1.0], grid_d=[1.0], r_ref=-5)
 
 
 def test_cv_pure_lasso_mode():

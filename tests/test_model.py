@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sparsedyn.model import (
     control_parameter,
     identifiability_alpha,
     incoherence_mu,
+    lambda_pair_from_constants,
     lasso_incoherence_theta,
     population_mle,
     row_supports,
@@ -317,6 +319,30 @@ def test_control_parameter_linear_in_n():
     t1 = control_parameter(eta=0.05, n=1000, s=3, r=2, p=40)
     t2 = control_parameter(eta=0.05, n=2000, s=3, r=2, p=40)
     assert abs(t2 - 2 * t1) < 1e-14
+
+
+@pytest.mark.parametrize("eta, n, r, message", [
+    (0.05, 100, -5, "r must be at least 0, got -5"),
+    (0.0, 100, 1, "eta must be finite and positive, got 0.0"),
+    (math.nan, 100, 1, "eta must be finite and positive, got nan"),
+    (math.inf, 100, 1, "eta must be finite and positive, got inf"),
+    (0.05, 0, 1, "n must be at least 1, got 0"),
+])
+def test_lambda_rule_and_control_parameter_name_a_bad_input(eta, n, r, message):
+    # These ended in a math domain error, a ZeroDivisionError, a message
+    # that named no input, or (eta = nan or inf) no error at all.
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+        lambda_pair_from_constants(0.5, 1.0, 6, r, 1, eta, n)
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+        control_parameter(eta, n, 1, r, 6)
+
+
+def test_lambda_rule_needs_a_model_size_and_control_parameter_an_s():
+    message = "the model size (s+2r)p + r^2 must be at least 1, got 0 at s = 0, r = 0, p = 6"
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+        lambda_pair_from_constants(0.5, 1.0, 6, 0, 0, 0.05, 100)
+    with pytest.raises(ConstructionError, match="^s must be at least 1, got 0$"):
+        control_parameter(0.05, 100, 0, 2, 6)
 
 
 # ------------------------------------------------- theorem constants

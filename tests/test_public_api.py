@@ -1,12 +1,15 @@
 """The public API is pinned: adding, removing or renaming a name in
-``sparsedyn.__all__`` must show up as an edit to this file."""
+``sparsedyn.__all__`` or a flag of a ``sparsedyn`` subcommand must show up
+as an edit to this file."""
 
+import argparse
 import importlib
 import pkgutil
 
 import pytest
 
 import sparsedyn
+from sparsedyn.cli import build_parser
 
 PUBLIC = [
     "AssumptionError",
@@ -80,3 +83,31 @@ def test_module_all_resolves_without_duplicates(name):
     assert len(module.__all__) == len(set(module.__all__)), name
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == [], f"{name}.__all__ lists undefined names {missing}"
+
+
+# Every subcommand's flags; each also takes --out, --config and --help.
+FLAGS = {
+    "gen": ["--diag-margin", "--eta", "--kind", "--p", "--r", "--s", "--seed"],
+    "simulate": ["--bins", "--eta", "--mode", "--n", "--seed", "--system"],
+    "fit": ["--convert", "--data", "--edges-out", "--graph-out", "--lambda-a", "--lambda-l",
+            "--max-iter", "--missing", "--mode", "--price-eta", "--prices", "--tol", "--zeta"],
+    "phase": ["--c", "--d", "--diag-margin", "--etas", "--master-seed", "--p", "--r", "--s",
+              "--thetas", "--trials"],
+    "cv": ["--chunks", "--convert", "--data", "--grid-c", "--grid-d", "--missing", "--mode",
+           "--price-eta", "--prices"],
+    "predict": ["--convert", "--data", "--estimate", "--holdout", "--horizon", "--missing",
+                "--price-eta", "--prices"],
+    "check": ["--delta", "--horizon", "--system"],
+}
+
+
+def test_cli_flags_are_the_pinned_lists():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    found = {}
+    for name, sub in subparsers.choices.items():
+        options = {option for action in sub._actions for option in action.option_strings}
+        assert {"--out", "--config", "--help"} <= options, name
+        found[name] = sorted(options - {"--out", "--config", "--help", "-h"})
+    assert all(flags == sorted(flags) for flags in FLAGS.values())
+    assert found == FLAGS
