@@ -53,13 +53,10 @@ def _write(path: Path, content: str) -> None:
 
 def _load_trajectory(args: argparse.Namespace) -> tuple[sim.Trajectory, list[str] | None]:
     """The input trajectory and its series labels (``None`` for ``--data``)."""
-    if args.data:
+    if args.data is not None:
         return sim.trajectory_from_csv(read_text(args.data)), None
-    if args.prices:
-        table = ingest_csv(args.prices, missing=args.missing)
-        traj = price_trajectory(table, convert=args.convert, eta=args.price_eta)
-        return traj, table.labels
-    raise ConfigError("either --data or --prices is required")
+    table = ingest_csv(args.prices, missing=args.missing)
+    return price_trajectory(table, convert=args.convert, eta=args.price_eta), table.labels
 
 
 def cmd_gen(args: argparse.Namespace, config: dict) -> int:
@@ -70,9 +67,6 @@ def cmd_gen(args: argparse.Namespace, config: dict) -> int:
         )
         params = gen.gen_random_system(spec)
     else:
-        for flag, value in (("--eta", args.eta), ("--diag-margin", args.diag_margin)):
-            if not math.isfinite(value):
-                raise ConfigError(f"{flag} must be finite, got {value}")
         params = gen.gen_illustrative(args.p, args.r)
     _write(Path(args.out), gen.system_to_json(params, config))
     print(f"wrote system ({params.p} observed, {params.r} latent) to {args.out}")
@@ -89,7 +83,7 @@ def cmd_simulate(args: argparse.Namespace, config: dict) -> int:
         if args.eta is None:
             raise ConfigError("--eta (sampling step) is required for continuous modes")
         traj = sim.simulate_continuous(
-            params, eta=args.eta, n=args.n, mode=args.mode, bins=args.bins, seed=args.seed
+            params, eta=args.eta, n=args.n, mode=args.mode, seed=args.seed
         )
     comment = "config: " + json.dumps(config, sort_keys=True)
     _write(Path(args.out), sim.trajectory_to_csv(traj, comments=[comment]))
@@ -98,8 +92,6 @@ def cmd_simulate(args: argparse.Namespace, config: dict) -> int:
 
 
 def cmd_fit(args: argparse.Namespace, config: dict) -> int:
-    if args.zeta is not None and not math.isfinite(args.zeta):
-        raise ConfigError(f"--zeta must be finite, got {args.zeta}")
     traj, labels = _load_trajectory(args)
     stats = sim.sufficient_stats(traj)
     solver_config = slv.SolverConfig(
@@ -132,7 +124,7 @@ def cmd_phase(args: argparse.Namespace, config: dict) -> int:
         diag_margin=args.diag_margin, eta=0.0,
     )
     for flag, values in (("--etas", args.etas), ("--thetas", args.thetas)):
-        if not all(math.isfinite(v) and v > 0 for v in values):
+        if not all(v > 0 for v in values):
             raise ConfigError(f"{flag} must be finite and positive, got {values}")
     sweep = []
     for eta in args.etas:
@@ -250,8 +242,9 @@ def _expand_config_file(argv: list[str]) -> list[str]:
 
 
 def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--data", help="trajectory CSV (t,x1..xp)")
-    parser.add_argument("--prices", help="price CSV (date,v1..vK)")
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--data", help="trajectory CSV (t,x1..xp)")
+    source.add_argument("--prices", help="price CSV (date,v1..vK)")
     parser.add_argument("--convert", default="raw", choices=["raw", "log", "returns"],
                         help="price conversion mode")
     parser.add_argument("--price-eta", dest="price_eta", type=float, default=1.0,
@@ -292,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--eta", type=float, default=None,
                        help="sampling step (required for continuous modes)")
-    p_sim.add_argument("--bins", type=int, default=10)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -361,8 +353,8 @@ def run(argv: list[str] | None = None) -> int:
     """Parse arguments and execute one subcommand; returns the exit code.
 
     Any subcommand accepts one ``--config FILE`` (JSON object of parameter
-    names to values); explicit flags override config-file values, and
-    unknown config fields are rejected by name.
+    names to values); explicit flags override config-file values.  Unknown
+    config fields and number flags that are not finite are rejected by name.
     """
     parser = build_parser()
     try:
@@ -375,6 +367,10 @@ def run(argv: list[str] | None = None) -> int:
             raise ConfigError("--config may be given only once, as '--config FILE'")
         config = {name: value for name, value in vars(args).items()
                   if name not in _NOT_CONFIG}
+        for name, value in config.items():
+            for item in value if isinstance(value, list) else [value]:
+                if isinstance(item, float) and not math.isfinite(item):
+                    raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {item}")
         return args.func(args, config)
     except SparsedynError as exc:
         print(f"error:{type(exc).__name__}:{exc}", file=sys.stderr)

@@ -277,6 +277,14 @@ def block_cross_validate(
         grid_d = [0.0]
     edges = _chunk_edges(traj.n, chunk_count)
     spans = [(edges[i], edges[i + 1]) for i in range(chunk_count)]
+
+    def rule(c: float, d: float, n: int) -> tuple[float, float]:
+        return lambda_pair_from_constants(c, d, traj.p, r_ref, s_ref, traj.eta, n)
+
+    # Every fold's settings, from its training size, are checked before any work.
+    configs = [[[SolverConfig(*rule(c, d, traj.n - (hi - lo)), mode=mode,
+                              max_iter=max_iter, tol=tol) for lo, hi in spans]
+                for d in grid_d] for c in grid_c]
     chunk_stats = [
         sufficient_stats(Trajectory(x=traj.x[lo: hi + 1], eta=traj.eta))
         for lo, hi in spans
@@ -285,25 +293,13 @@ def block_cross_validate(
         merge_stats([cs for k, cs in enumerate(chunk_stats) if k != hold])
         for hold in range(chunk_count)
     ]
-
-    def rule(c: float, d: float, n: int) -> tuple[float, float]:
-        return lambda_pair_from_constants(c, d, traj.p, r_ref, s_ref, traj.eta, n)
-
     errors = [[math.inf] * len(grid_d) for _ in grid_c]
     best = (math.inf, -math.inf, -math.inf)
     best_cd = (grid_c[0], grid_d[0])
     for i, c in enumerate(grid_c):
         for j, d in enumerate(grid_d):
             fold_errors = []
-            for hold, train in enumerate(fold_train):
-                lam_a, lam_l = rule(c, d, train.n)
-                config = SolverConfig(
-                    lambda_a=lam_a,
-                    lambda_l=lam_l,
-                    mode=mode,
-                    max_iter=max_iter,
-                    tol=tol,
-                )
+            for hold, (train, config) in enumerate(zip(fold_train, configs[i][j])):
                 est = fit(train, train.sq_increment_sum, config)
                 fold_errors.append(_one_step_mse(traj, spans[hold], est.Ahat + est.Lhat))
             mean_err = float(np.mean(fold_errors))

@@ -306,9 +306,10 @@ def _log_model_size(s: int, r: int, p: int, delta: float | None = None) -> float
         if value < least:
             raise ConstructionError(f"{name} must be at least {least}, got {value}")
     size = (s + 2 * r) * p + r * r
-    if size < 1:
-        raise ConstructionError(f"the model size (s+2r)p + r^2 must be at least 1, got {size} "
-                                f"at s = {s}, r = {r}, p = {p}")
+    least = 2 if delta is None else 1
+    if size < least:
+        raise ConstructionError(f"the model size (s+2r)p + r^2 must be at least {least}, "
+                                f"got {size} at s = {s}, r = {r}, p = {p}")
     return math.log(size if delta is None else 4.0 * size / delta)
 
 
@@ -391,7 +392,7 @@ def control_parameter(eta: float, n: int, s: int, r: int, p: int) -> float:
     The success-probability curves of the recovery experiments collapse
     when plotted against this parameter (natural logarithm).  It needs
     ``0 < eta < inf``, ``n, s, p >= 1``, ``r >= 0`` and a model size
-    ``(s+2r)p + r^2`` of at least 1; a ``ConstructionError`` names the
+    ``(s+2r)p + r^2`` of at least 2; a ``ConstructionError`` names the
     input that fails.
     """
     if s < 1:

@@ -58,6 +58,11 @@ _BLOWUP_LIMIT = 1e10
 _CHUNK_ROWS = 4096
 
 
+def _finite(a: np.ndarray) -> bool:
+    """All entries finite, by NaN-propagating reductions (no temporary of ``a``'s size)."""
+    return math.isfinite(a.min(initial=0.0)) and math.isfinite(a.max(initial=0.0))
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Observed sample path ``x(0..n)`` at sampling step ``eta``.
@@ -74,14 +79,14 @@ class Trajectory:
         x = np.asarray(self.x, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] < 2:
             raise ConstructionError("trajectory needs at least two samples of shape (n+1, p)")
-        if not np.isfinite(x).all():
+        if not _finite(x):
             raise ConstructionError("trajectory contains non-finite values")
         if not (math.isfinite(self.eta) and self.eta > 0):
             raise ConstructionError("eta must be finite and positive")
         object.__setattr__(self, "x", x)
         if self.u is not None:
             u = np.asarray(self.u, dtype=np.float64)
-            if u.shape[0] != x.shape[0] or not np.isfinite(u).all():
+            if u.shape[0] != x.shape[0] or not _finite(u):
                 raise ConstructionError("latent path inconsistent with observed path")
             object.__setattr__(self, "u", u)
 

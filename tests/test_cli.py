@@ -386,15 +386,16 @@ def test_cli_bad_time_column_is_one_error_line(tmp_path, capsys, stamps):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("flag,values", [
-    ("--etas", ["0"]),
-    ("--etas", ["0.1", "-0.05"]),
-    ("--etas", ["inf"]),
-    ("--thetas", ["nan"]),
-    ("--thetas", ["0"]),
-    ("--thetas", ["1", "-1"]),
-])
-def test_cli_phase_rejects_bad_eta_or_theta(tmp_path, capsys, flag, values):
+@pytest.mark.parametrize("flag,values,message", [
+    ("--etas", ["0"], "must be finite and positive"),
+    ("--etas", ["0.1", "-0.05"], "must be finite and positive"),
+    ("--etas", ["inf"], "must be finite, got inf"),
+    ("--thetas", ["nan"], "must be finite, got nan"),
+    ("--thetas", ["0"], "must be finite and positive"),
+    ("--thetas", ["1", "-1"], "must be finite and positive"),
+], ids=["--etas-values0", "--etas-values1", "--etas-values2", "--thetas-values3",
+        "--thetas-values4", "--thetas-values5"])
+def test_cli_phase_rejects_bad_eta_or_theta(tmp_path, capsys, flag, values, message):
     grid = {"--etas": ["0.1"], "--thetas": ["1"]}
     grid[flag] = values
     code = run(["phase", "--p", "8", "--r", "2", "--s", "1", "--etas", *grid["--etas"],
@@ -402,7 +403,7 @@ def test_cli_phase_rejects_bad_eta_or_theta(tmp_path, capsys, flag, values):
                 "--out", str(tmp_path / "phase.csv")])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error:ConfigError:{flag} must be finite and positive")
+    assert err.startswith(f"error:ConfigError:{flag} {message}")
     assert err.count("\n") == 1
     assert not (tmp_path / "phase.csv").exists()
 
@@ -444,14 +445,15 @@ def test_cli_phase_n_matches_the_inline_formula(tmp_path, monkeypatch):
 @pytest.mark.parametrize("command", ["gen", "fit"])
 def test_cli_non_finite_eta_is_one_error_line(tmp_path, capsys, eta, command):
     if command == "gen":
-        argv = ["gen", "--p", "4", "--r", "2", "--s", "1", "--eta", eta]
+        argv, flag = ["gen", "--p", "4", "--r", "2", "--s", "1", "--eta", eta], "--eta"
     else:
         prices = _write_prices(tmp_path, ["1", "2", "3", "4"])
         argv = ["fit", "--prices", str(prices), "--price-eta", eta, "--lambda-a", "0.1"]
+        flag = "--price-eta"
     code = run(argv + ["--out", str(tmp_path / "out")])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:ConstructionError:eta must be finite")
+    assert err.startswith(f"error:ConfigError:{flag} must be finite, got {eta}")
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
@@ -527,12 +529,17 @@ def _replay_commands(d: Path) -> dict[str, list[str]]:
 _REPLAY_NAMES = list(_replay_commands(Path(".")))
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
 def _config_block(text: str) -> dict:
-    """The config of a CSV artifact (``# config:`` line) or a JSON one."""
+    """The config of a CSV artifact (``# config:`` line) or a JSON one, read
+    by a strict JSON reader that refuses ``NaN`` and ``Infinity``."""
     first = text.splitlines()[0]
     if first.startswith("# config: "):
-        return json.loads(first[len("# config: "):])
-    return json.loads(text)["config"]
+        return json.loads(first[len("# config: "):], parse_constant=_reject_constant)
+    return json.loads(text, parse_constant=_reject_constant)["config"]
 
 
 @pytest.fixture(scope="module")
@@ -564,11 +571,12 @@ def test_cli_config_block_replays_artifact_byte_for_byte(replay_runs, name):
 @pytest.mark.parametrize("name, removed", [
     ("phase", {"bins": 10, "zeta": None}),
     ("cv-data", {"r_ref": 1, "s_ref": 1}),
+    ("simulate-binned", {"bins": 10}),
 ])
 def test_cli_config_block_with_removed_flags_is_one_error_line(replay_runs, capsys, name,
                                                                removed):
-    # phase and cv artifacts written while --bins, --zeta, --s-ref and --r-ref
-    # existed carry those keys in their config blocks.
+    # phase, cv and simulate artifacts written while --bins, --zeta, --s-ref
+    # and --r-ref existed carry those keys in their config blocks.
     d, commands = replay_runs
     config = d / f"{name}.old-config.json"
     config.write_text(json.dumps({**_config_block((d / f"{name}.out").read_text()), **removed}))
@@ -597,27 +605,49 @@ def test_cli_config_keys_are_the_parser_dests(replay_runs):
         assert set(config) == dests - cli_module._NOT_CONFIG, name
 
 
+def _float_options() -> list:
+    """Every (subcommand, option) that takes floats, read from the parser."""
+    return [pytest.param(name, action.option_strings[0],
+                         id=f"{name}-{action.option_strings[0][2:]}")
+            for name, sub in _subparsers().items()
+            for action in sub._actions if action.type is float]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, flag", _float_options())
+def test_cli_every_float_flag_must_be_finite(replay_runs, capsys, command, flag, value):
+    # Even a flag that the command's mode ignores would reach the config block.
+    d, commands = replay_runs
+    argv = next(argv for argv in commands.values() if argv[0] == command)
+    before = {path: path.read_bytes() for path in d.iterdir()}
+    capsys.readouterr()
+    assert run([*argv, f"{flag}={value}", "--out", str(d / "non-finite.out")]) == 1
+    assert capsys.readouterr().err == (
+        f"error:ConfigError:{flag} must be finite, got {float(value)}\n")
+    assert {path: path.read_bytes() for path in d.iterdir()} == before
+
+
 @pytest.mark.parametrize("argv,message", [
     (["gen", "--kind", "illustrative", "--p", "4", "--r", "2", "--eta", "nan"],
      "ConfigError:--eta must be finite"),
     (["gen", "--kind", "illustrative", "--p", "4", "--r", "2", "--diag-margin", "inf"],
      "ConfigError:--diag-margin must be finite"),
     (["gen", "--p", "4", "--r", "2", "--s", "1", "--diag-margin", "nan"],
-     "ConstructionError:diag_margin must be finite and positive"),
+     "ConfigError:--diag-margin must be finite, got nan"),
     (["fit", "--data", "traj.csv", "--lambda-a", "0.1", "--lambda-l", "0.1", "--tol", "inf"],
-     "ConstructionError:tol must be finite and positive"),
+     "ConfigError:--tol must be finite, got inf"),
     (["fit", "--data", "traj.csv", "--lambda-a", "0.1", "--lambda-l", "0.1", "--tol", "nan"],
-     "ConstructionError:tol must be finite and positive"),
+     "ConfigError:--tol must be finite, got nan"),
     (["fit", "--data", "traj.csv", "--lambda-a", "0.1", "--lambda-l", "0.1", "--zeta", "nan",
       "--graph-out", "out/graph.dot"],
      "ConfigError:--zeta must be finite"),
     (["phase", "--p", "8", "--r", "2", "--s", "1", "--etas", "0.1", "--thetas", "1",
       "--trials", "1", "--c", "nan", "--d", "0.5"],
-     "ConstructionError:lambda_a must be finite and positive"),
+     "ConfigError:--c must be finite, got nan"),
     (["check", "--system", "system.json", "--delta", "nan"],
-     "ConstructionError:delta must lie in (0, 1)"),
+     "ConfigError:--delta must be finite, got nan"),
     (["check", "--system", "system.json", "--horizon", "inf"],
-     "ConstructionError:horizon must be finite"),
+     "ConfigError:--horizon must be finite, got inf"),
 ], ids=["gen-illustrative-eta", "gen-illustrative-diag-margin", "gen-random-diag-margin",
         "fit-tol-inf", "fit-tol-nan", "fit-zeta", "phase-c", "check-delta", "check-horizon"])
 def test_cli_non_finite_number_is_one_error_line(tmp_path, capsys, monkeypatch, argv, message):
@@ -726,6 +756,21 @@ def _error_path_inputs(directory):
      "ConfigError:unrecognized arguments: --bogus 1"),
     (["simulate", "--system", "system.json", "--n", "10", "--mode", "weird", "--out", _OUT],
      "ConfigError:argument --mode: invalid choice: 'weird'"),
+    # The binned sampler's 10 bins are fixed.
+    (["simulate", "--system", "system.json", "--n", "10", "--eta", "0.1", "--bins", "10",
+      "--out", _OUT], "ConfigError:unrecognized arguments: --bins 10"),
+    # One data source: --data and --prices exclude each other, and one is required.
+    (["fit", "--data", "traj.csv", "--prices", "two_prices.csv", *_FIT],
+     "ConfigError:argument --prices: not allowed with argument --data"),
+    (["fit", *_FIT], "ConfigError:one of the arguments --data --prices is required"),
+    (["cv", "--data", "traj.csv", "--prices", "two_prices.csv", "--grid-c", "1", "--chunks",
+      "2", "--out", _OUT], "ConfigError:argument --prices: not allowed with argument --data"),
+    (["cv", "--grid-c", "1", "--chunks", "2", "--out", _OUT],
+     "ConfigError:one of the arguments --data --prices is required"),
+    ([*_PREDICT, "--prices", "two_prices.csv", "--horizon", "1", "--out", _OUT],
+     "ConfigError:argument --prices: not allowed with argument --data"),
+    (["predict", "--estimate", "est.json", "--horizon", "1", "--out", _OUT],
+     "ConfigError:one of the arguments --data --prices is required"),
 ], ids=["simulate-no-eta", "holdout-below-horizon", "holdout-too-long", "config-no-path",
         "config-before-command", "config-not-json", "config-not-object", "config-boolean",
         "config-empty-list", "prices-missing", "prices-one-row", "trajectory-one-row",
@@ -734,7 +779,9 @@ def _error_path_inputs(directory):
         "cv-too-many-chunks", "check-horizon-0", "check-horizon-negative",
         "check-delta-A1-fails", "phase-s-0", "phase-thetas-overflow", "phase-etas-tiny",
         "usage-bad-int", "usage-missing-required",
-        "usage-unknown-flag", "usage-bad-choice"])
+        "usage-unknown-flag", "usage-bad-choice", "simulate-bins", "fit-both-sources",
+        "fit-no-source", "cv-both-sources", "cv-no-source", "predict-both-sources",
+        "predict-no-source"])
 def test_cli_error_path_is_one_error_line(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     _error_path_inputs(tmp_path)

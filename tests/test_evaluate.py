@@ -1,10 +1,11 @@
 import re
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sparsedyn.errors import ConfigError, ConstructionError
+from sparsedyn.errors import ConfigError, ConstructionError, DivergenceError
 from sparsedyn.evaluate import (
     PhasePoint,
     PhaseResult,
@@ -245,6 +246,33 @@ def test_cv_reference_sizes_are_checked_by_the_rule():
         block_cross_validate(_cv_trajectory(), grid_c=[1.0], grid_d=[1.0], r_ref=-5)
 
 
+@pytest.mark.parametrize("grid_c, grid_d, r_ref, message", [
+    ([0.5, -1.0], [1.0], 1, "^lambda_a must be finite and positive$"),
+    ([0.5], [1.0, -1.0], 1, "^lambda_l must be positive in sparse_plus_lowrank mode$"),
+    ([0.5], [1.0], -5, "^r must be at least 0, got -5$"),
+], ids=["bad-c", "bad-d", "bad-r-ref"])
+def test_cv_checks_the_whole_grid_before_any_work(monkeypatch, grid_c, grid_d, r_ref, message):
+    # The bad candidate comes last, yet no chunk is reduced and no fold fitted.
+    import sparsedyn.evaluate as ev_module
+
+    calls = []
+
+    def counting(name):
+        real = getattr(ev_module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return counted
+
+    for name in ("sufficient_stats", "fit"):
+        monkeypatch.setattr(ev_module, name, counting(name))
+    traj = _cv_trajectory()
+    with pytest.raises(ConstructionError, match=message):
+        block_cross_validate(traj, grid_c=grid_c, grid_d=grid_d, chunk_count=3, r_ref=r_ref)
+    assert calls == []
+
+
 def test_cv_pure_lasso_mode():
     traj = _cv_trajectory(seed=13)
     sel = block_cross_validate(traj, grid_c=[0.5, 1.0], grid_d=[9.9],
@@ -389,3 +417,30 @@ def test_phase_transition_frees_each_path_before_the_next_trial(monkeypatch):
     base, sweep = _tiny_sweep()
     phase_transition(base, sweep, trials=2, lambda_rule=(0.6, 0.5), master_seed=7)
     assert len(paths) == 2 * len(sweep)
+
+
+def test_phase_transition_counts_a_diverged_fit_as_a_failure(monkeypatch):
+    # The fits of trials 1, 2 (first point) and 5 (second point) diverge;
+    # every other trial is scored a success.  The sweep still finishes.
+    import sparsedyn.evaluate as ev_module
+
+    fits, scored = [], []
+    real_fit = ev_module.fit
+
+    def diverging(*args, **kwargs):
+        fits.append(len(fits))
+        if fits[-1] in (1, 2, 5):
+            raise DivergenceError("injected")
+        return real_fit(*args, **kwargs)
+
+    def always_recovered(*args, **kwargs):
+        scored.append(fits[-1])
+        return replace(recovery_report(*args, **kwargs), signed_match=True)
+
+    monkeypatch.setattr(ev_module, "fit", diverging)
+    monkeypatch.setattr(ev_module, "recovery_report", always_recovered)
+    base, sweep = _tiny_sweep()
+    result = phase_transition(base, sweep, trials=4, lambda_rule=(0.6, 0.5), master_seed=7)
+    assert len(fits) == 8
+    assert scored == [0, 3, 4, 6, 7]
+    assert [(row.trials, row.successes) for row in result.rows] == [(4, 2), (4, 3)]

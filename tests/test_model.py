@@ -345,6 +345,15 @@ def test_lambda_rule_needs_a_model_size_and_control_parameter_an_s():
         control_parameter(0.05, 100, 0, 2, 6)
 
 
+def test_control_parameter_needs_a_model_size_of_two():
+    # log 1 = 0 would divide Theta by zero; the lambda rule's log(40 * 1) is positive.
+    message = "the model size (s+2r)p + r^2 must be at least 2, got 1 at s = 1, r = 0, p = 1"
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+        control_parameter(0.1, 10, 1, 0, 1)
+    lam_a, lam_l = lambda_pair_from_constants(0.5, 1.0, 1, 0, 1, 0.1, 10)
+    assert lam_a == 0.5 * math.sqrt(math.log(40.0) / 1.0) and lam_l == lam_a
+
+
 # ------------------------------------------------- theorem constants
 
 

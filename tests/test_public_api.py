@@ -88,7 +88,7 @@ def test_module_all_resolves_without_duplicates(name):
 # Every subcommand's flags; each also takes --out, --config and --help.
 FLAGS = {
     "gen": ["--diag-margin", "--eta", "--kind", "--p", "--r", "--s", "--seed"],
-    "simulate": ["--bins", "--eta", "--mode", "--n", "--seed", "--system"],
+    "simulate": ["--eta", "--mode", "--n", "--seed", "--system"],
     "fit": ["--convert", "--data", "--edges-out", "--graph-out", "--lambda-a", "--lambda-l",
             "--max-iter", "--missing", "--mode", "--price-eta", "--prices", "--tol", "--zeta"],
     "phase": ["--c", "--d", "--diag-margin", "--etas", "--master-seed", "--p", "--r", "--s",

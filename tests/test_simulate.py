@@ -440,6 +440,31 @@ def test_trajectory_validation():
         Trajectory(x=np.zeros((3, 2)), eta=0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["x", "u"])
+def test_trajectory_rejects_a_non_finite_entry_anywhere(bad, where):
+    for index in [(0, 0), (2, 1), (4, 2)]:
+        arrays = {"x": np.zeros((5, 3)), "u": np.zeros((5, 3))}
+        arrays[where][index] = bad
+        with pytest.raises(ConstructionError):
+            Trajectory(x=arrays["x"], eta=0.1, u=arrays["u"])
+    # No series at all is finite.
+    assert Trajectory(x=np.zeros((5, 0)), eta=0.1, u=np.zeros((5, 0))).p == 0
+
+
+def test_trajectory_check_makes_no_temporary_of_the_path():
+    # An isfinite mask would be an n x p bool array, an eighth of x.nbytes.
+    x = np.full((20000, 40), 0.5)
+    u = np.full((20000, 2), 0.5)
+    tracemalloc.start()
+    try:
+        Trajectory(x=x, eta=0.1, u=u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes / 64
+
+
 # ----------------------------------------------------------- CSV io
 
 
