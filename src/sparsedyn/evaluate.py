@@ -28,7 +28,7 @@ from .simulate import (
     simulate_continuous,
     sufficient_stats,
 )
-from .solver import MODE_PURE_LASSO, SolverConfig, fit
+from .solver import MODE_PURE_LASSO, MODE_SPARSE_LOWRANK, SolverConfig, fit
 
 __all__ = [
     "RecoveryReport",
@@ -43,6 +43,10 @@ __all__ = [
     "DependencyGraph",
     "export_dependency_graph",
 ]
+
+# Stopping rule of every phase-trial fit, and the cross-validation default.
+PROTOCOL_MAX_ITER = 2000
+PROTOCOL_TOL = 1e-7
 
 
 def default_support_threshold(ahat: np.ndarray) -> float:
@@ -154,12 +158,12 @@ def phase_transition(
     ``p``, ``r`` and ``s`` of ``base``; any other key is an error.  Every
     point is checked before the first trial runs.  Per trial: draw a
     fresh system (seed derived from ``(master_seed, point, trial)``),
-    simulate (binned, ``bins = 10``), fit (``max_iter = 2000``, ``tol = 1e-7``),
-    and score exact signed-support recovery of the sparse block above the
-    round-off guard ``default_support_threshold``.  These protocol
-    constants are fixed.  ``lambda_rule`` is the ``(c, d)`` pair of the practical regularizer
-    rule (``lambda_pair_from_constants``).  Trials whose fit diverges count
-    as failures.
+    simulate (binned, ``bins = 10``), fit with the fixed stopping rule
+    ``PROTOCOL_MAX_ITER``/``PROTOCOL_TOL``, and score exact signed-support
+    recovery of the sparse block above the round-off guard
+    ``default_support_threshold``.  ``lambda_rule`` is the ``(c, d)`` pair
+    of the practical regularizer rule (``lambda_pair_from_constants``).
+    Trials whose fit diverges count as failures.
     """
     if trials < 1:
         raise ConstructionError("trials must be at least 1")
@@ -185,9 +189,8 @@ def phase_transition(
         )
         theta = control_parameter(eta, n, spec.s, spec.r, spec.p)
         lam_a, lam_l = lambda_pair_from_constants(c, d, spec.p, spec.r, spec.s, eta, n)
-        config = SolverConfig(
-            lambda_a=lam_a, lambda_l=lam_l, max_iter=2000, tol=1e-7
-        )
+        config = SolverConfig(lambda_a=lam_a, lambda_l=lam_l,
+                              max_iter=PROTOCOL_MAX_ITER, tol=PROTOCOL_TOL)
         points.append((spec, eta, n, theta, config))
     rows = []
     for g, (spec, eta, n, theta, config) in enumerate(points):
@@ -251,11 +254,11 @@ def block_cross_validate(
     grid_d: list[float],
     chunk_count: int = 5,
     *,
-    mode: str = "sparse_plus_lowrank",
+    mode: str = MODE_SPARSE_LOWRANK,
     s_ref: int = 1,
     r_ref: int = 1,
-    max_iter: int = 2000,
-    tol: float = 1e-7,
+    max_iter: int = PROTOCOL_MAX_ITER,
+    tol: float = PROTOCOL_TOL,
 ) -> CvSelection:
     """Select regularizer constants by leave-one-chunk-out validation.
 

@@ -1,5 +1,5 @@
-"""Dense real-matrix primitives: matrix exponential, Lyapunov solvers, the
-proximal operators of the l1 and nuclear norms, and the solver step size.
+"""Dense real-matrix primitives: the stability check, matrix exponential,
+Lyapunov solvers, l1 and nuclear-norm proximal maps, and the step size.
 
 Matrices are plain float64 ndarrays validated at the public entry points.
 All functions are pure; outputs are freshly allocated and safe to share.
@@ -16,6 +16,7 @@ from .errors import ConstructionError, NumericalError, StabilityError
 
 __all__ = [
     "as_matrix",
+    "require_stable",
     "matrix_exponential",
     "solve_lyapunov_continuous",
     "solve_lyapunov_discrete",
@@ -55,9 +56,18 @@ def matrix_exponential(m) -> np.ndarray:
     return out
 
 
-def _spectral_abscissa(a: np.ndarray) -> float:
-    """Largest real part over the eigenvalues of ``a``."""
-    return float(np.max(np.linalg.eigvals(a).real)) if a.size else -np.inf
+def require_stable(a: np.ndarray, eta: float = 0.0) -> None:
+    """Raise ``StabilityError`` unless the drift ``a`` is Hurwitz (``eta = 0``) or
+    ``rho(I + eta a) < 1`` (``eta > 0``), exactly when a stationary covariance exists.
+    The second implies the first: ``|1 + eta lambda| < 1`` forces ``Re lambda < 0``."""
+    if eta == 0:
+        alpha = float(np.linalg.eigvals(a).real.max(initial=-np.inf))
+        if alpha >= 0:
+            raise StabilityError(f"eta = 0: drift is not Hurwitz (spectral abscissa {alpha:.6g})")
+        return
+    rho = float(np.abs(np.linalg.eigvals(np.eye(len(a)) + eta * a)).max(initial=0.0))
+    if rho >= 1:
+        raise StabilityError(f"eta = {eta:.6g}: I + eta*drift has spectral radius {rho:.6g} >= 1")
 
 
 def _finalize_lyapunov(q: np.ndarray, residual: float, name: str) -> np.ndarray:
@@ -76,19 +86,14 @@ def _finalize_lyapunov(q: np.ndarray, residual: float, name: str) -> np.ndarray:
 def solve_lyapunov_continuous(a) -> np.ndarray:
     """Solve ``A Q + Q A^T + I = 0`` for the stationary covariance ``Q``.
 
-    Requires ``A`` Hurwitz (all eigenvalues in the open left half-plane);
-    that is exactly the condition for a positive definite solution.  Uses
-    the Schur-based Bartels-Stewart solver; the returned matrix is
-    symmetrized and checked against the residual bound
-    ``||AQ + QA^T + I||_F <= 1e-10 ||Q||_F``.
+    Requires ``A`` Hurwitz (``require_stable``), exactly the condition for
+    a positive definite solution.  Uses the Schur-based Bartels-Stewart
+    solver; the returned matrix is symmetrized and checked against the
+    residual bound ``||AQ + QA^T + I||_F <= 1e-10 ||Q||_F``.
     """
     a = as_matrix(a, "A")
     _require_square(a, "A")
-    if _spectral_abscissa(a) >= 0:
-        raise StabilityError(
-            "continuous Lyapunov equation needs a Hurwitz matrix "
-            f"(spectral abscissa {_spectral_abscissa(a):.6g} >= 0)"
-        )
+    require_stable(a)
     n = a.shape[0]
     import scipy.linalg
 
@@ -105,20 +110,15 @@ def solve_lyapunov_discrete(a, eta: float) -> np.ndarray:
 
     Equivalent to the standard discrete-time equation
     ``M Q M^T - Q = -eta I`` with ``M = I + eta A``, which has a positive
-    definite solution iff the spectral radius of ``M`` is below one.
+    definite solution iff ``require_stable(A, eta)`` passes.
     """
+    if not 0 < eta < np.inf:
+        raise ConstructionError("eta must be finite and positive")
     a = as_matrix(a, "A")
     _require_square(a, "A")
-    if eta <= 0:
-        raise ConstructionError("eta must be positive")
+    require_stable(a, eta)
     n = a.shape[0]
     m = np.eye(n) + eta * a
-    rho = float(np.max(np.abs(np.linalg.eigvals(m)))) if n else 0.0
-    if rho >= 1:
-        raise StabilityError(
-            f"discrete Lyapunov equation needs spectral radius of I + eta*A "
-            f"below one (got {rho:.6g})"
-        )
     import scipy.linalg
 
     try:
@@ -136,7 +136,7 @@ def prox_l1(m, tau: float) -> np.ndarray:
     ``|m| <= tau`` map to exactly zero.
     """
     m = as_matrix(m, "prox_l1 input")
-    if tau < 0:
+    if not tau >= 0:
         raise ConstructionError("tau must be non-negative")
     return np.sign(m) * np.maximum(np.abs(m) - tau, 0.0)
 
@@ -150,7 +150,7 @@ def prox_nuclear(m, tau: float) -> tuple[np.ndarray, np.ndarray]:
     ``np.count_nonzero(shrunk)`` its rank (exact zeros, no tolerance).
     """
     m = as_matrix(m, "prox_nuclear input")
-    if tau < 0:
+    if not tau >= 0:
         raise ConstructionError("tau must be non-negative")
     try:
         u, s, vh = np.linalg.svd(m, full_matrices=False)

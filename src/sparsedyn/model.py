@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AssumptionError, ConstructionError, NumericalError
-from .linalg import as_matrix, solve_lyapunov_continuous, solve_lyapunov_discrete
+from .linalg import as_matrix, require_stable, solve_lyapunov_continuous, solve_lyapunov_discrete
 
 __all__ = [
     "SystemParams",
@@ -50,9 +50,9 @@ class SystemParams:
     """Block parameters of the joint linear system.
 
     ``eta`` is the sampling step of the discrete-time model; ``eta = 0``
-    means the system is interpreted in continuous time.  For ``eta > 0``
-    the step must stay below ``2 / sigma_max(joint)``, the coarsest
-    sampling for which the discrete model can remain contractive.
+    means the system is interpreted in continuous time.  Construction
+    raises ``StabilityError`` unless the joint drift is stable at ``eta``
+    (``linalg.require_stable``), so every system has a stationary covariance.
     """
 
     A: np.ndarray
@@ -82,13 +82,7 @@ class SystemParams:
         object.__setattr__(self, "D", d)
         if not (math.isfinite(self.eta) and self.eta >= 0):
             raise ConstructionError("eta must be finite and non-negative")
-        if self.eta > 0:
-            smax = float(np.linalg.norm(self.joint(), 2))
-            if smax > 0 and self.eta >= 2.0 / smax:
-                raise ConstructionError(
-                    f"eta = {self.eta:.6g} is not below 2/sigma_max(joint) "
-                    f"= {2.0 / smax:.6g}"
-                )
+        require_stable(self.joint(), self.eta)
 
     @property
     def p(self) -> int:
@@ -150,9 +144,9 @@ def steady_state(params: SystemParams) -> SteadyState:
 
     Solves the joint Lyapunov equation (continuous for ``eta = 0``,
     discrete otherwise), splits the solution into blocks, and forms
-    ``L = B R Q^{-1}``.  Requires spectral stability of the joint drift;
-    the A1 margin is reported but not required, since the stationary
-    covariance exists for any Hurwitz system.
+    ``L = B R Q^{-1}``.  The stationary covariance exists for every
+    ``SystemParams``, which is stable by construction; the A1 margin is
+    reported but not required.
     """
     joint = params.joint()
     if params.eta == 0:

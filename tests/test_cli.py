@@ -729,7 +729,7 @@ def _error_path_inputs(directory):
     (["gen", "--p", "0", "--out", _OUT], "ConstructionError:p must be positive"),
     (["gen", "--p", "4", "--r", "-1", "--out", _OUT], "ConstructionError:r must be non-negative"),
     (["gen", "--p", "4", "--r", "2", "--s", "1", "--eta", "5", "--out", _OUT],
-     "ConstructionError:eta = 5 is not below 2/sigma_max(joint)"),
+     "StabilityError:eta = 5: I + eta*drift has spectral radius 13.4964 >= 1"),
     (["cv", "--data", "traj.csv", "--grid-c", "1", "--chunks", "100", "--out", _OUT],
      "ConfigError:not enough transitions for the requested chunk count"),
     (["check", "--system", "system.json", "--horizon", "0", "--out", _OUT],

@@ -127,6 +127,15 @@ def test_system_json_rejects_garbage():
         system_from_json(json.dumps({"p": 2, "r": 0}))
 
 
+def test_system_json_rejects_unstable_drift():
+    # A system file is checked like any other system, so it fails at load.
+    from sparsedyn.errors import DataError
+
+    doc = {"p": 1, "r": 0, "eta": 0.0, "A": [[0.1]], "B": [], "C": [], "D": []}
+    with pytest.raises(DataError, match=r"not Hurwitz \(spectral abscissa 0.1\)$"):
+        system_from_json(json.dumps(doc))
+
+
 # sha256 of every entry of A, B, C, D (row-major, as float.hex, space
 # separated) of gen_random_system, pinned before Fisher-Yates drew each
 # pass's uniforms in one call: the draw order is part of the stream.

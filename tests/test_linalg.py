@@ -128,6 +128,12 @@ def test_lyapunov_discrete_rejects_unstable():
         solve_lyapunov_discrete(np.array([[1.0]]), eta=0.5)
 
 
+@pytest.mark.parametrize("eta", [np.nan, np.inf])
+def test_lyapunov_discrete_rejects_nonfinite_eta(eta):
+    with pytest.raises(ConstructionError, match="^eta must be finite and positive$"):
+        solve_lyapunov_discrete(-np.eye(2), eta)
+
+
 def test_lyapunov_discrete_symmetric_pd():
     rng = CounterRng(77)
     a = random_stable_matrix(rng, 4)
@@ -226,10 +232,11 @@ def test_prox_nuclear_rejects_nonfinite():
 
 
 def test_prox_rejects_negative_tau():
-    with pytest.raises(ConstructionError):
-        prox_l1(np.eye(2), -0.1)
-    with pytest.raises(ConstructionError):
-        prox_nuclear(np.eye(2), -0.1)
+    for tau in (-0.1, np.nan):
+        with pytest.raises(ConstructionError):
+            prox_l1(np.eye(2), tau)
+        with pytest.raises(ConstructionError):
+            prox_nuclear(np.eye(2), tau)
 
 
 # ------------------------------------------------------ step size

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from sparsedyn.errors import AssumptionError, ConstructionError
+from sparsedyn.errors import AssumptionError, ConstructionError, StabilityError
 from sparsedyn.generate import gen_illustrative, gen_random_system, GenSpec
 from sparsedyn.model import (
     SystemParams,
@@ -30,6 +30,44 @@ from reference import kron_lyapunov_continuous, pivoted_gaussian_solve, random_s
 
 def _random_system(seed: int, p: int = 6, r: int = 2, s: int = 2, eta: float = 0.0):
     return gen_random_system(GenSpec(p=p, r=r, s=s, seed=seed, eta=eta))
+
+
+# -------------------------------------------- stability by construction
+
+
+def _observed_only(a, eta: float) -> SystemParams:
+    a = np.asarray(a, dtype=float)
+    p = a.shape[0]
+    return SystemParams(A=a, B=np.zeros((p, 0)), C=np.zeros((0, p)),
+                        D=np.zeros((0, 0)), eta=eta)
+
+
+def test_non_normal_discrete_system_is_stable_by_its_spectral_radius():
+    # rho(I + 0.5 A) = 0.5, although eta = 0.5 exceeds 2 / sigma_max(A) = 0.198.
+    a = np.array([[-1.0, 10.0], [0.0, -1.0]])
+    params = _observed_only(a, 0.5)
+    q = steady_state(params).Q
+    residual = a @ q + q @ a.T + 0.5 * (a @ q @ a.T) + np.eye(2)
+    assert np.linalg.norm(residual) < 1e-10 * np.linalg.norm(q)
+    assert simulate_discrete(params, n=50, seed=3).x.shape == (51, 2)
+    # The A1 margin is reported, not required.
+    assert stability_margin(params) < 0
+
+
+@pytest.mark.parametrize("a, eta, message", [
+    ([[0.1]], 0.5, "eta = 0.5: I + eta*drift has spectral radius 1.05 >= 1"),
+    ([[0.1]], 0.0, "eta = 0: drift is not Hurwitz (spectral abscissa 0.1)"),
+], ids=["discrete-radius", "continuous-abscissa"])
+def test_unstable_system_fails_at_construction(a, eta, message):
+    with pytest.raises(StabilityError, match=f"^{re.escape(message)}$"):
+        _observed_only(a, eta)
+
+
+def test_unstable_latent_block_fails_at_construction():
+    # A alone is Hurwitz; the joint drift [[-1, 1], [0, 0.5]] is not.
+    with pytest.raises(StabilityError, match="spectral abscissa 0.5"):
+        SystemParams(A=-np.eye(1), B=np.ones((1, 1)), C=np.zeros((1, 1)),
+                     D=np.array([[0.5]]), eta=0.0)
 
 
 # ---------------------------------------------------- stability margin

@@ -226,9 +226,9 @@ def test_continuous_determinism():
 
 
 def test_continuous_rejects_unstable():
-    params = SystemParams(A=np.array([[0.1]]), B=np.zeros((1, 0)),
-                          C=np.zeros((0, 1)), D=np.zeros((0, 0)), eta=0.0)
     with pytest.raises(StabilityError):
+        params = SystemParams(A=np.array([[0.1]]), B=np.zeros((1, 0)),
+                              C=np.zeros((0, 1)), D=np.zeros((0, 0)), eta=0.0)
         simulate_continuous(params, eta=0.1, n=10)
 
 
