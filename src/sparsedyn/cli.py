@@ -33,12 +33,14 @@ from . import simulate as sim
 from . import solver as slv
 from .csvio import ingest_csv, number, read_text, write_table
 from .errors import ConfigError, SparsedynError
-from .simulate import price_trajectory
 
 __all__ = ["run", "main"]
 
 # Parsed names that say where a run writes, not what it computes.
 _NOT_CONFIG = {"command", "func", "config", "out", "graph_out", "edges_out"}
+
+# The ``GenSpec`` fields that only ``gen --kind random`` reads, with their defaults.
+_RANDOM_ONLY = {"diag_margin": 1.0, "eta": 0.0, "s": 0, "seed": 0}
 
 # Characters per write: only this much of an artifact is ever held encoded.
 _SLICE = 1 << 20
@@ -55,18 +57,18 @@ def _load_trajectory(args: argparse.Namespace) -> tuple[sim.Trajectory, list[str
     """The input trajectory and its series labels (``None`` for ``--data``)."""
     if args.data is not None:
         return sim.trajectory_from_csv(read_text(args.data)), None
-    table = ingest_csv(args.prices, missing=args.missing)
-    return price_trajectory(table, convert=args.convert, eta=args.price_eta), table.labels
+    labels, series = ingest_csv(args.prices, missing=args.missing, convert=args.convert)
+    return sim.Trajectory(x=series, eta=args.price_eta), labels
 
 
 def cmd_gen(args: argparse.Namespace, config: dict) -> int:
+    knobs = {name: getattr(args, name) for name in _RANDOM_ONLY}
     if args.kind == "random":
-        spec = gen.GenSpec(
-            p=args.p, r=args.r, s=args.s, seed=args.seed,
-            diag_margin=args.diag_margin, eta=args.eta,
-        )
-        params = gen.gen_random_system(spec)
+        params = gen.gen_random_system(gen.GenSpec(p=args.p, r=args.r, **knobs))
     else:
+        given = [f"--{k.replace('_', '-')}" for k, v in knobs.items() if v != _RANDOM_ONLY[k]]
+        if given:
+            raise ConfigError(f"gen --kind illustrative does not use {', '.join(given)}")
         params = gen.gen_illustrative(args.p, args.r)
     _write(Path(args.out), gen.system_to_json(params, config))
     print(f"wrote system ({params.p} observed, {params.r} latent) to {args.out}")
@@ -80,6 +82,9 @@ def cmd_simulate(args: argparse.Namespace, config: dict) -> int:
             params = dataclasses.replace(params, eta=args.eta)
         traj = sim.simulate_discrete(params, n=args.n, seed=args.seed)
     else:
+        if params.eta > 0:
+            raise ConfigError(f"{args.system} holds a discrete chain (eta = {params.eta:g}); "
+                              "simulate it with --mode discrete")
         if args.eta is None:
             raise ConfigError("--eta (sampling step) is required for continuous modes")
         traj = sim.simulate_continuous(
@@ -273,11 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--kind", default="random", choices=["random", "illustrative"])
     p_gen.add_argument("--p", type=int, required=True)
     p_gen.add_argument("--r", type=int, default=0)
-    p_gen.add_argument("--s", type=int, default=0)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--eta", type=float, default=0.0)
-    p_gen.add_argument("--diag-margin", dest="diag_margin", type=float, default=1.0)
-    p_gen.set_defaults(func=cmd_gen)
+    p_gen.add_argument("--s", type=int)
+    p_gen.add_argument("--seed", type=int)
+    p_gen.add_argument("--eta", type=float)
+    p_gen.add_argument("--diag-margin", dest="diag_margin", type=float)
+    p_gen.set_defaults(func=cmd_gen, **_RANDOM_ONLY)
 
     p_sim = sub.add_parser("simulate", help="simulate a trajectory")
     p_sim.add_argument("--system", required=True)

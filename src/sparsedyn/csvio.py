@@ -21,7 +21,7 @@ from .errors import ConfigError, DataError
 log = logging.getLogger("sparsedyn")
 
 __all__ = ["Table", "read_table", "require_complete", "write_table", "number",
-           "PriceTable", "ingest_csv", "read_text"]
+           "ingest_csv", "read_text"]
 
 _NUMBER = "%.17g"
 
@@ -115,16 +115,6 @@ def require_complete(table: Table) -> None:
                         f"{table.header[column + 1]!r}")
 
 
-@dataclass(frozen=True)
-class PriceTable:
-    """Parsed daily price panel: one row per day, one column per series."""
-
-    labels: list[str]
-    times: list[str]
-    values: np.ndarray
-    filled_cells: int = 0
-
-
 def _time_key(text: str, lineno: int) -> float | datetime.date:
     key = _cell(text)
     if math.isfinite(key):
@@ -137,7 +127,8 @@ def _time_key(text: str, lineno: int) -> float | datetime.date:
         ) from None
 
 
-def ingest_csv(path, missing: str = "reject") -> PriceTable:
+def ingest_csv(path, missing: str = "reject",
+               convert: str = "raw") -> tuple[list[str], np.ndarray]:
     """Load a price CSV: header of series names, rows ``date,v1,...,vK``.
 
     The time column holds either numbers or ISO dates (``YYYY-MM-DD``),
@@ -146,10 +137,14 @@ def ingest_csv(path, missing: str = "reject") -> PriceTable:
 
     ``missing = "reject"`` fails on any empty/unparseable cell, naming the
     row; ``missing = "ffill"`` forward-fills from the previous day and logs
-    the fill count.
+    the fill count.  It returns the series names and the series fed to the
+    model, chosen by ``convert``: ``"raw"`` prices, ``"log"`` prices (all
+    positive) or simple ``"returns"`` (no zero price, at least two rows).
     """
     if missing not in ("reject", "ffill"):
         raise ConfigError(f"missing policy must be 'reject' or 'ffill', got {missing!r}")
+    if convert not in ("raw", "log", "returns"):
+        raise ConfigError(f"unknown conversion {convert!r}")
     path = Path(path)
     if not path.exists():
         raise DataError(f"price file not found: {path}")
@@ -161,8 +156,7 @@ def ingest_csv(path, missing: str = "reject") -> PriceTable:
     repeated = sorted(label for label, count in Counter(labels).items() if count > 1)
     if repeated:
         raise DataError(f"line {table.header_line}: duplicate series name(s) {repeated}")
-    times = table.keys
-    keys = [_time_key(text, lineno) for lineno, text in zip(table.lines, times)]
+    keys = [_time_key(text, lineno) for lineno, text in zip(table.lines, table.keys)]
     values = table.values[:, 1:]
     holes = np.isnan(values)
     if missing == "ffill":
@@ -175,11 +169,20 @@ def ingest_csv(path, missing: str = "reject") -> PriceTable:
     for i in range(1, len(keys)):
         if type(keys[i]) is not type(keys[0]):
             raise DataError(f"line {table.lines[i]}: time column mixes dates and numbers "
-                            f"(saw {times[i]!r})")
+                            f"(saw {table.keys[i]!r})")
         if not keys[i - 1] < keys[i]:
             raise DataError(f"time column must be strictly increasing "
-                            f"(saw {times[i - 1]!r} then {times[i]!r})")
-    filled = int(np.count_nonzero(holes))
-    if filled:
-        log.info("forward-filled %d missing cells", filled)
-    return PriceTable(labels=labels, times=times, values=values.copy(), filled_cells=filled)
+                            f"(saw {table.keys[i - 1]!r} then {table.keys[i]!r})")
+    if holes.any():
+        log.info("forward-filled %d missing cells", np.count_nonzero(holes))
+    if convert == "log":
+        if np.any(values <= 0):
+            raise DataError("log conversion requires strictly positive prices")
+        values = np.log(values)
+    elif convert == "returns":
+        if np.any(values[:-1] == 0):
+            raise DataError("returns conversion divides by zero price")
+        values = np.diff(values, axis=0) / values[:-1]
+        if len(values) < 2:
+            raise DataError("not enough rows after conversion")
+    return labels, values

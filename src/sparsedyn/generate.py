@@ -211,9 +211,8 @@ def system_from_json(text: str) -> tuple[SystemParams, dict]:
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid system JSON: {exc}") from exc
     try:
-        p = int(doc["p"])
-        r = int(doc["r"])
-        params = SystemParams(
+        p, r = int(doc["p"]), int(doc["r"])
+        blocks = dict(
             A=np.asarray(doc["A"], dtype=float).reshape(p, p),
             B=np.asarray(doc["B"], dtype=float).reshape(p, r),
             C=np.asarray(doc["C"], dtype=float).reshape(r, p),
@@ -222,4 +221,4 @@ def system_from_json(text: str) -> tuple[SystemParams, dict]:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"system JSON missing or malformed field: {exc}") from exc
-    return params, doc.get("config", {})
+    return SystemParams(**blocks), doc.get("config", {})

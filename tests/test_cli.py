@@ -1,6 +1,7 @@
 import argparse
 import datetime
 import json
+import logging
 import math
 import os
 import re
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import sparsedyn.cli as cli_module
 import sparsedyn.evaluate as ev_module
-from sparsedyn.cli import ingest_csv, price_trajectory, run
+from sparsedyn.cli import ingest_csv, run
 from sparsedyn.errors import ConfigError, DataError
 from sparsedyn.rng import CounterRng
 
@@ -39,11 +40,9 @@ def test_ingest_roundtrip(tmp_path):
     path = tmp_path / "prices.csv"
     path.write_text("date,AAA,BBB\n2020-01-01,10.0,20.5\n2020-01-02,10.5,19.75\n"
                     "2020-01-03,11.25,20.0\n")
-    table = ingest_csv(path)
-    assert table.labels == ["AAA", "BBB"]
-    assert table.times == ["2020-01-01", "2020-01-02", "2020-01-03"]
-    assert np.array_equal(table.values,
-                          [[10.0, 20.5], [10.5, 19.75], [11.25, 20.0]])
+    labels, series = ingest_csv(path)
+    assert labels == ["AAA", "BBB"]
+    assert np.array_equal(series, [[10.0, 20.5], [10.5, 19.75], [11.25, 20.0]])
 
 
 def test_ingest_missing_cell_rejected_with_row(tmp_path):
@@ -53,12 +52,13 @@ def test_ingest_missing_cell_rejected_with_row(tmp_path):
         ingest_csv(path)
 
 
-def test_ingest_forward_fill(tmp_path):
+def test_ingest_forward_fill(tmp_path, caplog):
     path = tmp_path / "prices.csv"
     path.write_text("date,AAA\n2020-01-01,10.0\n2020-01-02,\n2020-01-03,12.0\n")
-    table = ingest_csv(path, missing="ffill")
-    assert table.filled_cells == 1
-    assert np.array_equal(table.values[:, 0], [10.0, 10.0, 12.0])
+    with caplog.at_level(logging.INFO, logger="sparsedyn"):
+        _, series = ingest_csv(path, missing="ffill")
+    assert "forward-filled 1 missing cells" in caplog.text
+    assert np.array_equal(series[:, 0], [10.0, 10.0, 12.0])
 
 
 def test_ingest_requires_increasing_times(tmp_path):
@@ -85,7 +85,8 @@ def test_ingest_accepts_iso_dates_only_in_calendar_order(dates):
     with tempfile.TemporaryDirectory() as tmp:
         path = _write_prices(tmp, stamps)
         if dates == sorted(dates):
-            assert ingest_csv(path).times == stamps
+            _, series = ingest_csv(path)
+            assert np.array_equal(series[:, 0], 10.0 + np.arange(len(stamps)))
         else:
             with pytest.raises(DataError, match="strictly increasing"):
                 ingest_csv(path)
@@ -145,10 +146,9 @@ def test_ingest_header_without_series_names_its_line(tmp_path):
 def test_ingest_csv_skips_comments_and_blank_lines(tmp_path):
     path = tmp_path / "prices.csv"
     path.write_text("# source: test\n\ndate, A ,B\n1, 2.5 ,3\n\n# gap\n2,4,5\n")
-    table = ingest_csv(path)
-    assert table.labels == ["A", "B"]
-    assert table.times == ["1", "2"]
-    assert np.array_equal(table.values, [[2.5, 3.0], [4.0, 5.0]])
+    labels, series = ingest_csv(path)
+    assert labels == ["A", "B"]
+    assert np.array_equal(series, [[2.5, 3.0], [4.0, 5.0]])
 
 
 @pytest.mark.parametrize("stamp", ["inf", "-inf", "nan"])
@@ -168,34 +168,29 @@ def test_ingest_synthetic_paper_scale(tmp_path):
         lines.append(f"{day}," + ",".join(f"{v:.6f}" for v in values[day]))
     path = tmp_path / "panel.csv"
     path.write_text("\n".join(lines) + "\n")
-    table = ingest_csv(path)
-    assert table.values.shape == (255, 50)
-    assert len(table.labels) == 50
+    labels, series = ingest_csv(path)
+    assert series.shape == (255, 50)
+    assert len(labels) == 50
 
 
-def test_price_trajectory_conversions(tmp_path):
+def test_ingest_conversions(tmp_path):
     rng = CounterRng(11)
     values = np.abs(rng.normal_matrix(6, 2)) + 1.0
-
-    class T:
-        pass
-
-    table = ingest_csv_from_values(tmp_path, values)
-    raw = price_trajectory(table, "raw", eta=1.0)
-    assert np.array_equal(raw.x, values)
-    logs = price_trajectory(table, "log", eta=1.0)
-    assert np.allclose(logs.x, np.log(values))
-    rets = price_trajectory(table, "returns", eta=1.0)
-    assert np.allclose(rets.x, np.diff(values, axis=0) / values[:-1])
-
-
-def ingest_csv_from_values(tmp_path, values):
     lines = ["date," + ",".join(f"c{j}" for j in range(values.shape[1]))]
     for i, row in enumerate(values):
         lines.append(f"{i}," + ",".join(f"{v:.17g}" for v in row))
     path = tmp_path / "table.csv"
     path.write_text("\n".join(lines) + "\n")
-    return ingest_csv(path)
+    assert np.array_equal(ingest_csv(path, convert="raw")[1], values)
+    assert np.allclose(ingest_csv(path, convert="log")[1], np.log(values))
+    assert np.allclose(ingest_csv(path, convert="returns")[1],
+                       np.diff(values, axis=0) / values[:-1])
+
+
+def test_ingest_rejects_unknown_conversion_before_reading(tmp_path):
+    # The file does not exist: the conversion is checked first.
+    with pytest.raises(ConfigError, match="^unknown conversion 'pct'$"):
+        ingest_csv(tmp_path / "missing.csv", convert="pct")
 
 
 # ------------------------------------------------------------- commands
@@ -683,6 +678,8 @@ def _error_path_inputs(directory):
         "two_prices.csv": "date,a,b\n2020-01-01,1,2\n2020-01-02,2,3\n",
         "negative.csv": "date,a,b\n2020-01-01,1,-2\n2020-01-02,2,3\n",
         "zero.csv": "date,a,b\n2020-01-01,0,2\n2020-01-02,2,3\n2020-01-03,3,4\n",
+        "discrete.json": json.dumps({"p": 1, "r": 0, "eta": 0.05, "A": [[-1.0]],
+                                     "B": [], "C": [], "D": []}),
         "not_json.json": "{",
         "partial.json": json.dumps({"Ahat": [[-1.0, 0.0], [0.0, -1.0]]}),
         "list.json": "[1]",
@@ -696,6 +693,10 @@ def _error_path_inputs(directory):
 @pytest.mark.parametrize("argv, message", [
     (["simulate", "--system", "system.json", "--n", "10", "--out", _OUT],
      "ConfigError:--eta (sampling step) is required"),
+    # A discrete chain has no continuous flow to subsample.
+    (["simulate", "--system", "discrete.json", "--n", "10", "--eta", "0.1", "--out", _OUT],
+     "ConfigError:discrete.json holds a discrete chain (eta = 0.05); "
+     "simulate it with --mode discrete"),
     ([*_PREDICT, "--horizon", "3", "--holdout", "2", "--out", _OUT],
      "ConfigError:--holdout must be at least --horizon"),
     ([*_PREDICT, "--horizon", "2", "--holdout", "3", "--out", _OUT],
@@ -730,6 +731,9 @@ def _error_path_inputs(directory):
     (["gen", "--p", "4", "--r", "-1", "--out", _OUT], "ConstructionError:r must be non-negative"),
     (["gen", "--p", "4", "--r", "2", "--s", "1", "--eta", "5", "--out", _OUT],
      "StabilityError:eta = 5: I + eta*drift has spectral radius 13.4964 >= 1"),
+    (["gen", "--kind", "illustrative", "--p", "4", "--r", "2", "--eta", "0.05", "--seed", "9",
+      "--s", "3", "--diag-margin", "2", "--out", _OUT],
+     "ConfigError:gen --kind illustrative does not use --diag-margin, --eta, --s, --seed"),
     (["cv", "--data", "traj.csv", "--grid-c", "1", "--chunks", "100", "--out", _OUT],
      "ConfigError:not enough transitions for the requested chunk count"),
     (["check", "--system", "system.json", "--horizon", "0", "--out", _OUT],
@@ -771,11 +775,12 @@ def _error_path_inputs(directory):
      "ConfigError:argument --prices: not allowed with argument --data"),
     (["predict", "--estimate", "est.json", "--horizon", "1", "--out", _OUT],
      "ConfigError:one of the arguments --data --prices is required"),
-], ids=["simulate-no-eta", "holdout-below-horizon", "holdout-too-long", "config-no-path",
-        "config-before-command", "config-not-json", "config-not-object", "config-boolean",
+], ids=["simulate-no-eta", "simulate-discrete-file-continuous", "holdout-below-horizon",
+        "holdout-too-long", "config-no-path", "config-before-command", "config-not-json", "config-not-object", "config-boolean",
         "config-empty-list", "prices-missing", "prices-one-row", "trajectory-one-row",
         "log-negative", "returns-zero", "returns-too-few-rows", "estimate-not-json",
         "estimate-missing-field", "gen-p-0", "gen-r-negative", "gen-eta-too-large",
+        "gen-illustrative-random-only-flags",
         "cv-too-many-chunks", "check-horizon-0", "check-horizon-negative",
         "check-delta-A1-fails", "phase-s-0", "phase-thetas-overflow", "phase-etas-tiny",
         "usage-bad-int", "usage-missing-required",

@@ -129,10 +129,10 @@ def test_system_json_rejects_garbage():
 
 def test_system_json_rejects_unstable_drift():
     # A system file is checked like any other system, so it fails at load.
-    from sparsedyn.errors import DataError
+    from sparsedyn.errors import StabilityError
 
     doc = {"p": 1, "r": 0, "eta": 0.0, "A": [[0.1]], "B": [], "C": [], "D": []}
-    with pytest.raises(DataError, match=r"not Hurwitz \(spectral abscissa 0.1\)$"):
+    with pytest.raises(StabilityError, match=r"not Hurwitz \(spectral abscissa 0.1\)$"):
         system_from_json(json.dumps(doc))
 
 

@@ -1,6 +1,6 @@
 """The public API is pinned: adding, removing or renaming a name in
-``sparsedyn.__all__`` or a flag of a ``sparsedyn`` subcommand must show up
-as an edit to this file."""
+``sparsedyn.__all__``, in a submodule's ``__all__`` or a flag of a
+``sparsedyn`` subcommand must show up as an edit to this file."""
 
 import argparse
 import importlib
@@ -66,6 +66,34 @@ PUBLIC = [
     "theoretical_lambdas",
 ]
 
+# Each submodule's sorted ``__all__``.
+MODULE_ALL = {
+    "sparsedyn.cli": ["main", "run"],
+    "sparsedyn.csvio": ["Table", "ingest_csv", "number", "read_table", "read_text",
+                        "require_complete", "write_table"],
+    "sparsedyn.evaluate": ["CvSelection", "DependencyGraph", "PhasePoint", "PhaseResult",
+                           "RecoveryReport", "block_cross_validate", "default_support_threshold",
+                           "export_dependency_graph", "phase_transition", "predict",
+                           "recovery_report"],
+    "sparsedyn.generate": ["GenSpec", "gen_illustrative", "gen_random_system",
+                           "system_from_json", "system_to_json"],
+    "sparsedyn.linalg": ["as_matrix", "matrix_exponential", "power_spectral_norm", "prox_l1",
+                         "prox_nuclear", "require_stable", "solve_lyapunov_continuous",
+                         "solve_lyapunov_discrete"],
+    "sparsedyn.model": ["AssumptionReport", "SteadyState", "SystemParams", "assumption_report",
+                        "control_parameter", "identifiability_alpha", "incoherence_mu",
+                        "lambda_pair_from_constants", "lasso_incoherence_theta",
+                        "latent_effect_constant", "max_row_l1", "population_mle",
+                        "row_supports", "stability_margin", "steady_state", "support_size",
+                        "theorem_constants", "theoretical_lambdas"],
+    "sparsedyn.simulate": ["SufficientStats", "Trajectory", "binned_increment_covariance",
+                           "exact_increment_covariance", "merge_stats", "simulate_continuous",
+                           "simulate_discrete", "sufficient_stats", "trajectory_from_csv",
+                           "trajectory_to_csv"],
+    "sparsedyn.solver": ["Estimate", "SolverConfig", "estimate_from_json", "estimate_to_json",
+                         "fit", "objective", "smooth_gradient"],
+}
+
 # Every module that declares an ``__all__``.
 MODULES = [name for name in ["sparsedyn"] + [f"sparsedyn.{info.name}" for info
                                              in pkgutil.iter_modules(sparsedyn.__path__)]
@@ -75,6 +103,12 @@ MODULES = [name for name in ["sparsedyn"] + [f"sparsedyn.{info.name}" for info
 def test_package_all_is_the_pinned_list():
     assert PUBLIC == sorted(PUBLIC)
     assert sparsedyn.__all__ == PUBLIC
+
+
+def test_module_all_is_the_pinned_list():
+    assert all(names == sorted(names) for names in MODULE_ALL.values())
+    found = {name: sorted(importlib.import_module(name).__all__) for name in MODULES}
+    assert found == {"sparsedyn": PUBLIC, **MODULE_ALL}
 
 
 @pytest.mark.parametrize("name", MODULES)
