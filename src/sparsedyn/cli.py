@@ -97,6 +97,8 @@ def cmd_simulate(args: argparse.Namespace, config: dict) -> int:
 
 
 def cmd_fit(args: argparse.Namespace, config: dict) -> int:
+    if args.mode == slv.MODE_PURE_LASSO and args.lambda_l != 0.0:
+        raise ConfigError(f"fit --mode pure_lasso does not use --lambda-l, got {args.lambda_l:g}")
     traj, labels = _load_trajectory(args)
     stats = sim.sufficient_stats(traj)
     solver_config = slv.SolverConfig(
@@ -150,6 +152,8 @@ def cmd_phase(args: argparse.Namespace, config: dict) -> int:
 
 
 def cmd_cv(args: argparse.Namespace, config: dict) -> int:
+    if args.mode == slv.MODE_PURE_LASSO and args.grid_d != [1.0]:
+        raise ConfigError(f"cv --mode pure_lasso does not use --grid-d, got {args.grid_d}")
     traj, _ = _load_trajectory(args)
     selection = ev.block_cross_validate(
         traj, args.grid_c, args.grid_d, chunk_count=args.chunks,

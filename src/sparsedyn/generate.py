@@ -211,7 +211,9 @@ def system_from_json(text: str) -> tuple[SystemParams, dict]:
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid system JSON: {exc}") from exc
     try:
-        p, r = int(doc["p"]), int(doc["r"])
+        p, r = doc["p"], doc["r"]
+        if type(p) is not int or type(r) is not int:
+            raise TypeError(f"'p' and 'r' must be JSON ints, got {p!r} and {r!r}")
         blocks = dict(
             A=np.asarray(doc["A"], dtype=float).reshape(p, p),
             B=np.asarray(doc["B"], dtype=float).reshape(p, r),

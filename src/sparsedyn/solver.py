@@ -219,12 +219,18 @@ def estimate_from_json(text: str) -> tuple[Estimate, dict]:
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid estimate JSON: {exc}") from exc
     try:
+        a, l_mat = (np.asarray(doc[key], dtype=float) for key in ("Ahat", "Lhat"))
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or l_mat.shape != a.shape:
+            raise ValueError(f"'Ahat' and 'Lhat' must be one square shape, got {a.shape}, {l_mat.shape}")
+        for key, kind in (("iterations", int), ("converged", bool)):
+            if type(doc[key]) is not kind:
+                raise TypeError(f"{key!r} must be a JSON {kind.__name__}, got {doc[key]!r}")
         est = Estimate(
-            Ahat=np.asarray(doc["Ahat"], dtype=float),
-            Lhat=np.asarray(doc["Lhat"], dtype=float),
+            Ahat=a,
+            Lhat=l_mat,
             objective_trace=[float(v) for v in doc["objective_trace"]],
-            iterations=int(doc["iterations"]),
-            converged=bool(doc["converged"]),
+            iterations=doc["iterations"],
+            converged=doc["converged"],
             step_used=float(doc["step_used"]),
         )
     except (KeyError, TypeError, ValueError) as exc:

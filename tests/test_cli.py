@@ -682,6 +682,10 @@ def _error_path_inputs(directory):
                                      "B": [], "C": [], "D": []}),
         "not_json.json": "{",
         "partial.json": json.dumps({"Ahat": [[-1.0, 0.0], [0.0, -1.0]]}),
+        "converged_string.json": Path(directory, "est.json").read_text().replace(
+            '"converged": true', '"converged": "false"'),
+        "p_float.json": json.dumps({"p": 1.9, "r": 0, "eta": 0.0, "A": [[-1.0]],
+                                    "B": [], "C": [], "D": []}),
         "list.json": "[1]",
         "bool.json": json.dumps({"seed": True}),
         "empty_list.json": json.dumps({"seed": []}),
@@ -727,6 +731,18 @@ def _error_path_inputs(directory):
      "DataError:invalid estimate JSON"),
     (["predict", "--data", "traj.csv", "--estimate", "partial.json", "--out", _OUT],
      "DataError:estimate JSON missing or malformed field"),
+    (["predict", "--data", "traj.csv", "--estimate", "converged_string.json", "--out", _OUT],
+     "DataError:estimate JSON missing or malformed field: 'converged' must be a JSON bool, "
+     "got 'false'"),
+    (["simulate", "--system", "p_float.json", "--n", "10", "--eta", "0.1", "--out", _OUT],
+     "DataError:system JSON missing or malformed field: 'p' and 'r' must be JSON ints, "
+     "got 1.9 and 0"),
+    # Pure lasso pins L = 0, so the nuclear-norm weights would go unused.
+    (["fit", "--data", "traj.csv", "--mode", "pure_lasso", *_FIT],
+     "ConfigError:fit --mode pure_lasso does not use --lambda-l, got 0.1"),
+    (["cv", "--data", "traj.csv", "--mode", "pure_lasso", "--grid-c", "1", "--grid-d", "0.25",
+      "0.5", "--chunks", "2", "--out", _OUT],
+     "ConfigError:cv --mode pure_lasso does not use --grid-d, got [0.25, 0.5]"),
     (["gen", "--p", "0", "--out", _OUT], "ConstructionError:p must be positive"),
     (["gen", "--p", "4", "--r", "-1", "--out", _OUT], "ConstructionError:r must be non-negative"),
     (["gen", "--p", "4", "--r", "2", "--s", "1", "--eta", "5", "--out", _OUT],
@@ -779,7 +795,8 @@ def _error_path_inputs(directory):
         "holdout-too-long", "config-no-path", "config-before-command", "config-not-json", "config-not-object", "config-boolean",
         "config-empty-list", "prices-missing", "prices-one-row", "trajectory-one-row",
         "log-negative", "returns-zero", "returns-too-few-rows", "estimate-not-json",
-        "estimate-missing-field", "gen-p-0", "gen-r-negative", "gen-eta-too-large",
+        "estimate-missing-field", "estimate-converged-string", "system-p-float",
+        "fit-lasso-lambda-l", "cv-lasso-grid-d", "gen-p-0", "gen-r-negative", "gen-eta-too-large",
         "gen-illustrative-random-only-flags",
         "cv-too-many-chunks", "check-horizon-0", "check-horizon-negative",
         "check-delta-A1-fails", "phase-s-0", "phase-thetas-overflow", "phase-etas-tiny",

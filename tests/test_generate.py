@@ -127,6 +127,20 @@ def test_system_json_rejects_garbage():
         system_from_json(json.dumps({"p": 2, "r": 0}))
 
 
+# Each value below used to be read through int(): a 1-observed system, or
+# no latents.  The message names both counts and shows their values.
+@pytest.mark.parametrize("field, value", [("p", 1.9), ("p", True), ("r", False), ("r", 0.0)])
+def test_system_json_counts_must_be_json_integers(field, value):
+    from sparsedyn.errors import DataError
+
+    doc = {"p": 1, "r": 0, "eta": 0.0, "A": [[-1.0]], "B": [], "C": [], "D": []}
+    assert system_from_json(json.dumps(doc))[0].p == 1
+    doc[field] = value
+    with pytest.raises(DataError, match=f"malformed field: 'p' and 'r' must be JSON ints, got "
+                                        f"{doc['p']!r} and {doc['r']!r}$"):
+        system_from_json(json.dumps(doc))
+
+
 def test_system_json_rejects_unstable_drift():
     # A system file is checked like any other system, so it fails at load.
     from sparsedyn.errors import StabilityError

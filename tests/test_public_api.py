@@ -1,9 +1,11 @@
 """The public API is pinned: adding, removing or renaming a name in
-``sparsedyn.__all__``, in a submodule's ``__all__`` or a flag of a
-``sparsedyn`` subcommand must show up as an edit to this file."""
+``sparsedyn.__all__``, in a submodule's ``__all__``, a defaulted parameter
+of a public callable or a flag of a ``sparsedyn`` subcommand must show up
+as an edit to this file."""
 
 import argparse
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -117,6 +119,55 @@ def test_module_all_resolves_without_duplicates(name):
     assert len(module.__all__) == len(set(module.__all__)), name
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == [], f"{name}.__all__ lists undefined names {missing}"
+
+
+# Every defaulted parameter, as the repr of its default, of each callable
+# (dataclass fields included) in a module's ``__all__``, keyed by where it
+# is defined; callables without one are left out.
+OPTIONS = {
+    "sparsedyn.cli.run": {"argv": "None"},
+    "sparsedyn.csvio.ingest_csv": {"missing": "'reject'", "convert": "'raw'"},
+    "sparsedyn.csvio.write_table": {"comments": "None"},
+    "sparsedyn.evaluate.block_cross_validate": {
+        "chunk_count": "5", "mode": "'sparse_plus_lowrank'", "s_ref": "1", "r_ref": "1",
+        "max_iter": "2000", "tol": "1e-07"},
+    "sparsedyn.evaluate.export_dependency_graph": {"zeta": "None", "labels": "None"},
+    "sparsedyn.evaluate.predict": {"actuals": "None"},
+    "sparsedyn.evaluate.recovery_report": {"zeta": "None"},
+    "sparsedyn.generate.GenSpec": {"diag_margin": "1.0", "eta": "0.0"},
+    "sparsedyn.generate.system_to_json": {"config": "None"},
+    "sparsedyn.linalg.as_matrix": {"name": "'matrix'"},
+    "sparsedyn.linalg.require_stable": {"eta": "0.0"},
+    "sparsedyn.model.AssumptionReport": {"passes": "<factory>"},
+    "sparsedyn.model.SystemParams": {"eta": "0.0"},
+    "sparsedyn.model.assumption_report": {"horizon": "None", "delta": "0.1"},
+    "sparsedyn.simulate.simulate_continuous": {
+        "mode": "'binned'", "bins": "10", "seed": "0", "noise": "None", "init": "'zero'"},
+    "sparsedyn.simulate.simulate_discrete": {"seed": "0", "noise": "None", "init": "'zero'"},
+    "sparsedyn.simulate.trajectory_to_csv": {"comments": "None"},
+    "sparsedyn.solver.Estimate": {
+        "objective_trace": "<factory>", "iterations": "0", "converged": "False",
+        "step_used": "0.0"},
+    "sparsedyn.solver.SolverConfig": {
+        "lambda_l": "0.0", "mode": "'sparse_plus_lowrank'", "max_iter": "5000", "tol": "1e-08"},
+    "sparsedyn.solver.estimate_to_json": {"config": "None"},
+}
+
+
+def test_library_options_are_the_pinned_defaults():
+    found = {}
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for attr in module.__all__:
+            obj = getattr(module, attr)
+            if not callable(obj) or isinstance(obj, type) and issubclass(obj, BaseException):
+                continue
+            defaults = {key: repr(param.default) for key, param
+                        in inspect.signature(obj).parameters.items()
+                        if param.default is not param.empty}
+            if defaults:
+                found[f"{obj.__module__}.{obj.__qualname__}"] = defaults
+    assert found == OPTIONS
 
 
 # Every subcommand's flags; each also takes --out, --config and --help.

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from sparsedyn.errors import ConstructionError, DivergenceError
+from sparsedyn.errors import ConstructionError, DataError, DivergenceError
 from sparsedyn.evaluate import block_cross_validate, recovery_report
 from sparsedyn.generate import GenSpec, gen_illustrative, gen_random_system
 from sparsedyn.model import steady_state
@@ -14,7 +16,10 @@ from sparsedyn.simulate import (
 )
 from sparsedyn.solver import (
     MODE_PURE_LASSO,
+    Estimate,
     SolverConfig,
+    estimate_from_json,
+    estimate_to_json,
     fit,
     objective,
     smooth_gradient,
@@ -401,3 +406,22 @@ def test_fit_lasso_denser_than_joint_on_latent_systems():
         strictly_denser.append(nnz_lasso > nnz_joint)
     assert np.median(sparser_or_equal) == 1.0
     assert np.median(strictly_denser) == 1.0
+
+
+# Each value below used to be coerced: "false" read as True, 2.7 as 2,
+# True as 1, and a 1-D or mismatched Ahat/Lhat loaded as it was.
+@pytest.mark.parametrize("field, value", [
+    ("converged", "false"), ("converged", 1), ("iterations", 2.7), ("iterations", True),
+    ("Ahat", [0.0]), ("Ahat", [[0.0, 1.0]]), ("Lhat", [[0.0]]),
+], ids=["converged-string", "converged-int", "iterations-float", "iterations-bool", "Ahat-1d",
+        "Ahat-not-square", "Lhat-other-shape"])
+def test_estimate_json_rejects_a_field_of_the_wrong_type_or_shape(field, value):
+    est = Estimate(Ahat=-np.eye(2), Lhat=np.zeros((2, 2)), objective_trace=[1.0, 0.5],
+                   iterations=1, converged=True, step_used=0.25)
+    doc = json.loads(estimate_to_json(est, {"seed": 1}))
+    restored, config = estimate_from_json(json.dumps(doc))
+    assert config == {"seed": 1}
+    assert np.array_equal(restored.Lhat, est.Lhat) and restored.iterations == 1
+    doc[field] = value
+    with pytest.raises(DataError, match=f"^estimate JSON missing or malformed field: .*'{field}'"):
+        estimate_from_json(json.dumps(doc))
