@@ -225,9 +225,10 @@ def _expand_config_file(argv: list[str]) -> list[str]:
     path = Path(argv[i + 1])
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    text = read_text(path)
     try:
-        doc = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text)
+    except ValueError as exc:  # also an integer past the digit limit
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")

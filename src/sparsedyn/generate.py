@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, DataError
+from .linalg import _json_array, _json_number
 from .model import SystemParams
 from .rng import CounterRng
 
@@ -208,19 +209,15 @@ def system_from_json(text: str) -> tuple[SystemParams, dict]:
     """Parse a system JSON document; returns (params, embedded config)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past the digit limit
         raise DataError(f"invalid system JSON: {exc}") from exc
     try:
         p, r = doc["p"], doc["r"]
         if type(p) is not int or type(r) is not int:
             raise TypeError(f"'p' and 'r' must be JSON ints, got {p!r} and {r!r}")
-        blocks = dict(
-            A=np.asarray(doc["A"], dtype=float).reshape(p, p),
-            B=np.asarray(doc["B"], dtype=float).reshape(p, r),
-            C=np.asarray(doc["C"], dtype=float).reshape(r, p),
-            D=np.asarray(doc["D"], dtype=float).reshape(r, r),
-            eta=float(doc["eta"]),
-        )
+        shapes = {"A": (p, p), "B": (p, r), "C": (r, p), "D": (r, r)}
+        blocks = {key: _json_array(doc[key], key).reshape(shape) for key, shape in shapes.items()}
+        blocks["eta"] = _json_number(doc["eta"], "eta")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"system JSON missing or malformed field: {exc}") from exc
     return SystemParams(**blocks), doc.get("config", {})

@@ -9,11 +9,14 @@ a low-rank latent-effect matrix ``L`` by minimizing
 
 over both blocks.  The smooth part depends on the data only through the
 sufficient statistics, so one pass over the trajectory suffices and each
-iteration costs two p x p products plus one p x p SVD (a rejected momentum
-step costs one more).  The nuclear-norm term of each iterate's objective
-is the sum of the singular values the prox step already shrank, so
-scoring an iterate needs no SVD of its own.  A pure-lasso mode of ``fit``
-pins ``L = 0`` and reproduces the latent-blind baseline.
+iteration costs three p x p products (gradient, objective, Gram matrix)
+plus one p x p factorization: ``prox_nuclear``'s eigendecomposition of the
+Gram matrix, or an exact SVD where its threshold falls below 1e-4 of the
+largest singular value.  A rejected momentum step costs one more.  The
+nuclear-norm term of each iterate's objective is the sum of the singular
+values the prox step already shrank, so scoring an iterate needs no
+factorization of its own.  A pure-lasso mode of ``fit`` pins ``L = 0``
+and reproduces the latent-blind baseline.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionError, DataError, DivergenceError
-from .linalg import power_spectral_norm, prox_l1, prox_nuclear
+from .linalg import _json_array, _json_number, power_spectral_norm, prox_l1, prox_nuclear
 from .simulate import SufficientStats
 
 __all__ = [
@@ -131,8 +134,8 @@ def fit(
     Each iteration extrapolates with the momentum sequence, takes one
     gradient step shared by both blocks, then applies the entrywise soft
     threshold to the ``A`` block and singular value thresholding to the
-    ``L`` block, which is the iteration's one SVD.  An accelerated step
-    that would increase the objective is rejected, and the next pass takes
+    ``L`` block, which is the iteration's one factorization.  An accelerated
+    step that would increase the objective is rejected, and the next pass takes
     a plain proximal gradient step, which cannot increase it at this step
     size, from the last accepted iterate with the momentum reset; a
     rejected step is not an iteration.  A plain step that makes no
@@ -157,12 +160,12 @@ def fit(
 
     while iterations < config.max_iter:
         # The nuclear norm of the new L is the sum of the values its prox shrank.
-        grad = smooth_gradient(ya + yl, stats)
-        a_new = prox_l1(ya - step * grad, step * config.lambda_a)
+        step_grad = step * smooth_gradient(ya + yl, stats)
+        a_new = prox_l1(ya - step_grad, step * config.lambda_a)
         if lasso:
             l_new, nuclear = yl, 0.0
         else:
-            l_new, shrunk = prox_nuclear(yl - step * grad, step * config.lambda_l)
+            l_new, shrunk = prox_nuclear(yl - step_grad, step * config.lambda_l)
             nuclear = config.lambda_l * float(shrunk.sum())
         obj_new = objective(a_new, l_new, stats, sq_increment_sum, config.lambda_a, 0.0) + nuclear
         if not np.isfinite(obj_new):
@@ -216,10 +219,10 @@ def estimate_to_json(est: Estimate, config: dict | None = None) -> str:
 def estimate_from_json(text: str) -> tuple[Estimate, dict]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past the digit limit
         raise DataError(f"invalid estimate JSON: {exc}") from exc
     try:
-        a, l_mat = (np.asarray(doc[key], dtype=float) for key in ("Ahat", "Lhat"))
+        a, l_mat = (_json_array(doc[key], key) for key in ("Ahat", "Lhat"))
         if a.ndim != 2 or a.shape[0] != a.shape[1] or l_mat.shape != a.shape:
             raise ValueError(f"'Ahat' and 'Lhat' must be one square shape, got {a.shape}, {l_mat.shape}")
         for key, kind in (("iterations", int), ("converged", bool)):
@@ -228,10 +231,10 @@ def estimate_from_json(text: str) -> tuple[Estimate, dict]:
         est = Estimate(
             Ahat=a,
             Lhat=l_mat,
-            objective_trace=[float(v) for v in doc["objective_trace"]],
+            objective_trace=[_json_number(v, "objective_trace") for v in doc["objective_trace"]],
             iterations=doc["iterations"],
             converged=doc["converged"],
-            step_used=float(doc["step_used"]),
+            step_used=_json_number(doc["step_used"], "step_used"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"estimate JSON missing or malformed field: {exc}") from exc

@@ -686,9 +686,14 @@ def _error_path_inputs(directory):
             '"converged": true', '"converged": "false"'),
         "p_float.json": json.dumps({"p": 1.9, "r": 0, "eta": 0.0, "A": [[-1.0]],
                                     "B": [], "C": [], "D": []}),
+        "step_string.json": json.dumps({**json.loads(Path(directory, "est.json").read_text()),
+                                        "step_used": "0.25"}),
+        "entry_string.json": json.dumps({"p": 1, "r": 0, "eta": 0.0, "A": [["-1"]],
+                                         "B": [], "C": [], "D": []}),
         "list.json": "[1]",
         "bool.json": json.dumps({"seed": True}),
         "empty_list.json": json.dumps({"seed": []}),
+        "long_int.json": '{"seed": ' + "1" * 5000 + "}",
     }
     for name, text in files.items():
         Path(directory, name).write_text(text)
@@ -716,6 +721,8 @@ def _error_path_inputs(directory):
      "ConfigError:config field 'seed': boolean values are not supported"),
     (["gen", "--p", "4", "--config", "empty_list.json", "--out", _OUT],
      "ConfigError:config field 'seed': empty list"),
+    (["gen", "--p", "4", "--config", "long_int.json", "--out", _OUT],
+     "ConfigError:config file is not valid JSON: Exceeds the limit (4300 digits)"),
     (["fit", "--prices", "missing.csv", *_FIT], "DataError:price file not found: missing.csv"),
     (["fit", "--prices", "one_price.csv", *_FIT],
      "DataError:price CSV needs a header and at least two data rows"),
@@ -737,6 +744,11 @@ def _error_path_inputs(directory):
     (["simulate", "--system", "p_float.json", "--n", "10", "--eta", "0.1", "--out", _OUT],
      "DataError:system JSON missing or malformed field: 'p' and 'r' must be JSON ints, "
      "got 1.9 and 0"),
+    (["predict", "--data", "traj.csv", "--estimate", "step_string.json", "--out", _OUT],
+     "DataError:estimate JSON missing or malformed field: 'step_used': '0.25' is not a JSON "
+     "number"),
+    (["simulate", "--system", "entry_string.json", "--n", "10", "--eta", "0.1", "--out", _OUT],
+     "DataError:system JSON missing or malformed field: 'A': '-1' is not a JSON number"),
     # Pure lasso pins L = 0, so the nuclear-norm weights would go unused.
     (["fit", "--data", "traj.csv", "--mode", "pure_lasso", *_FIT],
      "ConfigError:fit --mode pure_lasso does not use --lambda-l, got 0.1"),
@@ -793,9 +805,10 @@ def _error_path_inputs(directory):
      "ConfigError:one of the arguments --data --prices is required"),
 ], ids=["simulate-no-eta", "simulate-discrete-file-continuous", "holdout-below-horizon",
         "holdout-too-long", "config-no-path", "config-before-command", "config-not-json", "config-not-object", "config-boolean",
-        "config-empty-list", "prices-missing", "prices-one-row", "trajectory-one-row",
+        "config-empty-list", "config-int-too-long", "prices-missing", "prices-one-row", "trajectory-one-row",
         "log-negative", "returns-zero", "returns-too-few-rows", "estimate-not-json",
         "estimate-missing-field", "estimate-converged-string", "system-p-float",
+        "estimate-step-used-string", "system-entry-string",
         "fit-lasso-lambda-l", "cv-lasso-grid-d", "gen-p-0", "gen-r-negative", "gen-eta-too-large",
         "gen-illustrative-random-only-flags",
         "cv-too-many-chunks", "check-horizon-0", "check-horizon-negative",

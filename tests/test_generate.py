@@ -141,6 +141,36 @@ def test_system_json_counts_must_be_json_integers(field, value):
         system_from_json(json.dumps(doc))
 
 
+# The strings and booleans below used to be read through float() as their
+# numbers, and -Infinity failed later as a ConstructionError.  The message
+# names the field and the entry.
+@pytest.mark.parametrize("field, value, message", [
+    ("eta", "0.0", "'0.0' is not a JSON number"), ("eta", False, "False is not a JSON number"),
+    ("A", [["-1"]], "'-1' is not a JSON number"), ("A", [[True]], "True is not a JSON number"),
+    ("D", [None], "None is not a JSON number"),
+    ("A", [[float("-inf")]], "-inf is not a finite number"),
+], ids=["eta-string", "eta-bool", "A-string", "A-bool", "D-null", "A-Infinity"])
+def test_system_json_entries_must_be_json_numbers(field, value, message):
+    from sparsedyn.errors import DataError
+
+    doc = {"p": 1, "r": 0, "eta": 0.0, "A": [[-1.0]], "B": [], "C": [], "D": []}
+    assert system_from_json(json.dumps(doc))[0].eta == 0.0
+    doc[field] = value
+    with pytest.raises(DataError, match=f"malformed field: '{field}': {message}$"):
+        system_from_json(json.dumps(doc))
+
+
+def test_system_json_integers_beyond_float_or_the_digit_limit_are_data_errors():
+    from sparsedyn.errors import DataError
+
+    doc = {"p": 1, "r": 0, "eta": 0.0, "A": [[-(10**400)]], "B": [], "C": [], "D": []}
+    with pytest.raises(DataError, match="malformed field: 'A': an integer beyond the float range$"):
+        system_from_json(json.dumps(doc))
+    # json.loads refuses an integer literal of more than 4300 digits.
+    with pytest.raises(DataError, match="^invalid system JSON: Exceeds the limit"):
+        system_from_json(json.dumps(doc).replace(str(10**400), "1" * 5000))
+
+
 def test_system_json_rejects_unstable_drift():
     # A system file is checked like any other system, so it fails at load.
     from sparsedyn.errors import StabilityError

@@ -226,6 +226,63 @@ def test_prox_nuclear_shrunk_values_are_output_singular_values():
     assert abs(np.linalg.norm(out, "nuc") - shrunk.sum()) < 1e-12 * shrunk.sum()
 
 
+def _svt_by_svd(m, tau):
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    shrunk = np.maximum(s - tau, 0.0)
+    return (u * shrunk) @ vh, shrunk
+
+
+def _count_svd_calls(monkeypatch):
+    calls = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
+def _svt_inputs():
+    rng = CounterRng(21)
+    return {"square": rng.normal_matrix(6, 6), "wide": rng.normal_matrix(4, 7),
+            "tall": rng.normal_matrix(7, 4),
+            "rank-2": rng.normal_matrix(6, 2) @ rng.normal_matrix(2, 6)}
+
+
+@pytest.mark.parametrize("shape", ["square", "wide", "tall", "rank-2"])
+@pytest.mark.parametrize("rel_tau", [0.5, 0.1, 1e-3, 2e-4, 0.0])
+def test_prox_nuclear_matches_svd_thresholding(shape, rel_tau, monkeypatch):
+    m = _svt_inputs()[shape]
+    sigma_1 = np.linalg.norm(m, 2)
+    tau = rel_tau * sigma_1
+    ref_out, ref_shrunk = _svt_by_svd(m, tau)
+    svd_calls = _count_svd_calls(monkeypatch)
+    out, shrunk = prox_nuclear(m, tau)
+    # Only tau = 0 (below 1e-4 sigma_1) leaves the Gram route.
+    assert len(svd_calls) == (rel_tau == 0.0)
+    assert out.shape == m.shape and shrunk.shape == (min(m.shape),)
+    assert np.abs(out - ref_out).max() <= 1e-12 * sigma_1
+    assert np.abs(shrunk - ref_shrunk).max() <= 1e-12 * sigma_1
+    assert np.all(np.diff(shrunk) <= 0)
+    # Thresholded values are exact zeros, in the same places as the SVD's.
+    assert np.array_equal(shrunk == 0, ref_shrunk == 0)
+
+
+# The Gram matrix overflows at entries of 1e200 and is subnormal at 1e-160.
+@pytest.mark.parametrize("scale, rel_tau", [(1.0, 0.5e-4), (1e200, 0.1), (1e-160, 0.1)],
+                         ids=["tau-below-1e-4-sigma", "entries-1e200", "entries-1e-160"])
+def test_prox_nuclear_falls_back_to_the_exact_svd(scale, rel_tau, monkeypatch):
+    m = scale * _svt_inputs()["square"]
+    tau = rel_tau * np.linalg.norm(m, 2)
+    ref_out, ref_shrunk = _svt_by_svd(m, tau)
+    svd_calls = _count_svd_calls(monkeypatch)
+    out, shrunk = prox_nuclear(m, tau)
+    assert svd_calls == [m.shape]
+    assert np.array_equal(out, ref_out) and np.array_equal(shrunk, ref_shrunk)
+
+
 def test_prox_nuclear_rejects_nonfinite():
     with pytest.raises(ConstructionError):
         prox_nuclear(np.array([[np.nan, 0.0], [0.0, 1.0]]), 0.1)

@@ -172,34 +172,35 @@ def test_fit_trace_non_increasing_with_restart():
         assert np.all(np.diff(trace) <= 1e-12 * np.maximum(1.0, np.abs(trace[:-1])))
 
 
-def test_fit_one_svd_per_prox_step(monkeypatch):
+def test_fit_one_factorization_per_prox_step(monkeypatch):
     # Scoring an iterate reuses the prox step's singular values, so every
-    # SVD in a fit is the one inside prox_nuclear (one per iteration, plus
-    # one per restart).
+    # factorization in a fit is the one inside prox_nuclear (one per
+    # iteration, plus one per restart).  Here tau is far above 1e-4 sigma_1,
+    # so each is the Gram eigendecomposition and no SVD runs at all.
     import sparsedyn.solver as solver_module
 
-    counts = {"svd": 0, "prox": 0}
-    real_svd = np.linalg.svd
+    counts = {"svd": 0, "eigh": 0, "prox": 0}
+    real_svd, real_eigh = np.linalg.svd, np.linalg.eigh
     real_prox = solver_module.prox_nuclear
 
-    def counting_svd(*args, **kwargs):
-        counts["svd"] += 1
-        return real_svd(*args, **kwargs)
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
 
-    def counting_prox(*args, **kwargs):
-        counts["prox"] += 1
-        return real_prox(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", real_svd))
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", real_eigh))
     # np.linalg.norm(..., "nuc") reaches svd through numpy's implementation module.
     impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
-    monkeypatch.setattr(impl, "svd", counting_svd)
-    monkeypatch.setattr(solver_module, "prox_nuclear", counting_prox)
+    monkeypatch.setattr(impl, "svd", counting("svd", real_svd))
+    monkeypatch.setattr(solver_module, "prox_nuclear", counting("prox", real_prox))
     stats, _ = _stats_from_system(seed=30, p=4, r=2, s=1, n=80)
     est = fit(stats, stats.sq_increment_sum,
               SolverConfig(lambda_a=0.05, lambda_l=0.1, max_iter=500, tol=1e-10))
     assert counts["prox"] >= est.iterations > 1
-    assert counts["svd"] == counts["prox"]
+    assert counts["eigh"] == counts["prox"]
+    assert counts["svd"] == 0
 
 
 def test_fit_trace_ends_at_public_objective():
@@ -409,12 +410,19 @@ def test_fit_lasso_denser_than_joint_on_latent_systems():
 
 
 # Each value below used to be coerced: "false" read as True, 2.7 as 2,
-# True as 1, and a 1-D or mismatched Ahat/Lhat loaded as it was.
+# True as 1, a number in a string as the number, and a 1-D or mismatched
+# Ahat/Lhat, or one holding NaN, loaded as it was.
 @pytest.mark.parametrize("field, value", [
     ("converged", "false"), ("converged", 1), ("iterations", 2.7), ("iterations", True),
     ("Ahat", [0.0]), ("Ahat", [[0.0, 1.0]]), ("Lhat", [[0.0]]),
+    ("step_used", "0.25"), ("step_used", True), ("objective_trace", ["1", True]),
+    ("objective_trace", [1.0, True]), ("Lhat", [[True, 0.0], [0.0, 0.0]]),
+    ("Ahat", [["-1", "0"], ["0", "-1"]]), ("Ahat", [[-1.0, 0.0], [0.0, -10**400]]),
+    ("Ahat", [[float("nan"), 0.0], [0.0, -1.0]]), ("step_used", float("inf")),
 ], ids=["converged-string", "converged-int", "iterations-float", "iterations-bool", "Ahat-1d",
-        "Ahat-not-square", "Lhat-other-shape"])
+        "Ahat-not-square", "Lhat-other-shape", "step_used-string", "step_used-bool",
+        "objective_trace-string", "objective_trace-bool", "Lhat-bool", "Ahat-strings",
+        "Ahat-int-beyond-float", "Ahat-NaN", "step_used-Infinity"])
 def test_estimate_json_rejects_a_field_of_the_wrong_type_or_shape(field, value):
     est = Estimate(Ahat=-np.eye(2), Lhat=np.zeros((2, 2)), objective_trace=[1.0, 0.5],
                    iterations=1, converged=True, step_used=0.25)
