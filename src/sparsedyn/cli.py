@@ -22,6 +22,7 @@ import json
 import logging
 import math
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from . import generate as gen
 from . import model as mdl
 from . import simulate as sim
 from . import solver as slv
-from .csvio import ingest_csv, number, read_text, write_table
+from .csvio import ingest_csv, number, read_text, table_blocks
 from .errors import ConfigError, SparsedynError
 
 __all__ = ["run", "main"]
@@ -42,15 +43,11 @@ _NOT_CONFIG = {"command", "func", "config", "out", "graph_out", "edges_out"}
 # The ``GenSpec`` fields that only ``gen --kind random`` reads, with their defaults.
 _RANDOM_ONLY = {"diag_margin": 1.0, "eta": 0.0, "s": 0, "seed": 0}
 
-# Characters per write: only this much of an artifact is ever held encoded.
-_SLICE = 1 << 20
-
-
-def _write(path: Path, content: str) -> None:
+def _write(path: Path, content: str | Iterable[str]) -> None:
+    """Write a text, or a table's blocks one at a time as they are made."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as handle:
-        for start in range(0, len(content), _SLICE):
-            handle.write(content[start:start + _SLICE])
+        handle.writelines([content] if isinstance(content, str) else content)
 
 
 def _load_trajectory(args: argparse.Namespace) -> tuple[sim.Trajectory, list[str] | None]:
@@ -91,7 +88,7 @@ def cmd_simulate(args: argparse.Namespace, config: dict) -> int:
             params, eta=args.eta, n=args.n, mode=args.mode, seed=args.seed
         )
     comment = "config: " + json.dumps(config, sort_keys=True)
-    _write(Path(args.out), sim.trajectory_to_csv(traj, comments=[comment]))
+    _write(Path(args.out), sim.trajectory_blocks(traj, comments=[comment]))
     print(f"wrote {traj.n + 1} samples to {args.out}")
     return 0
 
@@ -187,7 +184,7 @@ def cmd_predict(args: argparse.Namespace, config: dict) -> int:
         comments.append("mse: " + number(mse))
     steps = history.n * history.eta + np.arange(1, preds.shape[0] + 1) * history.eta
     header = ["step"] + [f"x{j + 1}" for j in range(history.p)]
-    _write(Path(args.out), write_table(header, np.column_stack([steps, preds]), comments))
+    _write(Path(args.out), table_blocks(header, [steps, preds], comments))
     print(f"wrote {preds.shape[0]}-step forecast to {args.out}"
           + (f"; mse={mse:.6g}" if mse is not None else ""))
     return 0

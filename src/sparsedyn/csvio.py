@@ -2,7 +2,9 @@
 
 A table is optional ``# `` comment lines, a header of column names, then
 one row per line; cells are ``,``-separated and numbers are written as
-``%.17g`` (exact for float64).  Readers skip blank and ``#`` lines anywhere.
+``%.17g`` (exact for float64).  Writers produce a table as a stream of
+row blocks, so a caller can write it without holding its text.  Readers
+skip blank and ``#`` lines anywhere.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import datetime
 import logging
 import math
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,10 +23,13 @@ from .errors import ConfigError, DataError
 
 log = logging.getLogger("sparsedyn")
 
-__all__ = ["Table", "read_table", "require_complete", "write_table", "number",
+__all__ = ["Table", "read_table", "require_complete", "table_blocks", "write_table", "number",
            "ingest_csv", "read_text"]
 
 _NUMBER = "%.17g"
+
+# Rows per written block: about 0.9 MB of text at 41 columns.
+_BLOCK_ROWS = 1024
 
 
 def number(value: float) -> str:
@@ -31,18 +37,36 @@ def number(value: float) -> str:
     return _NUMBER % value
 
 
+def table_blocks(header: list[str], columns, comments: list[str] | None = None) -> Iterator[str]:
+    """A table's text as a stream of blocks: the comment and header lines,
+    then ``_BLOCK_ROWS`` rows per block.  ``columns`` are arrays of numbers
+    of one length, put side by side (a 1-D array is one column), with one
+    column per header name in all.  A mismatch raises ``ValueError`` in
+    this call, before any block exists."""
+    parts = [np.asarray(part, dtype=np.float64) for part in columns]
+    parts = [part[:, None] if part.ndim == 1 else part for part in parts]
+    if (any(part.ndim != 2 for part in parts) or len({len(part) for part in parts}) != 1
+            or sum(part.shape[1] for part in parts) != len(header)):
+        raise ValueError(f"columns of shapes {[part.shape for part in parts]} "
+                         f"do not fill the {len(header)} columns of one table")
+    return _blocks(header, parts, comments or [])
+
+
+def _blocks(header: list[str], parts: list[np.ndarray], comments: list[str]) -> Iterator[str]:
+    yield "".join(f"# {comment}\n" for comment in comments) + ",".join(header) + "\n"
+    line = ",".join([_NUMBER] * len(header)) + "\n"
+    # Only one block's rows exist as Python floats and as text at a time.
+    for start in range(0, len(parts[0]), _BLOCK_ROWS):
+        block = np.column_stack([part[start:start + _BLOCK_ROWS] for part in parts])
+        yield "".join(line % tuple(row) for row in block.tolist())
+
+
 def write_table(header: list[str], rows, comments: list[str] | None = None) -> str:
     """Comment lines, the header, then one line per row of ``rows`` (any
     array-like of numbers, one column per header name); integers below
-    2**53 keep their digits."""
+    2**53 keep their digits.  The join of :func:`table_blocks`."""
     values = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header))
-    line = ",".join([_NUMBER] * len(header)) + "\n"
-    parts = [f"# {comment}\n" for comment in comments or []]
-    parts.append(",".join(header) + "\n")
-    # Blocks of rows keep the Python floats of only one block alive.
-    for start in range(0, len(values), 4096):
-        parts.append("".join(line % tuple(row) for row in values[start:start + 4096].tolist()))
-    return "".join(parts)
+    return "".join(table_blocks(header, [values], comments))
 
 
 def read_text(path) -> str:

@@ -27,11 +27,12 @@ lives here too; ``csvio`` handles the text.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import read_table, require_complete, write_table
+from .csvio import read_table, require_complete, table_blocks
 from .errors import ConstructionError, DataError, NumericalError
 from .linalg import matrix_exponential, solve_lyapunov_continuous, solve_lyapunov_discrete
 from .model import SystemParams
@@ -46,6 +47,7 @@ __all__ = [
     "binned_increment_covariance",
     "sufficient_stats",
     "merge_stats",
+    "trajectory_blocks",
     "trajectory_to_csv",
     "trajectory_from_csv",
 ]
@@ -345,12 +347,18 @@ def merge_stats(parts: list[SufficientStats]) -> SufficientStats:
     return SufficientStats(S1=0.5 * (s1 + s1.T), S2=s2, n=total, eta=eta, sq_increment_sum=sq)
 
 
-def trajectory_to_csv(traj: Trajectory, comments: list[str] | None = None) -> str:
-    """Render a trajectory as CSV: optional '#' comment lines, then a
-    ``t,x1..xp`` header and one row per sample with ``t = i * eta``."""
+def trajectory_blocks(traj: Trajectory, comments: list[str] | None = None) -> Iterator[str]:
+    """A trajectory's CSV as :func:`csvio.table_blocks` streams it:
+    optional '#' comment lines, then a ``t,x1..xp`` header and one row per
+    sample with ``t = i * eta``; the path is never copied whole."""
     header = ["t"] + [f"x{j + 1}" for j in range(traj.p)]
     times = np.arange(traj.x.shape[0]) * traj.eta
-    return write_table(header, np.column_stack([times, traj.x]), comments)
+    return table_blocks(header, [times, traj.x], comments)
+
+
+def trajectory_to_csv(traj: Trajectory, comments: list[str] | None = None) -> str:
+    """A trajectory's CSV text: the join of :func:`trajectory_blocks`."""
+    return "".join(trajectory_blocks(traj, comments))
 
 
 def trajectory_from_csv(text: str) -> Trajectory:

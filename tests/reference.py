@@ -184,3 +184,17 @@ def box_muller_normals(seed: int, position: int, n: int) -> np.ndarray:
     angle = 2.0 * np.pi * u2
     out = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
     return out[:n]
+
+
+# Table sizes at and around the edges of the CSV writer's row blocks.
+B = 1024
+EDGE_ROWS = (0, 1, B - 1, B, B + 1, 2 * B + 1)
+EDGE_COMMENTS = (None, ["config: {}", "b: 1"])
+_SCALES = np.array([1e-300, 1e-3, 1.0, 7.0, 1e17, 2.0**52, 1e300])
+
+
+def edge_values(rows: int, cols: int) -> np.ndarray:
+    """Signed values over 600 decades, built with exactly rounded operations
+    only, so their bits do not depend on the platform's libm."""
+    k = np.arange(rows * cols)
+    return ((k * 7919 % 10007 - 5003) / 10007 * _SCALES[k % 7]).reshape(rows, cols)

@@ -1,10 +1,15 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from sparsedyn.csvio import number, read_table, require_complete, write_table
+import sparsedyn.cli as cli_module
+import sparsedyn.csvio as csvio
+from sparsedyn.csvio import number, read_table, require_complete, table_blocks, write_table
 from sparsedyn.errors import DataError
+
+from reference import EDGE_COMMENTS, EDGE_ROWS, B, edge_values
 
 
 def test_write_table_golden_bytes():
@@ -43,6 +48,38 @@ def test_read_table_marks_cells_that_are_not_finite_numbers():
 def test_write_table_rejects_rows_of_another_width():
     with pytest.raises(ValueError):
         write_table(["a", "b", "c", "d", "e", "f"], np.zeros((3, 4)))
+
+
+def test_table_blocks_at_block_edges_join_to_the_pinned_bytes():
+    assert csvio._BLOCK_ROWS == B
+    digest = hashlib.sha256()
+    for rows in EDGE_ROWS:
+        for comments in EDGE_COMMENTS:
+            values = edge_values(rows, 3)
+            blocks = list(table_blocks(["k", "a", "b"], [values[:, 0], values[:, 1:]], comments))
+            assert len(blocks) == 1 + -(-rows // B)
+            assert all(block.count("\n") == B for block in blocks[1:-1])
+            text = write_table(["k", "a", "b"], values, comments)
+            assert "".join(blocks) == text
+            digest.update(text.encode())
+    # Pinned: no block size or change to the formatter may move these bytes.
+    assert digest.hexdigest() == "99b6f6927e30b86bab41c3382be1f7e5140a910c0040fefa095ae87fd071fadb"
+
+
+@pytest.mark.parametrize("columns", [
+    [np.zeros((3, 4))], [np.zeros(3), np.zeros((3, 4))], [np.zeros(3), np.zeros((2, 5))],
+    [np.zeros((3, 2, 3))], [np.float64(1.0)], []])
+def test_table_blocks_rejects_columns_that_do_not_fill_the_header(columns):
+    with pytest.raises(ValueError):
+        table_blocks(["a", "b", "c", "d", "e", "f"], columns)
+
+
+def test_a_table_of_another_width_leaves_no_file(tmp_path):
+    # The check runs when the blocks are asked for, before the file is opened.
+    out = tmp_path / "sub" / "table.csv"
+    with pytest.raises(ValueError):
+        cli_module._write(out, table_blocks(["a", "b"], [np.zeros((3, 4))]))
+    assert not out.exists() and not out.parent.exists()
 
 
 def test_read_table_names_the_line_with_the_wrong_field_count():

@@ -72,7 +72,7 @@ PUBLIC = [
 MODULE_ALL = {
     "sparsedyn.cli": ["main", "run"],
     "sparsedyn.csvio": ["Table", "ingest_csv", "number", "read_table", "read_text",
-                        "require_complete", "write_table"],
+                        "require_complete", "table_blocks", "write_table"],
     "sparsedyn.evaluate": ["CvSelection", "DependencyGraph", "PhasePoint", "PhaseResult",
                            "RecoveryReport", "block_cross_validate", "default_support_threshold",
                            "export_dependency_graph", "phase_transition", "predict",
@@ -90,8 +90,8 @@ MODULE_ALL = {
                         "theorem_constants", "theoretical_lambdas"],
     "sparsedyn.simulate": ["SufficientStats", "Trajectory", "binned_increment_covariance",
                            "exact_increment_covariance", "merge_stats", "simulate_continuous",
-                           "simulate_discrete", "sufficient_stats", "trajectory_from_csv",
-                           "trajectory_to_csv"],
+                           "simulate_discrete", "sufficient_stats", "trajectory_blocks",
+                           "trajectory_from_csv", "trajectory_to_csv"],
     "sparsedyn.solver": ["Estimate", "SolverConfig", "estimate_from_json", "estimate_to_json",
                          "fit", "objective", "smooth_gradient"],
 }
@@ -127,6 +127,7 @@ def test_module_all_resolves_without_duplicates(name):
 OPTIONS = {
     "sparsedyn.cli.run": {"argv": "None"},
     "sparsedyn.csvio.ingest_csv": {"missing": "'reject'", "convert": "'raw'"},
+    "sparsedyn.csvio.table_blocks": {"comments": "None"},
     "sparsedyn.csvio.write_table": {"comments": "None"},
     "sparsedyn.evaluate.block_cross_validate": {
         "chunk_count": "5", "mode": "'sparse_plus_lowrank'", "s_ref": "1", "r_ref": "1",
@@ -144,6 +145,7 @@ OPTIONS = {
     "sparsedyn.simulate.simulate_continuous": {
         "mode": "'binned'", "bins": "10", "seed": "0", "noise": "None", "init": "'zero'"},
     "sparsedyn.simulate.simulate_discrete": {"seed": "0", "noise": "None", "init": "'zero'"},
+    "sparsedyn.simulate.trajectory_blocks": {"comments": "None"},
     "sparsedyn.simulate.trajectory_to_csv": {"comments": "None"},
     "sparsedyn.solver.Estimate": {
         "objective_trace": "<factory>", "iterations": "0", "converged": "False",

@@ -1,12 +1,15 @@
 import dataclasses
+import hashlib
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import sparsedyn.csvio as csvio
+from sparsedyn.cli import run
 from sparsedyn.errors import ConstructionError, DataError, StabilityError
-from sparsedyn.generate import GenSpec, gen_illustrative, gen_random_system
+from sparsedyn.generate import GenSpec, gen_illustrative, gen_random_system, system_to_json
 from sparsedyn.linalg import (matrix_exponential, solve_lyapunov_continuous,
                               solve_lyapunov_discrete)
 from sparsedyn.model import SystemParams
@@ -19,11 +22,12 @@ from sparsedyn.simulate import (
     simulate_continuous,
     simulate_discrete,
     sufficient_stats,
+    trajectory_blocks,
     trajectory_from_csv,
     trajectory_to_csv,
 )
 
-from reference import sequential_recursion
+from reference import EDGE_COMMENTS, EDGE_ROWS, B, edge_values, sequential_recursion
 
 
 def _scalar_params(a: float = -1.0, eta: float = 0.1) -> SystemParams:
@@ -491,6 +495,39 @@ def test_trajectory_csv_golden_bytes():
     )
 
 
+def test_trajectory_blocks_at_block_edges_join_to_the_pinned_bytes():
+    # A trajectory has at least two samples, so the 0- and 1-row edges are
+    # left to the csvio test.
+    assert csvio._BLOCK_ROWS == B
+    digest = hashlib.sha256()
+    for rows in EDGE_ROWS[2:]:
+        for comments in EDGE_COMMENTS:
+            traj = Trajectory(x=edge_values(rows, 2), eta=0.1)
+            blocks = list(trajectory_blocks(traj, comments))
+            assert len(blocks) == 1 + -(-rows // B)
+            text = trajectory_to_csv(traj, comments)
+            assert "".join(blocks) == text
+            digest.update(text.encode())
+    # Pinned: no block size or change to the formatter may move these bytes.
+    assert digest.hexdigest() == "f985883223a31843e3fb955ca9db8fb372b55c76e2f2c55a5928b1224af8df01"
+
+
+def _system_file(tmp_path, params) -> str:
+    path = tmp_path / "system.json"
+    path.write_text(system_to_json(params, {}))
+    return str(path)
+
+
+def test_cli_simulate_writes_the_bytes_of_trajectory_to_csv(tmp_path, capsys):
+    params = gen_random_system(GenSpec(p=5, r=2, s=2, seed=4))
+    out = tmp_path / "traj.csv"
+    assert run(["simulate", "--system", _system_file(tmp_path, params), "--eta", "0.05",
+                "--n", str(2 * B), "--seed", "8", "--out", str(out)]) == 0
+    text = out.read_text()
+    traj = simulate_continuous(params, eta=0.05, n=2 * B, seed=8)
+    assert text == trajectory_to_csv(traj, comments=[text.splitlines()[0].removeprefix("# ")])
+
+
 @pytest.mark.parametrize("cell", ["", "nan", "inf", "-inf", "abc"])
 def test_trajectory_csv_rejects_missing_or_non_finite_cell(cell):
     text = f"# comment\nt,x1,x2\n0,1,2\n0.5,{cell},4\n1,1,2\n"
@@ -583,6 +620,30 @@ def test_sufficient_stats_peak_is_bounded_by_the_state_array(monkeypatch):
     # array made this 2.9x).
     _, stats_peak, state_bytes = _traced_peaks(monkeypatch)
     assert stats_peak <= 2.1 * state_bytes
+
+
+def test_cli_simulate_peak_is_bounded_by_the_state_array(monkeypatch, tmp_path, capsys):
+    # The file is written one block of rows at a time, so the write adds
+    # little to the sampler's own peak (at most 1.5x, above).  A command
+    # that built the whole text, and the list of blocks it was joined from,
+    # peaked at 7.0x.
+    import os
+
+    import sparsedyn.rng as rng_module
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(rng_module, "_CPU_MAX", os.devnull)
+    params = gen_random_system(GenSpec(p=40, r=2, s=3, seed=7))
+    system, n = _system_file(tmp_path, params), 20000
+    simulate_continuous(params, eta=0.05, n=2)  # scipy and the BLAS loaded before tracing
+    tracemalloc.start()
+    try:
+        assert run(["simulate", "--system", system, "--eta", "0.05", "--n", str(n),
+                    "--seed", "8", "--out", str(tmp_path / "traj.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * (n + 1) * 42 * 8
 
 
 def test_sufficient_stats_square_sum_is_the_product_sum():
