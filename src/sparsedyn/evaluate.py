@@ -12,6 +12,7 @@ of the truth.  Success rates are reported against the control parameter
 from __future__ import annotations
 
 import io
+import logging
 import math
 from dataclasses import astuple, dataclass, replace
 
@@ -43,6 +44,8 @@ __all__ = [
     "DependencyGraph",
     "export_dependency_graph",
 ]
+
+log = logging.getLogger("sparsedyn")
 
 # Stopping rule of every phase-trial fit, and the cross-validation default.
 PROTOCOL_MAX_ITER = 2000
@@ -269,6 +272,7 @@ def block_cross_validate(
     squared prediction error on the held-out chunk.  Ties break toward
     larger ``c`` then larger ``d`` (sparser models).  ``s_ref``/``r_ref``
     only shift the constant inside the log factor that ``c`` absorbs.
+    One warning names the ``(c, d, fold)`` fits that did not converge.
     """
     if not grid_c or (mode != MODE_PURE_LASSO and not grid_d):
         raise ConfigError("cross-validation grid must be non-empty")
@@ -299,11 +303,14 @@ def block_cross_validate(
     errors = [[math.inf] * len(grid_d) for _ in grid_c]
     best = (math.inf, -math.inf, -math.inf)
     best_cd = (grid_c[0], grid_d[0])
+    unconverged = []
     for i, c in enumerate(grid_c):
         for j, d in enumerate(grid_d):
             fold_errors = []
             for hold, (train, config) in enumerate(zip(fold_train, configs[i][j])):
                 est = fit(train, train.sq_increment_sum, config)
+                if not est.converged:
+                    unconverged.append((c, d, hold))
                 fold_errors.append(_one_step_mse(traj, spans[hold], est.Ahat + est.Lhat))
             mean_err = float(np.mean(fold_errors))
             errors[i][j] = mean_err
@@ -311,6 +318,9 @@ def block_cross_validate(
             if key < best:
                 best = key
                 best_cd = (c, d)
+    if unconverged:
+        log.warning("cross-validation: %d fits stopped at max_iter=%d without converging, "
+                    "(c, d, fold): %s", len(unconverged), max_iter, unconverged)
     c, d = best_cd
     lam_a, lam_l = rule(c, d, traj.n)
     return CvSelection(

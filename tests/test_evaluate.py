@@ -1,3 +1,4 @@
+import logging
 import re
 import weakref
 from dataclasses import replace
@@ -278,6 +279,25 @@ def test_cv_pure_lasso_mode():
     sel = block_cross_validate(traj, grid_c=[0.5, 1.0], grid_d=[9.9],
                                chunk_count=3, mode="pure_lasso")
     assert sel.d == 0.0  # latent weight unused in the latent-blind mode
+
+
+def test_cv_warns_once_naming_the_fits_that_did_not_converge(caplog):
+    traj = _cv_trajectory()
+    with caplog.at_level(logging.WARNING, logger="sparsedyn"):
+        block_cross_validate(traj, grid_c=[0.5, 1.0], grid_d=[1.0], chunk_count=3, max_iter=1)
+    (record,) = caplog.records
+    assert record.levelno == logging.WARNING and record.name == "sparsedyn"
+    triples = [(c, 1.0, fold) for c in (0.5, 1.0) for fold in range(3)]
+    assert record.getMessage() == (
+        "cross-validation: 6 fits stopped at max_iter=1 without converging, "
+        f"(c, d, fold): {triples}")
+
+
+def test_cv_converged_grid_logs_no_warning(caplog):
+    with caplog.at_level(logging.WARNING, logger="sparsedyn"):
+        block_cross_validate(_cv_trajectory(seed=11), grid_c=[0.5, 1.0], grid_d=[0.5, 1.0],
+                             chunk_count=3)
+    assert caplog.records == []
 
 
 def test_cv_merges_each_fold_once(monkeypatch):
