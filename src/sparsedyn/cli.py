@@ -41,7 +41,7 @@ __all__ = ["run", "main"]
 _NOT_CONFIG = {"command", "func", "config", "out", "graph_out", "edges_out"}
 
 # The ``GenSpec`` fields that only ``gen --kind random`` reads, with their defaults.
-_RANDOM_ONLY = {"diag_margin": 1.0, "eta": 0.0, "s": 0, "seed": 0}
+_RANDOM_ONLY = {"diag_margin": gen.GenSpec.diag_margin, "eta": gen.GenSpec.eta, "s": 0, "seed": 0}
 
 def _write(path: Path, content: str | Iterable[str]) -> None:
     """Write a text, or a table's blocks one at a time as they are made."""
@@ -123,10 +123,7 @@ def cmd_fit(args: argparse.Namespace, config: dict) -> int:
 
 
 def cmd_phase(args: argparse.Namespace, config: dict) -> int:
-    base = gen.GenSpec(
-        p=args.p, r=args.r, s=args.s, seed=0,
-        diag_margin=args.diag_margin, eta=0.0,
-    )
+    base = gen.GenSpec(p=args.p, r=args.r, s=args.s, seed=0, diag_margin=args.diag_margin)
     for flag, values in (("--etas", args.etas), ("--thetas", args.thetas)):
         if not all(v > 0 for v in values):
             raise ConfigError(f"{flag} must be finite and positive, got {values}")
@@ -301,8 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--lambda-l", dest="lambda_l", type=float, default=0.0)
     p_fit.add_argument("--mode", default=slv.MODE_SPARSE_LOWRANK,
                        choices=[slv.MODE_SPARSE_LOWRANK, slv.MODE_PURE_LASSO])
-    p_fit.add_argument("--max-iter", dest="max_iter", type=int, default=5000)
-    p_fit.add_argument("--tol", type=float, default=1e-8)
+    p_fit.add_argument("--max-iter", dest="max_iter", type=int,
+                       default=slv.SolverConfig.max_iter)
+    p_fit.add_argument("--tol", type=float, default=slv.SolverConfig.tol)
     p_fit.add_argument("--zeta", type=float, default=None,
                        help="support threshold for graph export")
     p_fit.add_argument("--graph-out", dest="graph_out", default=None)
@@ -319,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_phase.add_argument("--c", type=float, required=True)
     p_phase.add_argument("--d", type=float, required=True)
     p_phase.add_argument("--master-seed", dest="master_seed", type=int, default=0)
-    p_phase.add_argument("--diag-margin", dest="diag_margin", type=float, default=1.0)
+    p_phase.add_argument("--diag-margin", dest="diag_margin", type=float,
+                         default=gen.GenSpec.diag_margin)
     p_phase.set_defaults(func=cmd_phase)
 
     p_cv = sub.add_parser("cv", help="cross-validate regularizer constants")

@@ -166,7 +166,8 @@ def phase_transition(
     recovery of the sparse block above the round-off guard
     ``default_support_threshold``.  ``lambda_rule`` is the ``(c, d)`` pair
     of the practical regularizer rule (``lambda_pair_from_constants``).
-    Trials whose fit diverges count as failures.
+    Trials whose fit diverges count as failures.  One warning names the
+    ``(point, trial)`` fits that diverged or did not converge.
     """
     if trials < 1:
         raise ConstructionError("trials must be at least 1")
@@ -182,20 +183,14 @@ def phase_transition(
             if key not in overrides:
                 raise ConstructionError(f"sweep point {g} must carry {what} {key!r}")
         eta, n = float(overrides["eta"]), int(overrides["n"])
-        spec = GenSpec(
-            p=int(overrides.get("p", base.p)),
-            r=int(overrides.get("r", base.r)),
-            s=int(overrides.get("s", base.s)),
-            seed=base.seed,
-            diag_margin=base.diag_margin,
-            eta=0.0,
-        )
+        sizes = {key: int(overrides[key]) for key in ("p", "r", "s") if key in overrides}
+        spec = replace(base, eta=0.0, **sizes)
         theta = control_parameter(eta, n, spec.s, spec.r, spec.p)
         lam_a, lam_l = lambda_pair_from_constants(c, d, spec.p, spec.r, spec.s, eta, n)
         config = SolverConfig(lambda_a=lam_a, lambda_l=lam_l,
                               max_iter=PROTOCOL_MAX_ITER, tol=PROTOCOL_TOL)
         points.append((spec, eta, n, theta, config))
-    rows = []
+    rows, diverged, unconverged = [], [], []
     for g, (spec, eta, n, theta, config) in enumerate(points):
         successes = 0
         for t in range(trials):
@@ -210,7 +205,10 @@ def phase_transition(
             try:
                 est = fit(stats, stats.sq_increment_sum, config)
             except DivergenceError:
+                diverged.append((g, t))
                 continue
+            if not est.converged:
+                unconverged.append((g, t))
             report = recovery_report(est.Ahat, system.A, est.Lhat, truth.L)
             successes += int(report.signed_match)
         rows.append(
@@ -219,6 +217,10 @@ def phase_transition(
                 trials=trials, successes=successes,
             )
         )
+    if diverged or unconverged:
+        log.warning("phase sweep: %d fits diverged, (point, trial): %s; %d stopped at "
+                    "max_iter=%d without converging, (point, trial): %s", len(diverged),
+                    diverged, len(unconverged), PROTOCOL_MAX_ITER, unconverged)
     return PhaseResult(rows=rows)
 
 
@@ -237,10 +239,6 @@ class CvSelection:
     lambda_l: float
     errors: list[list[float]]
     fold_spans: list[tuple[int, int]]
-
-
-def _chunk_edges(n_transitions: int, chunk_count: int) -> list[int]:
-    return [round(i * n_transitions / chunk_count) for i in range(chunk_count + 1)]
 
 
 def _one_step_mse(traj: Trajectory, span: tuple[int, int], m_sum: np.ndarray) -> float:
@@ -282,8 +280,8 @@ def block_cross_validate(
         raise ConfigError("not enough transitions for the requested chunk count")
     if mode == MODE_PURE_LASSO:
         grid_d = [0.0]
-    edges = _chunk_edges(traj.n, chunk_count)
-    spans = [(edges[i], edges[i + 1]) for i in range(chunk_count)]
+    edges = [round(i * traj.n / chunk_count) for i in range(chunk_count + 1)]
+    spans = list(zip(edges, edges[1:]))
 
     def rule(c: float, d: float, n: int) -> tuple[float, float]:
         return lambda_pair_from_constants(c, d, traj.p, r_ref, s_ref, traj.eta, n)
@@ -301,8 +299,6 @@ def block_cross_validate(
         for hold in range(chunk_count)
     ]
     errors = [[math.inf] * len(grid_d) for _ in grid_c]
-    best = (math.inf, -math.inf, -math.inf)
-    best_cd = (grid_c[0], grid_d[0])
     unconverged = []
     for i, c in enumerate(grid_c):
         for j, d in enumerate(grid_d):
@@ -312,16 +308,12 @@ def block_cross_validate(
                 if not est.converged:
                     unconverged.append((c, d, hold))
                 fold_errors.append(_one_step_mse(traj, spans[hold], est.Ahat + est.Lhat))
-            mean_err = float(np.mean(fold_errors))
-            errors[i][j] = mean_err
-            key = (mean_err, -c, -d)
-            if key < best:
-                best = key
-                best_cd = (c, d)
+            errors[i][j] = float(np.mean(fold_errors))
     if unconverged:
         log.warning("cross-validation: %d fits stopped at max_iter=%d without converging, "
                     "(c, d, fold): %s", len(unconverged), max_iter, unconverged)
-    c, d = best_cd
+    _, (c, d) = min(((err, -c, -d), (c, d))
+                    for c, row in zip(grid_c, errors) for d, err in zip(grid_d, row))
     lam_a, lam_l = rule(c, d, traj.n)
     return CvSelection(
         c=c, d=d, lambda_a=lam_a, lambda_l=lam_l,

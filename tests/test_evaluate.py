@@ -464,3 +464,53 @@ def test_phase_transition_counts_a_diverged_fit_as_a_failure(monkeypatch):
     assert len(fits) == 8
     assert scored == [0, 3, 4, 6, 7]
     assert [(row.trials, row.successes) for row in result.rows] == [(4, 2), (4, 3)]
+
+
+def _phase_warnings(caplog, monkeypatch, fit=None):
+    import sparsedyn.evaluate as ev_module
+
+    if fit is not None:
+        monkeypatch.setattr(ev_module, "fit", fit)
+    base, sweep = _tiny_sweep()
+    with caplog.at_level(logging.WARNING, logger="sparsedyn"):
+        phase_transition(base, sweep, trials=3, lambda_rule=(0.6, 0.5), master_seed=7)
+    return [(record.name, record.levelno, record.getMessage()) for record in caplog.records]
+
+
+def test_phase_transition_warns_once_naming_the_fits_that_diverged(caplog, monkeypatch):
+    # Fits are numbered in sweep order: fit 4 is trial 1 of point 1.
+    import sparsedyn.evaluate as ev_module
+
+    fits, real_fit = [], ev_module.fit
+
+    def diverging(*args, **kwargs):
+        fits.append(len(fits))
+        if fits[-1] in (0, 4):
+            raise DivergenceError("injected")
+        return real_fit(*args, **kwargs)
+
+    assert _phase_warnings(caplog, monkeypatch, diverging) == [(
+        "sparsedyn", logging.WARNING,
+        "phase sweep: 2 fits diverged, (point, trial): [(0, 0), (1, 1)]; 0 stopped at "
+        "max_iter=2000 without converging, (point, trial): []")]
+
+
+def test_phase_transition_warns_once_naming_the_fits_that_did_not_converge(caplog,
+                                                                          monkeypatch):
+    import sparsedyn.evaluate as ev_module
+
+    fits, real_fit = [], ev_module.fit
+
+    def unconverged(*args, **kwargs):
+        fits.append(len(fits))
+        est = real_fit(*args, **kwargs)
+        return replace(est, converged=False) if fits[-1] in (1, 2, 5) else est
+
+    assert _phase_warnings(caplog, monkeypatch, unconverged) == [(
+        "sparsedyn", logging.WARNING,
+        "phase sweep: 0 fits diverged, (point, trial): []; 3 stopped at max_iter=2000 "
+        "without converging, (point, trial): [(0, 1), (0, 2), (1, 2)]")]
+
+
+def test_phase_transition_clean_sweep_logs_no_warning(caplog, monkeypatch):
+    assert _phase_warnings(caplog, monkeypatch) == []

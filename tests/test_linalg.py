@@ -283,6 +283,31 @@ def test_prox_nuclear_falls_back_to_the_exact_svd(scale, rel_tau, monkeypatch):
     assert np.array_equal(out, ref_out) and np.array_equal(shrunk, ref_shrunk)
 
 
+def _failing(name):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{name} did not converge")
+    return fail
+
+
+def test_prox_nuclear_takes_the_exact_svd_when_eigh_fails(monkeypatch):
+    m = _svt_inputs()["square"]
+    tau = 0.1 * np.linalg.norm(m, 2)
+    ref_out, ref_shrunk = _svt_by_svd(m, tau)
+    monkeypatch.setattr(np.linalg, "eigh", _failing("eigh"))
+    svd_calls = _count_svd_calls(monkeypatch)
+    out, shrunk = prox_nuclear(m, tau)
+    assert svd_calls == [m.shape]
+    assert np.array_equal(out, ref_out) and np.array_equal(shrunk, ref_shrunk)
+
+
+def test_prox_nuclear_raises_numerical_error_when_the_svd_fails(monkeypatch):
+    m = _svt_inputs()["square"]
+    monkeypatch.setattr(np.linalg, "eigh", _failing("eigh"))
+    monkeypatch.setattr(np.linalg, "svd", _failing("svd"))
+    with pytest.raises(NumericalError, match="^SVD did not converge: svd did not converge$"):
+        prox_nuclear(m, 0.1)
+
+
 def test_prox_nuclear_rejects_nonfinite():
     with pytest.raises(ConstructionError):
         prox_nuclear(np.array([[np.nan, 0.0], [0.0, 1.0]]), 0.1)
