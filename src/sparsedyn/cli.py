@@ -32,7 +32,8 @@ from . import generate as gen
 from . import model as mdl
 from . import simulate as sim
 from . import solver as slv
-from .csvio import ingest_csv, number, read_text, table_blocks
+from .csvio import (CONVERSIONS, MISSING_POLICIES, ingest_csv, json_text, number, read_text,
+                    table_blocks)
 from .errors import ConfigError, SparsedynError
 
 __all__ = ["run", "main"]
@@ -43,6 +44,10 @@ _NOT_CONFIG = {"command", "func", "config", "out", "graph_out", "edges_out"}
 # The ``GenSpec`` fields that only ``gen --kind random`` reads, with their defaults.
 _RANDOM_ONLY = {"diag_margin": gen.GenSpec.diag_margin, "eta": gen.GenSpec.eta, "s": 0, "seed": 0}
 
+# The flags that only ``--prices`` reads, with their defaults.
+_PRICE_ONLY = {"missing": MISSING_POLICIES[0], "convert": CONVERSIONS[0], "price_eta": 1.0}
+
+
 def _write(path: Path, content: str | Iterable[str]) -> None:
     """Write a text, or a table's blocks one at a time as they are made."""
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -50,22 +55,29 @@ def _write(path: Path, content: str | Iterable[str]) -> None:
         handle.writelines([content] if isinstance(content, str) else content)
 
 
+def _reject_unused(args: argparse.Namespace, defaults: dict, context: str) -> None:
+    """One ``ConfigError`` naming each flag of ``defaults`` that ``args``
+    sets away from its default, since ``context`` does not read it."""
+    given = [f"--{k.replace('_', '-')}" for k, v in defaults.items() if getattr(args, k) != v]
+    if given:
+        raise ConfigError(f"{context} does not use {', '.join(given)}")
+
+
 def _load_trajectory(args: argparse.Namespace) -> tuple[sim.Trajectory, list[str] | None]:
     """The input trajectory and its series labels (``None`` for ``--data``)."""
     if args.data is not None:
+        _reject_unused(args, _PRICE_ONLY, f"{args.command} --data")
         return sim.trajectory_from_csv(read_text(args.data)), None
     labels, series = ingest_csv(args.prices, missing=args.missing, convert=args.convert)
     return sim.Trajectory(x=series, eta=args.price_eta), labels
 
 
 def cmd_gen(args: argparse.Namespace, config: dict) -> int:
-    knobs = {name: getattr(args, name) for name in _RANDOM_ONLY}
     if args.kind == "random":
+        knobs = {name: getattr(args, name) for name in _RANDOM_ONLY}
         params = gen.gen_random_system(gen.GenSpec(p=args.p, r=args.r, **knobs))
     else:
-        given = [f"--{k.replace('_', '-')}" for k, v in knobs.items() if v != _RANDOM_ONLY[k]]
-        if given:
-            raise ConfigError(f"gen --kind illustrative does not use {', '.join(given)}")
+        _reject_unused(args, _RANDOM_ONLY, "gen --kind illustrative")
         params = gen.gen_illustrative(args.p, args.r)
     _write(Path(args.out), gen.system_to_json(params, config))
     print(f"wrote system ({params.p} observed, {params.r} latent) to {args.out}")
@@ -154,7 +166,7 @@ def cmd_cv(args: argparse.Namespace, config: dict) -> int:
         mode=args.mode,
     )
     doc = {"config": config, **dataclasses.asdict(selection)}
-    _write(Path(args.out), json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write(Path(args.out), json_text(doc))
     print(
         f"selected c={selection.c:.6g}, d={selection.d:.6g} "
         f"(lambda_a={selection.lambda_a:.6g}, lambda_l={selection.lambda_l:.6g})"
@@ -165,8 +177,7 @@ def cmd_cv(args: argparse.Namespace, config: dict) -> int:
 def cmd_predict(args: argparse.Namespace, config: dict) -> int:
     traj, _ = _load_trajectory(args)
     est, _ = slv.estimate_from_json(read_text(args.estimate))
-    actuals = None
-    history = traj
+    actuals, history = None, traj
     if args.holdout:
         if args.holdout < args.horizon:
             raise ConfigError("--holdout must be at least --horizon")
@@ -190,9 +201,7 @@ def cmd_predict(args: argparse.Namespace, config: dict) -> int:
 def cmd_check(args: argparse.Namespace, config: dict) -> int:
     params, _ = gen.system_from_json(read_text(args.system))
     report = mdl.assumption_report(params, horizon=args.horizon, delta=args.delta)
-    doc = {"config": config}
-    doc.update(dataclasses.asdict(report))
-    _write(Path(args.out), json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write(Path(args.out), json_text({"config": config, **dataclasses.asdict(report)}))
     flags = ", ".join(f"{k}={'pass' if v else 'FAIL'}" for k, v in report.passes.items())
     print(
         f"D={report.D:.6g}, mu={report.mu:.6g}, alpha={report.alpha:.6g}, "
@@ -249,12 +258,11 @@ def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--data", help="trajectory CSV (t,x1..xp)")
     source.add_argument("--prices", help="price CSV (date,v1..vK)")
-    parser.add_argument("--convert", default="raw", choices=["raw", "log", "returns"],
-                        help="price conversion mode")
-    parser.add_argument("--price-eta", dest="price_eta", type=float, default=1.0,
-                        help="model time per price row")
-    parser.add_argument("--missing", default="reject", choices=["reject", "ffill"],
+    parser.add_argument("--convert", choices=CONVERSIONS, help="price conversion mode")
+    parser.add_argument("--price-eta", type=float, help="model time per price row")
+    parser.add_argument("--missing", choices=MISSING_POLICIES,
                         help="missing-cell policy for price CSVs")
+    parser.set_defaults(**_PRICE_ONLY)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -280,31 +288,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--s", type=int)
     p_gen.add_argument("--seed", type=int)
     p_gen.add_argument("--eta", type=float)
-    p_gen.add_argument("--diag-margin", dest="diag_margin", type=float)
+    p_gen.add_argument("--diag-margin", type=float)
     p_gen.set_defaults(func=cmd_gen, **_RANDOM_ONLY)
 
     p_sim = sub.add_parser("simulate", help="simulate a trajectory")
     p_sim.add_argument("--system", required=True)
     p_sim.add_argument("--mode", default="binned", choices=["discrete", "binned", "exact"])
     p_sim.add_argument("--n", type=int, required=True)
-    p_sim.add_argument("--eta", type=float, default=None,
-                       help="sampling step (required for continuous modes)")
+    p_sim.add_argument("--eta", type=float, help="sampling step (required for continuous modes)")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_fit = sub.add_parser("fit", help="fit the sparse + low-rank estimator")
     _add_data_arguments(p_fit)
-    p_fit.add_argument("--lambda-a", dest="lambda_a", type=float, required=True)
-    p_fit.add_argument("--lambda-l", dest="lambda_l", type=float, default=0.0)
+    p_fit.add_argument("--lambda-a", type=float, required=True)
+    p_fit.add_argument("--lambda-l", type=float, default=0.0)
     p_fit.add_argument("--mode", default=slv.MODE_SPARSE_LOWRANK,
                        choices=[slv.MODE_SPARSE_LOWRANK, slv.MODE_PURE_LASSO])
-    p_fit.add_argument("--max-iter", dest="max_iter", type=int,
-                       default=slv.SolverConfig.max_iter)
+    p_fit.add_argument("--max-iter", type=int, default=slv.SolverConfig.max_iter)
     p_fit.add_argument("--tol", type=float, default=slv.SolverConfig.tol)
-    p_fit.add_argument("--zeta", type=float, default=None,
-                       help="support threshold for graph export")
-    p_fit.add_argument("--graph-out", dest="graph_out", default=None)
-    p_fit.add_argument("--edges-out", dest="edges_out", default=None)
+    p_fit.add_argument("--zeta", type=float, help="support threshold for graph export")
+    p_fit.add_argument("--graph-out")
+    p_fit.add_argument("--edges-out")
     p_fit.set_defaults(func=cmd_fit)
 
     p_phase = sub.add_parser("phase", help="run a recovery phase-transition sweep")
@@ -316,16 +321,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_phase.add_argument("--trials", type=int, default=20)
     p_phase.add_argument("--c", type=float, required=True)
     p_phase.add_argument("--d", type=float, required=True)
-    p_phase.add_argument("--master-seed", dest="master_seed", type=int, default=0)
-    p_phase.add_argument("--diag-margin", dest="diag_margin", type=float,
-                         default=gen.GenSpec.diag_margin)
+    p_phase.add_argument("--master-seed", type=int, default=0)
+    p_phase.add_argument("--diag-margin", type=float, default=gen.GenSpec.diag_margin)
     p_phase.set_defaults(func=cmd_phase)
 
     p_cv = sub.add_parser("cv", help="cross-validate regularizer constants")
     _add_data_arguments(p_cv)
-    p_cv.add_argument("--grid-c", dest="grid_c", type=float, nargs="+", required=True)
-    p_cv.add_argument("--grid-d", dest="grid_d", type=float, nargs="+", default=[1.0])
-    p_cv.add_argument("--chunks", type=int, default=5)
+    p_cv.add_argument("--grid-c", type=float, nargs="+", required=True)
+    p_cv.add_argument("--grid-d", type=float, nargs="+", default=[1.0])
+    p_cv.add_argument("--chunks", type=int, default=ev.CV_CHUNKS)
     p_cv.add_argument("--mode", default=slv.MODE_SPARSE_LOWRANK,
                       choices=[slv.MODE_SPARSE_LOWRANK, slv.MODE_PURE_LASSO])
     p_cv.set_defaults(func=cmd_cv)
@@ -340,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="evaluate model assumptions for a system")
     p_check.add_argument("--system", required=True)
-    p_check.add_argument("--delta", type=float, default=0.1)
-    p_check.add_argument("--horizon", type=float, default=None,
+    p_check.add_argument("--delta", type=float, default=mdl.DEFAULT_DELTA)
+    p_check.add_argument("--horizon", type=float,
                          help="observation horizon T = n * eta of the data")
     p_check.set_defaults(func=cmd_check)
 

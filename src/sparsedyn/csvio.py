@@ -1,15 +1,18 @@
-"""The one CSV format of every numeric table, and the price-panel reader.
+"""The text of every artifact: the one CSV format of every numeric table,
+the price-panel reader, and the JSON writer, parser and number check.
 
 A table is optional ``# `` comment lines, a header of column names, then
 one row per line; cells are ``,``-separated and numbers are written as
 ``%.17g`` (exact for float64).  Writers produce a table as a stream of
 row blocks, so a caller can write it without holding its text.  Readers
-skip blank and ``#`` lines anywhere.
+skip blank and ``#`` lines anywhere.  A JSON artifact is one object with
+sorted keys and two-space indents, ending in a line feed.
 """
 
 from __future__ import annotations
 
 import datetime
+import json
 import logging
 import math
 from collections import Counter
@@ -23,13 +26,17 @@ from .errors import ConfigError, DataError
 
 log = logging.getLogger("sparsedyn")
 
-__all__ = ["Table", "read_table", "require_complete", "table_blocks", "write_table", "number",
+__all__ = ["Table", "read_table", "require_complete", "table_blocks", "number", "json_text",
            "ingest_csv", "read_text"]
 
 _NUMBER = "%.17g"
 
 # Rows per written block: about 0.9 MB of text at 41 columns.
 _BLOCK_ROWS = 1024
+
+# The choices of ``ingest_csv``'s options, each default first.
+MISSING_POLICIES = ("reject", "ffill")
+CONVERSIONS = ("raw", "log", "returns")
 
 
 def number(value: float) -> str:
@@ -61,12 +68,37 @@ def _blocks(header: list[str], parts: list[np.ndarray], comments: list[str]) -> 
         yield "".join(line % tuple(row) for row in block.tolist())
 
 
-def write_table(header: list[str], rows, comments: list[str] | None = None) -> str:
-    """Comment lines, the header, then one line per row of ``rows`` (any
-    array-like of numbers, one column per header name); integers below
-    2**53 keep their digits.  The join of :func:`table_blocks`."""
-    values = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header))
-    return "".join(table_blocks(header, [values], comments))
+def json_text(doc: dict) -> str:
+    """A JSON artifact's text."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _json_doc(text: str, what: str):
+    """Parse a JSON artifact; text that is not JSON is a ``DataError``."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # also an integer past the digit limit
+        raise DataError(f"invalid {what} JSON: {exc}") from exc
+
+
+def _json_number(value, name: str) -> float:
+    """``value`` as a float when it is a finite JSON number: not a string, a
+    boolean, or the ``NaN``/``Infinity`` that Python's ``json`` also reads."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{name!r}: {value!r} is not a JSON number")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"{name!r}: an integer beyond the float range") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{name!r}: {value!r} is not a finite number")
+    return number
+
+
+def _json_array(value, name: str) -> np.ndarray:
+    """Nested JSON lists of numbers as a float64 array of their shape."""
+    entries = np.asarray(value, dtype=object)
+    return np.array([_json_number(v, name) for v in entries.flat]).reshape(entries.shape)
 
 
 def read_text(path) -> str:
@@ -151,8 +183,8 @@ def _time_key(text: str, lineno: int) -> float | datetime.date:
         ) from None
 
 
-def ingest_csv(path, missing: str = "reject",
-               convert: str = "raw") -> tuple[list[str], np.ndarray]:
+def ingest_csv(path, missing: str = MISSING_POLICIES[0],
+               convert: str = CONVERSIONS[0]) -> tuple[list[str], np.ndarray]:
     """Load a price CSV: header of series names, rows ``date,v1,...,vK``.
 
     The time column holds either numbers or ISO dates (``YYYY-MM-DD``),
@@ -165,9 +197,9 @@ def ingest_csv(path, missing: str = "reject",
     model, chosen by ``convert``: ``"raw"`` prices, ``"log"`` prices (all
     positive) or simple ``"returns"`` (no zero price, at least two rows).
     """
-    if missing not in ("reject", "ffill"):
+    if missing not in MISSING_POLICIES:
         raise ConfigError(f"missing policy must be 'reject' or 'ffill', got {missing!r}")
-    if convert not in ("raw", "log", "returns"):
+    if convert not in CONVERSIONS:
         raise ConfigError(f"unknown conversion {convert!r}")
     path = Path(path)
     if not path.exists():

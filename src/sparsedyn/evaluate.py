@@ -11,14 +11,13 @@ of the truth.  Success rates are reported against the control parameter
 
 from __future__ import annotations
 
-import io
 import logging
 import math
 from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from .csvio import write_table
+from .csvio import table_blocks
 from .errors import ConfigError, ConstructionError, DivergenceError
 from .generate import GenSpec, gen_random_system
 from .model import control_parameter, lambda_pair_from_constants, steady_state
@@ -47,9 +46,10 @@ __all__ = [
 
 log = logging.getLogger("sparsedyn")
 
-# Stopping rule of every phase-trial fit, and the cross-validation default.
+# Stopping rule of every phase-trial fit, and the cross-validation defaults.
 PROTOCOL_MAX_ITER = 2000
 PROTOCOL_TOL = 1e-7
+CV_CHUNKS = 5
 
 
 def default_support_threshold(ahat: np.ndarray) -> float:
@@ -144,7 +144,8 @@ class PhaseResult:
     def to_csv(self, comments: list[str] | None = None) -> str:
         header = ["p", "r", "s", "eta", "n", "theta", "trials", "successes", "success_rate"]
         rows = [[*astuple(row), row.success_rate] for row in self.rows]
-        return write_table(header, rows, comments)
+        values = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header))
+        return "".join(table_blocks(header, [values], comments))
 
 
 def phase_transition(
@@ -253,7 +254,7 @@ def block_cross_validate(
     traj: Trajectory,
     grid_c: list[float],
     grid_d: list[float],
-    chunk_count: int = 5,
+    chunk_count: int = CV_CHUNKS,
     *,
     mode: str = MODE_SPARSE_LOWRANK,
     s_ref: int = 1,
@@ -371,22 +372,14 @@ class DependencyGraph:
     zeta: float
 
     def to_dot(self) -> str:
-        buf = io.StringIO()
-        buf.write("graph dependencies {\n")
-        for idx, label in enumerate(self.labels):
-            quoted = label.replace("\\", "\\\\").replace('"', '\\"')
-            buf.write(f'  n{idx} [label="{quoted}"];\n')
-        for i, j in self.edges:
-            buf.write(f"  n{i} -- n{j};\n")
-        buf.write("}\n")
-        return buf.getvalue()
+        quoted = [label.replace("\\", "\\\\").replace('"', '\\"') for label in self.labels]
+        nodes = "".join(f'  n{idx} [label="{label}"];\n' for idx, label in enumerate(quoted))
+        edges = "".join(f"  n{i} -- n{j};\n" for i, j in self.edges)
+        return "graph dependencies {\n" + nodes + edges + "}\n"
 
     def to_edge_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("source,target\n")
-        for i, j in self.edges:
-            buf.write(f"{self.labels[i]},{self.labels[j]}\n")
-        return buf.getvalue()
+        return "source,target\n" + "".join(
+            f"{self.labels[i]},{self.labels[j]}\n" for i, j in self.edges)
 
 
 def export_dependency_graph(
@@ -412,11 +405,6 @@ def export_dependency_graph(
                 "which the edge list cannot carry"
             )
     above = np.abs(ahat) > zeta
-    edges = [
-        (i, j)
-        for i in range(p)
-        for j in range(i + 1, p)
-        if above[i, j] or above[j, i]
-    ]
+    edges = [tuple(ij) for ij in np.argwhere(np.triu(above | above.T, 1)).tolist()]
     sparsity = float(np.count_nonzero(above)) / (p * p) if p else 0.0
     return DependencyGraph(labels=list(labels), edges=edges, sparsity=sparsity, zeta=zeta)

@@ -15,14 +15,13 @@ same system bit for bit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import _json_array, _json_doc, _json_number, json_text
 from .errors import ConstructionError, DataError
-from .linalg import _json_array, _json_number
 from .model import SystemParams
 from .rng import CounterRng
 
@@ -202,15 +201,12 @@ def system_to_json(params: SystemParams, config: dict | None = None) -> str:
         "C": params.C.tolist(),
         "D": params.D.tolist(),
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json_text(doc)
 
 
 def system_from_json(text: str) -> tuple[SystemParams, dict]:
     """Parse a system JSON document; returns (params, embedded config)."""
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # also an integer past the digit limit
-        raise DataError(f"invalid system JSON: {exc}") from exc
+    doc = _json_doc(text, "system")
     try:
         p, r = doc["p"], doc["r"]
         if type(p) is not int or type(r) is not int:

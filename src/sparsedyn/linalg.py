@@ -1,6 +1,5 @@
 """Dense real-matrix primitives: the stability check, matrix exponential,
-Lyapunov solvers, l1 and nuclear-norm proximal maps, and the step size;
-also the number check of the artifact JSON readers.
+Lyapunov solvers, l1 and nuclear-norm proximal maps, and the step size.
 
 Matrices are plain float64 ndarrays validated at the public entry points.
 All functions are pure; outputs are freshly allocated and safe to share.
@@ -10,8 +9,6 @@ not pay for it.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -37,26 +34,6 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     if m.size and not np.isfinite(m).all():
         raise ConstructionError(f"{name} contains non-finite entries")
     return m
-
-
-def _json_number(value, name: str) -> float:
-    """``value`` as a float when it is a finite JSON number: not a string, a
-    boolean, or the ``NaN``/``Infinity`` that Python's ``json`` also reads."""
-    if type(value) not in (int, float):
-        raise TypeError(f"{name!r}: {value!r} is not a JSON number")
-    try:
-        number = float(value)
-    except OverflowError:
-        raise ValueError(f"{name!r}: an integer beyond the float range") from None
-    if not math.isfinite(number):
-        raise ValueError(f"{name!r}: {value!r} is not a finite number")
-    return number
-
-
-def _json_array(value, name: str) -> np.ndarray:
-    """Nested JSON lists of numbers as a float64 array of their shape."""
-    entries = np.asarray(value, dtype=object)
-    return np.array([_json_number(v, name) for v in entries.flat]).reshape(entries.shape)
 
 
 def _require_square(m: np.ndarray, name: str) -> None:

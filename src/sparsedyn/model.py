@@ -185,6 +185,9 @@ def population_mle(params: SystemParams) -> np.ndarray:
 # Relative singular-value cut-off that sets the effective rank of ``L``.
 _RANK_TOL = 1e-8
 
+# The ``delta`` of the practical regularizer rule and the report's default.
+DEFAULT_DELTA = 0.1
+
 
 def incoherence_mu(l_mat) -> float:
     """Incoherence of the singular subspaces of a low-rank matrix.
@@ -376,7 +379,7 @@ def lambda_pair_from_constants(
     with ``delta = 0.1``, and ``lambda_L = d sqrt(p) lambda_A``; ``c``
     absorbs any other ``delta``.  It checks ``eta``, ``n``, ``r``, ``p``
     and the model size as ``control_parameter`` does."""
-    lam_a = c * math.sqrt(_log_model_size(s, r, p, 0.1) / _horizon(eta, n))
+    lam_a = c * math.sqrt(_log_model_size(s, r, p, DEFAULT_DELTA) / _horizon(eta, n))
     return lam_a, d * math.sqrt(p) * lam_a
 
 
@@ -447,7 +450,7 @@ class AssumptionReport:
 def assumption_report(
     params: SystemParams,
     horizon: float | None = None,
-    delta: float = 0.1,
+    delta: float = DEFAULT_DELTA,
 ) -> AssumptionReport:
     """Evaluate every assumption constant for ``params``.
 

@@ -21,14 +21,14 @@ and reproduces the latent-blind baseline.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .csvio import _json_array, _json_doc, _json_number, json_text
 from .errors import ConstructionError, DataError, DivergenceError
-from .linalg import _json_array, _json_number, power_spectral_norm, prox_l1, prox_nuclear
+from .linalg import power_spectral_norm, prox_l1, prox_nuclear
 from .simulate import SufficientStats
 
 __all__ = [
@@ -213,14 +213,11 @@ def estimate_to_json(est: Estimate, config: dict | None = None) -> str:
         "converged": est.converged,
         "step_used": est.step_used,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json_text(doc)
 
 
 def estimate_from_json(text: str) -> tuple[Estimate, dict]:
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # also an integer past the digit limit
-        raise DataError(f"invalid estimate JSON: {exc}") from exc
+    doc = _json_doc(text, "estimate")
     try:
         a, l_mat = (_json_array(doc[key], key) for key in ("Ahat", "Lhat"))
         if a.ndim != 2 or a.shape[0] != a.shape[1] or l_mat.shape != a.shape:

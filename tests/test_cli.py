@@ -1,5 +1,6 @@
 import argparse
 import datetime
+import inspect
 import json
 import logging
 import math
@@ -20,6 +21,7 @@ import sparsedyn.cli as cli_module
 import sparsedyn.evaluate as ev_module
 from sparsedyn.cli import ingest_csv, run
 from sparsedyn.errors import ConfigError, DataError
+from sparsedyn.model import assumption_report
 from sparsedyn.rng import CounterRng
 
 
@@ -827,6 +829,41 @@ def test_cli_error_path_is_one_error_line(tmp_path, capsys, monkeypatch, argv, m
     assert err.startswith(f"error:{message}")
     assert err.count("\n") == 1
     assert list(Path("out").iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [
+    ["fit", "--data", "traj.csv", *_FIT],
+    ["cv", "--data", "traj.csv", "--grid-c", "1", "--chunks", "2", "--out", _OUT],
+    [*_PREDICT, "--horizon", "1", "--out", _OUT],
+], ids=["fit", "cv", "predict"])
+def test_cli_data_rejects_the_price_only_flags(tmp_path, capsys, monkeypatch, command):
+    # A trajectory CSV is read as it is, so these flags would only be
+    # recorded in the artifact's config as if they had been applied.
+    monkeypatch.chdir(tmp_path)
+    _write_forecast_inputs(tmp_path, 2)
+    Path("out").mkdir()
+    argv = [*command, "--convert", "log", "--missing", "ffill", "--price-eta", "7"]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error:ConfigError:{command[0]} --data does not use --missing, --convert, --price-eta\n")
+    assert list(Path("out").iterdir()) == []
+    # The defaults, as a replayed config passes them, are accepted.
+    assert run([*command, "--convert", "raw", "--missing", "reject", "--price-eta", "1"]) == 0
+
+
+def test_cli_defaults_are_the_library_defaults():
+    parser = cli_module.build_parser()
+    data = ["--data", "traj.csv", "--out", "o"]
+    ingest = inspect.signature(ingest_csv).parameters
+    cv = parser.parse_args(["cv", *data, "--grid-c", "1"])
+    assert cv.chunks == inspect.signature(ev_module.block_cross_validate).parameters[
+        "chunk_count"].default
+    check = parser.parse_args(["check", "--system", "s.json", "--out", "o"])
+    assert check.delta == inspect.signature(assumption_report).parameters["delta"].default
+    for args in (cv, parser.parse_args(["fit", *data, "--lambda-a", "1"]),
+                 parser.parse_args(["predict", *data, "--estimate", "e.json"])):
+        assert (args.missing, args.convert) == (ingest["missing"].default,
+                                                ingest["convert"].default)
 
 
 def test_cli_help_still_exits_zero(capsys):

@@ -133,6 +133,10 @@ def test_phase_csv_golden_bytes():
     )
 
 
+def test_phase_csv_without_rows_is_its_header():
+    assert PhaseResult(rows=[]).to_csv() == "p,r,s,eta,n,theta,trials,successes,success_rate\n"
+
+
 def test_phase_transition_sweeps_dimensions():
     # Grid points may override s and r; Theta uses the point's values.
     base = GenSpec(p=12, r=2, s=1, seed=0, eta=0.0)
@@ -386,6 +390,22 @@ def test_graph_single_pair():
     assert "n0 -- n2;" in dot and 'label="u"' in dot
     csv = graph.to_edge_csv()
     assert csv.splitlines() == ["source,target", "u,w"]
+
+
+def test_graph_exports_golden_bytes():
+    # An entry above zeta on either side of the diagonal makes one edge,
+    # listed by row, then column, of the upper triangle.
+    a = np.zeros((4, 4))
+    a[0, 3], a[2, 1], a[1, 2], a[3, 2], a[1, 1] = 1.0, -1.0, 1.0, 1.0, 1.0
+    graph = export_dependency_graph(a, zeta=0.5, labels=["a", "b", "c", "d"])
+    assert graph.edges == [(0, 3), (1, 2), (2, 3)]
+    assert graph.to_dot() == (
+        "graph dependencies {\n"
+        '  n0 [label="a"];\n  n1 [label="b"];\n  n2 [label="c"];\n  n3 [label="d"];\n'
+        "  n0 -- n3;\n  n1 -- n2;\n  n2 -- n3;\n"
+        "}\n"
+    )
+    assert graph.to_edge_csv() == "source,target\na,d\nb,c\nc,d\n"
 
 
 def test_graph_dot_escapes_quotes_and_backslashes():

@@ -71,8 +71,8 @@ PUBLIC = [
 # Each submodule's sorted ``__all__``.
 MODULE_ALL = {
     "sparsedyn.cli": ["main", "run"],
-    "sparsedyn.csvio": ["Table", "ingest_csv", "number", "read_table", "read_text",
-                        "require_complete", "table_blocks", "write_table"],
+    "sparsedyn.csvio": ["Table", "ingest_csv", "json_text", "number", "read_table",
+                        "read_text", "require_complete", "table_blocks"],
     "sparsedyn.evaluate": ["CvSelection", "DependencyGraph", "PhasePoint", "PhaseResult",
                            "RecoveryReport", "block_cross_validate", "default_support_threshold",
                            "export_dependency_graph", "phase_transition", "predict",
@@ -128,7 +128,6 @@ OPTIONS = {
     "sparsedyn.cli.run": {"argv": "None"},
     "sparsedyn.csvio.ingest_csv": {"missing": "'reject'", "convert": "'raw'"},
     "sparsedyn.csvio.table_blocks": {"comments": "None"},
-    "sparsedyn.csvio.write_table": {"comments": "None"},
     "sparsedyn.evaluate.block_cross_validate": {
         "chunk_count": "5", "mode": "'sparse_plus_lowrank'", "s_ref": "1", "r_ref": "1",
         "max_iter": "2000", "tol": "1e-07"},
