@@ -70,6 +70,12 @@ def test_table_blocks_rejects_columns_that_do_not_fill_the_header(columns):
         table_blocks(["a", "b", "c", "d", "e", "f"], columns)
 
 
+def test_write_table_rejects_rows_of_another_width():
+    # Writing a table is the join of its blocks.
+    with pytest.raises(ValueError):
+        "".join(table_blocks(["a", "b", "c", "d", "e", "f"], [np.zeros((3, 4))]))
+
+
 def test_a_table_of_another_width_leaves_no_file(tmp_path):
     # The check runs when the blocks are asked for, before the file is opened.
     out = tmp_path / "sub" / "table.csv"
