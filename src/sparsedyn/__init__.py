@@ -5,6 +5,12 @@ The package learns which observed variables directly drive which by
 decomposing the least-squares drift estimate into a sparse interaction
 matrix and a low-rank latent-effect matrix, solved with an accelerated
 proximal gradient method under l1 + nuclear-norm regularization.
+
+The package root holds the pipeline: each command's library call with the
+types it takes and returns, the ground truth and the recovery score, seed
+derivation and the exceptions.  Primitives, the theory's formulas and the
+solver's internals are public in their own modules (for example
+``from sparsedyn.linalg import prox_nuclear``).
 """
 
 from .errors import (
@@ -30,30 +36,8 @@ from .evaluate import (
     recovery_report,
 )
 from .generate import GenSpec, gen_illustrative, gen_random_system
-from .linalg import (
-    matrix_exponential,
-    prox_l1,
-    prox_nuclear,
-    solve_lyapunov_continuous,
-    solve_lyapunov_discrete,
-)
-from .model import (
-    AssumptionReport,
-    SteadyState,
-    SystemParams,
-    assumption_report,
-    control_parameter,
-    identifiability_alpha,
-    incoherence_mu,
-    lambda_pair_from_constants,
-    lasso_incoherence_theta,
-    population_mle,
-    stability_margin,
-    steady_state,
-    theorem_constants,
-    theoretical_lambdas,
-)
-from .rng import CounterRng, derive_seed
+from .model import AssumptionReport, SteadyState, SystemParams, assumption_report, steady_state
+from .rng import derive_seed
 from .simulate import (
     SufficientStats,
     Trajectory,
@@ -61,7 +45,7 @@ from .simulate import (
     simulate_discrete,
     sufficient_stats,
 )
-from .solver import Estimate, SolverConfig, fit, objective, smooth_gradient
+from .solver import Estimate, SolverConfig, fit
 
 __version__ = "0.1.0"
 
@@ -70,7 +54,6 @@ __all__ = [
     "AssumptionReport",
     "ConfigError",
     "ConstructionError",
-    "CounterRng",
     "CvSelection",
     "DataError",
     "DependencyGraph",
@@ -90,32 +73,16 @@ __all__ = [
     "Trajectory",
     "assumption_report",
     "block_cross_validate",
-    "control_parameter",
     "derive_seed",
     "export_dependency_graph",
     "fit",
     "gen_illustrative",
     "gen_random_system",
-    "identifiability_alpha",
-    "incoherence_mu",
-    "lambda_pair_from_constants",
-    "lasso_incoherence_theta",
-    "matrix_exponential",
-    "objective",
     "phase_transition",
-    "population_mle",
     "predict",
-    "prox_l1",
-    "prox_nuclear",
     "recovery_report",
     "simulate_continuous",
     "simulate_discrete",
-    "smooth_gradient",
-    "solve_lyapunov_continuous",
-    "solve_lyapunov_discrete",
-    "stability_margin",
     "steady_state",
     "sufficient_stats",
-    "theorem_constants",
-    "theoretical_lambdas",
 ]

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
+from collections import Counter
 from dataclasses import astuple, dataclass, replace
 
 import numpy as np
@@ -50,6 +52,14 @@ log = logging.getLogger("sparsedyn")
 PROTOCOL_MAX_ITER = 2000
 PROTOCOL_TOL = 1e-7
 CV_CHUNKS = 5
+
+
+def _count(value, what: str, error: type[Exception]) -> int:
+    """``value`` as an ``int``; a Python or numpy integer passes, a ``bool``
+    or any other type raises ``error`` naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def default_support_threshold(ahat: np.ndarray) -> float:
@@ -168,8 +178,11 @@ def phase_transition(
     ``default_support_threshold``.  ``lambda_rule`` is the ``(c, d)`` pair
     of the practical regularizer rule (``lambda_pair_from_constants``).
     Trials whose fit diverges count as failures.  One warning names the
-    ``(point, trial)`` fits that diverged or did not converge.
+    ``(point, trial)`` fits that diverged or did not converge.  A point's
+    ``eta`` must be a real number, and ``trials`` and a point's counts
+    integers (a ``bool`` is neither).
     """
+    trials = _count(trials, "trials", ConstructionError)
     if trials < 1:
         raise ConstructionError("trials must be at least 1")
     if not sweep:
@@ -183,8 +196,13 @@ def phase_transition(
         for key, what in (("eta", "a sampling step"), ("n", "a sample count")):
             if key not in overrides:
                 raise ConstructionError(f"sweep point {g} must carry {what} {key!r}")
-        eta, n = float(overrides["eta"]), int(overrides["n"])
-        sizes = {key: int(overrides[key]) for key in ("p", "r", "s") if key in overrides}
+        eta = overrides["eta"]
+        if isinstance(eta, bool) or not isinstance(eta, numbers.Real):
+            raise ConstructionError(f"sweep point {g}: eta must be a real number, got {eta!r}")
+        eta = float(eta)
+        sizes = {key: _count(overrides[key], f"sweep point {g}: {key}", ConstructionError)
+                 for key in ("n", "p", "r", "s") if key in overrides}
+        n = sizes.pop("n")
         spec = replace(base, eta=0.0, **sizes)
         theta = control_parameter(eta, n, spec.s, spec.r, spec.p)
         lam_a, lam_l = lambda_pair_from_constants(c, d, spec.p, spec.r, spec.s, eta, n)
@@ -275,6 +293,7 @@ def block_cross_validate(
     """
     if not grid_c or (mode != MODE_PURE_LASSO and not grid_d):
         raise ConfigError("cross-validation grid must be non-empty")
+    chunk_count = _count(chunk_count, "chunk_count", ConfigError)
     if chunk_count < 2:
         raise ConfigError("chunk_count must be at least 2")
     if traj.n < chunk_count:
@@ -335,6 +354,7 @@ def predict(
     ``horizon`` predicted vectors and, when ``actuals`` (horizon x p) is
     supplied, the mean squared error over entries and steps.
     """
+    horizon = _count(horizon, "horizon", ConstructionError)
     if horizon < 1:
         raise ConstructionError("horizon must be at least 1")
     ahat, lhat = np.asarray(ahat, dtype=float), np.asarray(lhat, dtype=float)
@@ -398,6 +418,9 @@ def export_dependency_graph(
         labels = [f"x{i + 1}" for i in range(p)]
     if len(labels) != p:
         raise ConstructionError(f"need {p} labels, got {len(labels)}")
+    repeated = sorted(label for label, count in Counter(labels).items() if count > 1)
+    if repeated:
+        raise ConstructionError(f"duplicate label(s) {repeated}: each node needs its own label")
     for label in labels:
         if any(ch in label for ch in ",\n\r"):
             raise ConstructionError(

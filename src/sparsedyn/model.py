@@ -106,8 +106,7 @@ class SteadyState:
     ``Q`` (p x p), ``R`` (r x p) and ``P`` (r x r) are the blocks of the
     joint stationary covariance; ``L = B R Q^{-1}`` is the rank-<=r bias
     that corrupts the naive estimate of ``A``.  ``Cmin``/``Dmax`` are the
-    extreme eigenvalues of the joint covariance and ``stability_margin``
-    the A1 margin of the generating system.
+    extreme eigenvalues of the joint covariance.
     """
 
     Q: np.ndarray
@@ -116,7 +115,6 @@ class SteadyState:
     L: np.ndarray
     Cmin: float
     Dmax: float
-    stability_margin: float
 
     def joint(self) -> np.ndarray:
         top = np.hstack([self.Q, self.R.T])
@@ -145,8 +143,8 @@ def steady_state(params: SystemParams) -> SteadyState:
     Solves the joint Lyapunov equation (continuous for ``eta = 0``,
     discrete otherwise), splits the solution into blocks, and forms
     ``L = B R Q^{-1}``.  The stationary covariance exists for every
-    ``SystemParams``, which is stable by construction; the A1 margin is
-    reported but not required.
+    ``SystemParams``, which is stable by construction; the A1 margin
+    (``stability_margin``) is not required.
     """
     joint = params.joint()
     if params.eta == 0:
@@ -161,15 +159,8 @@ def steady_state(params: SystemParams) -> SteadyState:
         raise NumericalError("observed-block stationary covariance is numerically singular")
     l_mat = params.B @ np.linalg.solve(q, r_blk.T).T
     eigs = np.linalg.eigvalsh(qj)
-    return SteadyState(
-        Q=q,
-        R=r_blk,
-        P=p_blk,
-        L=l_mat,
-        Cmin=float(eigs[0]),
-        Dmax=float(eigs[-1]),
-        stability_margin=stability_margin(params),
-    )
+    return SteadyState(Q=q, R=r_blk, P=p_blk, L=l_mat,
+                       Cmin=float(eigs[0]), Dmax=float(eigs[-1]))
 
 
 def population_mle(params: SystemParams) -> np.ndarray:
@@ -465,7 +456,7 @@ def assumption_report(
     if not 0 < delta < 1:
         raise ConstructionError("delta must lie in (0, 1)")
     ss = steady_state(params)
-    margin = ss.stability_margin
+    margin = stability_margin(params)
     mu = incoherence_mu(ss.L)
     alpha = identifiability_alpha(mu, params.r, params.p)
     theta = lasso_incoherence_theta(ss.Q, row_supports(params.A))

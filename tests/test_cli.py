@@ -195,6 +195,12 @@ def test_ingest_rejects_unknown_conversion_before_reading(tmp_path):
         ingest_csv(tmp_path / "missing.csv", convert="pct")
 
 
+def test_ingest_rejects_unknown_missing_policy_before_reading(tmp_path):
+    with pytest.raises(ConfigError,
+                       match="^missing policy must be 'reject' or 'ffill', got 'drop'$"):
+        ingest_csv(tmp_path / "missing.csv", missing="drop")
+
+
 # ------------------------------------------------------------- commands
 
 

@@ -36,6 +36,15 @@ def test_support_threshold_must_be_finite_and_non_negative(zeta):
         export_dependency_graph(eye, zeta=zeta)
 
 
+@pytest.mark.parametrize("ahat, lhat, message", [
+    (np.eye(3), np.eye(2), "^Ahat and Astar shapes differ$"),
+    (np.eye(2), np.eye(3), "^Lhat and Lstar shapes differ$"),
+], ids=["A", "L"])
+def test_recovery_report_rejects_shapes_that_differ_from_the_truth(ahat, lhat, message):
+    with pytest.raises(ConstructionError, match=message):
+        recovery_report(ahat, np.eye(2), lhat, np.eye(2))
+
+
 def test_recovery_report_perfect():
     rng = CounterRng(1)
     a = rng.normal_matrix(4, 4)
@@ -186,6 +195,37 @@ def test_phase_transition_validates_inputs(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("point, trials, message", [
+    ({"eta": 0.1, "n": 40.9}, 1, "^sweep point 2: n must be an integer, got 40.9$"),
+    ({"eta": 0.1, "n": "40"}, 1, "^sweep point 2: n must be an integer, got '40'$"),
+    ({"eta": 0.1, "n": True}, 1, "^sweep point 2: n must be an integer, got True$"),
+    ({"eta": 0.1, "n": 40, "p": 8.0}, 1, "^sweep point 2: p must be an integer, got 8.0$"),
+    ({"eta": "0.1", "n": 40}, 1, "^sweep point 2: eta must be a real number, got '0.1'$"),
+    ({"eta": True, "n": 40}, 1, "^sweep point 2: eta must be a real number, got True$"),
+    ({"eta": 0.1, "n": 40}, 2.5, "^trials must be an integer, got 2.5$"),
+    ({"eta": 0.1, "n": 40}, True, "^trials must be an integer, got True$"),
+], ids=["n-float", "n-str", "n-bool", "p-float", "eta-str", "eta-bool", "trials-float",
+        "trials-bool"])
+def test_phase_transition_rejects_counts_that_are_not_integers(point, trials, message):
+    # 40.9 was read as 40 samples, '40' and '0.1' were parsed, True ran one
+    # sample or one trial, and trials = 2.5 ended in a bare TypeError.
+    base, sweep = _tiny_sweep()
+    with pytest.raises(ConstructionError, match=message):
+        phase_transition(base, sweep + [point], trials=trials, lambda_rule=(0.6, 0.5),
+                         master_seed=7)
+
+
+def test_phase_transition_takes_numpy_integers_and_reals():
+    base, sweep = _tiny_sweep()
+    numpy_sweep = [{"eta": np.float64(pt["eta"]), "n": np.int64(pt["n"]), "s": np.int32(1)}
+                   for pt in sweep]
+    result = phase_transition(base, numpy_sweep, trials=np.int64(2), lambda_rule=(0.6, 0.5),
+                              master_seed=7)
+    assert result == phase_transition(base, sweep, trials=2, lambda_rule=(0.6, 0.5),
+                                      master_seed=7)
+    assert all(type(row.n) is int and type(row.trials) is int for row in result.rows)
+
+
 # ------------------------------------------------------ cross-validation
 
 
@@ -244,6 +284,20 @@ def test_cv_validates_arguments():
         block_cross_validate(traj, grid_c=[], grid_d=[1.0])
     with pytest.raises(ConfigError):
         block_cross_validate(traj, grid_c=[1.0], grid_d=[1.0], chunk_count=1)
+
+
+@pytest.mark.parametrize("chunk_count", [2.5, True, "3"])
+def test_cv_rejects_a_chunk_count_that_is_not_an_integer(chunk_count):
+    message = f"^chunk_count must be an integer, got {re.escape(repr(chunk_count))}$"
+    with pytest.raises(ConfigError, match=message):
+        block_cross_validate(_cv_trajectory(), grid_c=[1.0], grid_d=[1.0],
+                             chunk_count=chunk_count)
+
+
+def test_cv_takes_a_numpy_integer_chunk_count():
+    traj = _cv_trajectory()
+    assert (block_cross_validate(traj, grid_c=[1.0], grid_d=[1.0], chunk_count=np.int64(3))
+            == block_cross_validate(traj, grid_c=[1.0], grid_d=[1.0], chunk_count=3))
 
 
 def test_cv_reference_sizes_are_checked_by_the_rule():
@@ -365,6 +419,20 @@ def test_predict_validates():
                 actuals=np.zeros((3, 2)))
 
 
+@pytest.mark.parametrize("horizon", [2.5, True, "2"])
+def test_predict_rejects_a_horizon_that_is_not_an_integer(horizon):
+    traj = Trajectory(x=np.zeros((3, 2)), eta=0.1)
+    with pytest.raises(ConstructionError,
+                       match=f"^horizon must be an integer, got {re.escape(repr(horizon))}$"):
+        predict(np.zeros((2, 2)), np.zeros((2, 2)), traj, horizon=horizon)
+
+
+def test_predict_takes_a_numpy_integer_horizon():
+    traj = Trajectory(x=np.ones((3, 2)), eta=0.1)
+    preds, _ = predict(-np.eye(2), np.zeros((2, 2)), traj, horizon=np.int64(2))
+    assert np.array_equal(preds, predict(-np.eye(2), np.zeros((2, 2)), traj, horizon=2)[0])
+
+
 @pytest.mark.parametrize("a_shape,l_shape", [((3, 3), (3, 3)), ((2, 2), (3, 3)), ((2, 3), (2, 3))])
 def test_predict_rejects_estimate_of_another_dimension(a_shape, l_shape):
     traj = Trajectory(x=np.zeros((3, 2)), eta=0.1)
@@ -419,6 +487,20 @@ def test_graph_dot_escapes_quotes_and_backslashes():
 def test_graph_rejects_labels_the_edge_list_cannot_carry(label):
     with pytest.raises(ConstructionError, match=re.escape(f"label {label!r}")):
         export_dependency_graph(np.array([[1, 0.5], [0, 1]]), zeta=0.1, labels=[label, "c"])
+
+
+def test_graph_rejects_duplicate_labels():
+    # ["a", "a"] wrote the edge between two nodes as the self-loop "a,a".
+    a = np.array([[1.0, 0.5], [0.0, 1.0]])
+    with pytest.raises(ConstructionError, match=re.escape("duplicate label(s) ['a']")):
+        export_dependency_graph(a, zeta=0.1, labels=["a", "a"])
+    with pytest.raises(ConstructionError, match=re.escape("duplicate label(s) ['a', 'b']")):
+        export_dependency_graph(np.eye(4), zeta=0.1, labels=["b", "a", "b", "a"])
+
+
+def test_graph_rejects_a_matrix_that_is_not_square():
+    with pytest.raises(ConstructionError, match="^Ahat must be square$"):
+        export_dependency_graph(np.zeros((2, 3)))
 
 
 def test_graph_symmetric_detection():

@@ -3,6 +3,7 @@ import pytest
 
 from sparsedyn.errors import ConstructionError, NumericalError, StabilityError
 from sparsedyn.linalg import (
+    as_matrix,
     matrix_exponential,
     power_spectral_norm,
     prox_l1,
@@ -306,6 +307,11 @@ def test_prox_nuclear_raises_numerical_error_when_the_svd_fails(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", _failing("svd"))
     with pytest.raises(NumericalError, match="^SVD did not converge: svd did not converge$"):
         prox_nuclear(m, 0.1)
+
+
+def test_as_matrix_rejects_an_array_that_is_not_2d():
+    with pytest.raises(ConstructionError, match=r"^A must be 2-D, got shape \(3,\)$"):
+        as_matrix(np.zeros(3), "A")
 
 
 def test_prox_nuclear_rejects_nonfinite():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -7,6 +8,7 @@ import pytest
 from sparsedyn.errors import AssumptionError, ConstructionError, StabilityError
 from sparsedyn.generate import gen_illustrative, gen_random_system, GenSpec
 from sparsedyn.model import (
+    SteadyState,
     SystemParams,
     assumption_report,
     control_parameter,
@@ -14,6 +16,7 @@ from sparsedyn.model import (
     incoherence_mu,
     lambda_pair_from_constants,
     lasso_incoherence_theta,
+    latent_effect_constant,
     population_mle,
     row_supports,
     stability_margin,
@@ -70,6 +73,46 @@ def test_unstable_latent_block_fails_at_construction():
                      D=np.array([[0.5]]), eta=0.0)
 
 
+def _blocks(a, b, c, d):
+    return lambda: SystemParams(A=np.asarray(a, dtype=float), B=np.zeros(b),
+                                C=np.zeros(c), D=np.zeros(d))
+
+
+def _lambdas(**kw):
+    args = {"D": 1.0, "theta": 0.5, "alpha": 0.5, "s": 2, "horizon": 0.5, "delta": 0.1, **kw}
+    return lambda: theoretical_lambdas(_random_system(seed=21, eta=0.05), **args)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (_blocks(np.zeros((2, 3)), (2, 0), (0, 2), (0, 0)), ConstructionError,
+     "A must be square, got (2, 3)"),
+    (_blocks(-np.eye(2), (3, 1), (1, 2), (1, 1)), ConstructionError,
+     "B must be 2 x r, got (3, 1)"),
+    (_blocks(-np.eye(2), (2, 1), (2, 2), (1, 1)), ConstructionError,
+     "C must be 1 x 2, got (2, 2)"),
+    (_blocks(-np.eye(2), (2, 1), (1, 2), (2, 2)), ConstructionError,
+     "D must be 1 x 1, got (2, 2)"),
+    (lambda: incoherence_mu(np.zeros((2, 3))), ConstructionError, "L must be square"),
+    (lambda: identifiability_alpha(-1.0, 1, 4), ConstructionError,
+     "need mu >= 0, r >= 0, p >= 1"),
+    (lambda: lasso_incoherence_theta(np.zeros((2, 3)), [(0,)]), ConstructionError,
+     "Q must be square"),
+    (lambda: lasso_incoherence_theta(np.eye(3), [(0, 3)]), ConstructionError,
+     "support (0, 3) out of range for p = 3"),
+    (lambda: latent_effect_constant(_observed_only(-np.eye(2), 0.0), 0.0), AssumptionError,
+     "A1: stability margin must be positive to form m"),
+    (_lambdas(horizon=0.0), ConstructionError, "horizon must be finite and positive"),
+    (_lambdas(horizon=math.inf), ConstructionError, "horizon must be finite and positive"),
+    (_lambdas(delta=1.0), ConstructionError, "delta must lie in (0, 1)"),
+    (_lambdas(s=0), ConstructionError, "s must be at least 1"),
+], ids=["A-square", "B-shape", "C-shape", "D-shape", "mu-square", "alpha-mu", "theta-square",
+        "theta-support-range", "m-margin", "lambdas-horizon-0", "lambdas-horizon-inf",
+        "lambdas-delta", "lambdas-s"])
+def test_model_checks_name_the_bad_input(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
 # ---------------------------------------------------- stability margin
 
 
@@ -96,6 +139,19 @@ def test_stability_margin_illustrative_closed_form():
 
 
 # -------------------------------------------------------- steady state
+
+
+def test_steady_state_holds_the_covariances_and_no_margin(monkeypatch):
+    # The A1 margin is stability_margin's alone; no trial's truth computes it.
+    import sparsedyn.model as model_module
+
+    assert [f.name for f in dataclasses.fields(SteadyState)] == ["Q", "R", "P", "L", "Cmin", "Dmax"]
+    params = _random_system(seed=6, p=8, r=2, s=2, eta=0.05)
+    margin = stability_margin(params)
+    monkeypatch.setattr(model_module, "stability_margin", None)
+    steady_state(params)
+    monkeypatch.undo()
+    assert assumption_report(params).D == margin
 
 
 def test_steady_state_no_latents():
@@ -266,6 +322,13 @@ def test_theta_monotone_in_correlation():
         thetas.append(lasso_incoherence_theta(q, [(0,), (1,)]))
     assert all(a >= b - 1e-12 for a, b in zip(thetas, thetas[1:]))
     assert thetas[0] == 1.0
+
+
+def test_theta_skips_a_support_that_covers_every_column():
+    # No column lies off the support, so it loads nothing: theta stays 1.
+    q = np.array([[1.0, 0.9], [0.9, 1.0]])
+    assert lasso_incoherence_theta(q, [(0, 1)]) == 1.0
+    assert lasso_incoherence_theta(q, [(0, 1), (0,)]) == lasso_incoherence_theta(q, [(0,)])
 
 
 def test_theta_rejects_empty_support():

@@ -18,7 +18,6 @@ PUBLIC = [
     "AssumptionReport",
     "ConfigError",
     "ConstructionError",
-    "CounterRng",
     "CvSelection",
     "DataError",
     "DependencyGraph",
@@ -38,35 +37,32 @@ PUBLIC = [
     "Trajectory",
     "assumption_report",
     "block_cross_validate",
-    "control_parameter",
     "derive_seed",
     "export_dependency_graph",
     "fit",
     "gen_illustrative",
     "gen_random_system",
-    "identifiability_alpha",
-    "incoherence_mu",
-    "lambda_pair_from_constants",
-    "lasso_incoherence_theta",
-    "matrix_exponential",
-    "objective",
     "phase_transition",
-    "population_mle",
     "predict",
-    "prox_l1",
-    "prox_nuclear",
     "recovery_report",
     "simulate_continuous",
     "simulate_discrete",
-    "smooth_gradient",
-    "solve_lyapunov_continuous",
-    "solve_lyapunov_discrete",
-    "stability_margin",
     "steady_state",
     "sufficient_stats",
-    "theorem_constants",
-    "theoretical_lambdas",
 ]
+
+# Primitives, formulas and solver internals: public in their own module,
+# not at the package root.
+MODULE_ONLY = {
+    "sparsedyn.linalg": ["matrix_exponential", "prox_l1", "prox_nuclear",
+                         "solve_lyapunov_continuous", "solve_lyapunov_discrete"],
+    "sparsedyn.model": ["control_parameter", "identifiability_alpha", "incoherence_mu",
+                        "lambda_pair_from_constants", "lasso_incoherence_theta",
+                        "population_mle", "stability_margin", "theorem_constants",
+                        "theoretical_lambdas"],
+    "sparsedyn.rng": ["CounterRng"],
+    "sparsedyn.solver": ["objective", "smooth_gradient"],
+}
 
 # Each submodule's sorted ``__all__``.
 MODULE_ALL = {
@@ -111,6 +107,13 @@ def test_module_all_is_the_pinned_list():
     assert all(names == sorted(names) for names in MODULE_ALL.values())
     found = {name: sorted(importlib.import_module(name).__all__) for name in MODULES}
     assert found == {"sparsedyn": PUBLIC, **MODULE_ALL}
+
+
+@pytest.mark.parametrize("name", sorted(MODULE_ONLY))
+def test_primitives_are_public_in_their_own_module(name):
+    module = importlib.import_module(name)
+    assert [attr for attr in MODULE_ONLY[name] if not hasattr(module, attr)] == []
+    assert set(MODULE_ONLY[name]).isdisjoint(PUBLIC)
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 import tracemalloc
 import warnings
 
@@ -15,6 +16,7 @@ from sparsedyn.linalg import (matrix_exponential, solve_lyapunov_continuous,
 from sparsedyn.model import SystemParams
 from sparsedyn.rng import CounterRng
 from sparsedyn.simulate import (
+    SufficientStats,
     Trajectory,
     binned_increment_covariance,
     exact_increment_covariance,
@@ -436,6 +438,27 @@ def test_init_rejects_unknown_name_and_wrong_length():
             simulate_continuous(params, eta=0.1, n=4, init=bad)
         with pytest.raises(ConstructionError, match="shape \\(4,\\)"):
             simulate_discrete(dataclasses.replace(params, eta=0.05), n=4, init=bad)
+
+
+def _stats(eta: float) -> SufficientStats:
+    return SufficientStats(S1=np.eye(1), S2=np.zeros((1, 1)), n=4, eta=eta, sq_increment_sum=1.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: simulate_discrete(_scalar_params(), n=0), "n must be at least 1"),
+    (lambda: simulate_continuous(_scalar_params(eta=0.0), eta=0.1, n=0), "n must be at least 1"),
+    (lambda: simulate_continuous(_scalar_params(eta=0.0), eta=0.1, n=4, bins=0),
+     "bins must be at least 1"),
+    (lambda: binned_increment_covariance(-np.eye(2), 0.1, 0), "bins must be at least 1"),
+    (lambda: simulate_continuous(_scalar_params(eta=0.0), eta=0.1, n=4, mode="euler"),
+     "unknown mode 'euler' (expected 'exact' or 'binned')"),
+    (lambda: merge_stats([]), "merge_stats needs at least one chunk"),
+    (lambda: merge_stats([_stats(0.1), _stats(0.2)]), "cannot merge statistics with different eta"),
+], ids=["discrete-n", "continuous-n", "continuous-bins", "binned-bins", "mode", "merge-none",
+        "merge-eta"])
+def test_sampler_and_reduction_checks_name_the_bad_input(call, message):
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_trajectory_validation():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -329,6 +330,18 @@ def test_fit_scaling_covariance():
                                 max_iter=20000, tol=1e-13))
     assert np.linalg.norm(base.Ahat - rescaled.Ahat) < 1e-5
     assert np.linalg.norm(base.Lhat - rescaled.Lhat) < 1e-5
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SolverConfig(lambda_a=1.0, lambda_l=1.0, mode="ridge"),
+     "unknown solver mode 'ridge'"),
+    (lambda: fit(SufficientStats(S1=np.eye(2), S2=np.eye(3), n=4, eta=0.1, sq_increment_sum=1.0),
+                 1.0, SolverConfig(lambda_a=1.0, lambda_l=1.0)),
+     "S1/S2 shape mismatch"),
+], ids=["mode", "S1-S2"])
+def test_solver_checks_name_the_bad_input(call, message):
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_solver_config_validation():
