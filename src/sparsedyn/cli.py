@@ -118,11 +118,13 @@ def cmd_fit(args: argparse.Namespace, config: dict) -> int:
         tol=args.tol,
     )
     est = slv.fit(stats, stats.sq_increment_sum, solver_config)
+    # The graph's checks run before any file is written.
+    graph = (ev.export_dependency_graph(est.Ahat, zeta=args.zeta, labels=labels)
+             if args.graph_out or args.edges_out else None)
     _write(Path(args.out), slv.estimate_to_json(est, config))
     messages = [f"wrote estimate to {args.out} "
                 f"(iterations={est.iterations}, converged={est.converged})"]
-    if args.graph_out or args.edges_out:
-        graph = ev.export_dependency_graph(est.Ahat, zeta=args.zeta, labels=labels)
+    if graph is not None:
         if args.graph_out:
             _write(Path(args.graph_out), graph.to_dot())
             messages.append(f"wrote DOT graph to {args.graph_out}")

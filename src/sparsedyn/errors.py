@@ -2,7 +2,10 @@
 
 Every error raised on a contract violation derives from ``SparsedynError``
 so callers (and the CLI) can distinguish library failures from bugs.
+``require_count`` is the one check of a count argument.
 """
+
+import numbers
 
 
 class SparsedynError(Exception):
@@ -38,3 +41,15 @@ class DataError(SparsedynError, ValueError):
 
 class ConfigError(SparsedynError, ValueError):
     """Invalid experiment configuration; message names the offending field."""
+
+
+def require_count(value, what: str, least: int | None = None,
+                  error: type[SparsedynError] = ConstructionError) -> int:
+    """``value`` as an ``int``: a Python or numpy integer of at least
+    ``least`` passes; a ``bool``, any other type or a smaller value raises
+    ``error`` naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise error(f"{what} must be at least {least}, got {value}")
+    return int(value)

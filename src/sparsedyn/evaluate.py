@@ -20,7 +20,7 @@ from dataclasses import astuple, dataclass, replace
 import numpy as np
 
 from .csvio import table_blocks
-from .errors import ConfigError, ConstructionError, DivergenceError
+from .errors import ConfigError, ConstructionError, DivergenceError, require_count
 from .generate import GenSpec, gen_random_system
 from .model import control_parameter, lambda_pair_from_constants, steady_state
 from .rng import derive_seed
@@ -52,14 +52,6 @@ log = logging.getLogger("sparsedyn")
 PROTOCOL_MAX_ITER = 2000
 PROTOCOL_TOL = 1e-7
 CV_CHUNKS = 5
-
-
-def _count(value, what: str, error: type[Exception]) -> int:
-    """``value`` as an ``int``; a Python or numpy integer passes, a ``bool``
-    or any other type raises ``error`` naming ``what``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise error(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 def default_support_threshold(ahat: np.ndarray) -> float:
@@ -182,9 +174,7 @@ def phase_transition(
     ``eta`` must be a real number, and ``trials`` and a point's counts
     integers (a ``bool`` is neither).
     """
-    trials = _count(trials, "trials", ConstructionError)
-    if trials < 1:
-        raise ConstructionError("trials must be at least 1")
+    trials = require_count(trials, "trials", 1)
     if not sweep:
         raise ConstructionError("sweep must contain at least one point")
     c, d = lambda_rule
@@ -200,7 +190,7 @@ def phase_transition(
         if isinstance(eta, bool) or not isinstance(eta, numbers.Real):
             raise ConstructionError(f"sweep point {g}: eta must be a real number, got {eta!r}")
         eta = float(eta)
-        sizes = {key: _count(overrides[key], f"sweep point {g}: {key}", ConstructionError)
+        sizes = {key: require_count(overrides[key], f"sweep point {g}: {key}")
                  for key in ("n", "p", "r", "s") if key in overrides}
         n = sizes.pop("n")
         spec = replace(base, eta=0.0, **sizes)
@@ -293,9 +283,7 @@ def block_cross_validate(
     """
     if not grid_c or (mode != MODE_PURE_LASSO and not grid_d):
         raise ConfigError("cross-validation grid must be non-empty")
-    chunk_count = _count(chunk_count, "chunk_count", ConfigError)
-    if chunk_count < 2:
-        raise ConfigError("chunk_count must be at least 2")
+    chunk_count = require_count(chunk_count, "chunk_count", 2, ConfigError)
     if traj.n < chunk_count:
         raise ConfigError("not enough transitions for the requested chunk count")
     if mode == MODE_PURE_LASSO:
@@ -354,9 +342,7 @@ def predict(
     ``horizon`` predicted vectors and, when ``actuals`` (horizon x p) is
     supplied, the mean squared error over entries and steps.
     """
-    horizon = _count(horizon, "horizon", ConstructionError)
-    if horizon < 1:
-        raise ConstructionError("horizon must be at least 1")
+    horizon = require_count(horizon, "horizon", 1)
     ahat, lhat = np.asarray(ahat, dtype=float), np.asarray(lhat, dtype=float)
     if not ahat.shape == lhat.shape == (history.p, history.p):
         raise ConstructionError(f"Ahat and Lhat must have shape {(history.p, history.p)} to "
@@ -418,15 +404,17 @@ def export_dependency_graph(
         labels = [f"x{i + 1}" for i in range(p)]
     if len(labels) != p:
         raise ConstructionError(f"need {p} labels, got {len(labels)}")
-    repeated = sorted(label for label, count in Counter(labels).items() if count > 1)
-    if repeated:
-        raise ConstructionError(f"duplicate label(s) {repeated}: each node needs its own label")
     for label in labels:
+        if not isinstance(label, str):
+            raise ConstructionError(f"label {label!r} must be a string")
         if any(ch in label for ch in ",\n\r"):
             raise ConstructionError(
                 f"label {label!r} holds ',', a line feed or a carriage return, "
                 "which the edge list cannot carry"
             )
+    repeated = sorted(label for label, count in Counter(labels).items() if count > 1)
+    if repeated:
+        raise ConstructionError(f"duplicate label(s) {repeated}: each node needs its own label")
     above = np.abs(ahat) > zeta
     edges = [tuple(ij) for ij in np.argwhere(np.triu(above | above.T, 1)).tolist()]
     sparsity = float(np.count_nonzero(above)) / (p * p) if p else 0.0

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import _json_array, _json_doc, _json_number, json_text
-from .errors import ConstructionError, DataError
+from .errors import ConstructionError, DataError, require_count
 from .model import SystemParams
 from .rng import CounterRng
 
@@ -54,11 +54,9 @@ class GenSpec:
     eta: float = 0.0
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ConstructionError("p must be positive")
-        if self.r < 0:
-            raise ConstructionError("r must be non-negative")
-        if not 0 <= self.s < self.p:
+        for name, least in (("p", 1), ("r", 0), ("s", 0), ("seed", None)):
+            object.__setattr__(self, name, require_count(getattr(self, name), name, least))
+        if not self.s < self.p:
             raise ConstructionError("s must satisfy 0 <= s < p")
         if self.r > 0 and (2 * self.p) % self.r != 0:
             raise ConstructionError(
@@ -172,8 +170,7 @@ def gen_illustrative(p: int, r: int) -> SystemParams:
     only while ``p/r < 4``; it is 0 at ``p/r = 4`` and negative beyond.
     Acceptance criterion 1 checks these forms.
     """
-    if p < 1 or r < 1:
-        raise ConstructionError("p and r must be positive")
+    p, r = require_count(p, "p", 1), require_count(r, "r", 1)
     if p % r != 0:
         raise ConstructionError(f"r = {r} must divide p = {p}")
     group = p // r

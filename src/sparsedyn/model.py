@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AssumptionError, ConstructionError, NumericalError
+from .errors import AssumptionError, ConstructionError, NumericalError, require_count
 from .linalg import as_matrix, require_stable, solve_lyapunov_continuous, solve_lyapunov_discrete
 
 __all__ = [
@@ -215,7 +215,8 @@ def incoherence_mu(l_mat) -> float:
 
 def identifiability_alpha(mu: float, r: int, p: int) -> float:
     """Identifiability number ``3 sqrt(mu r / p)``; below one is required."""
-    if mu < 0 or r < 0 or p < 1:
+    r, p = require_count(r, "r", 0), require_count(p, "p", 1)
+    if mu < 0:
         raise ConstructionError("need mu >= 0, r >= 0, p >= 1")
     return 3.0 * math.sqrt(mu * r / p)
 
@@ -290,9 +291,7 @@ def latent_effect_constant(params: SystemParams, margin: float) -> float:
 
 def _log_model_size(s: int, r: int, p: int, delta: float | None = None) -> float:
     """``log((s+2r)p + r^2)`` of ``Theta``, or ``log(4((s+2r)p + r^2)/delta)`` of the regularizers."""
-    for name, value, least in (("r", r, 0), ("p", p, 1)):
-        if value < least:
-            raise ConstructionError(f"{name} must be at least {least}, got {value}")
+    s, r, p = require_count(s, "s", 0), require_count(r, "r", 0), require_count(p, "p", 1)
     size = (s + 2 * r) * p + r * r
     least = 2 if delta is None else 1
     if size < least:
@@ -305,9 +304,7 @@ def _horizon(eta: float, n: int) -> float:
     """The observation horizon ``T = eta n`` of ``n`` samples at step ``eta``."""
     if not 0 < eta < math.inf:
         raise ConstructionError(f"eta must be finite and positive, got {eta}")
-    if n < 1:
-        raise ConstructionError(f"n must be at least 1, got {n}")
-    return eta * n
+    return eta * require_count(n, "n", 1)
 
 
 def theoretical_lambdas(
@@ -339,8 +336,7 @@ def theoretical_lambdas(
         raise ConstructionError("horizon must be finite and positive")
     if not 0 < delta < 1:
         raise ConstructionError("delta must lie in (0, 1)")
-    if s < 1:
-        raise ConstructionError("s must be at least 1")
+    s = require_count(s, "s", 1)
     m = latent_effect_constant(params, D)
     p, r = params.p, params.r
     lam_a = (
@@ -368,8 +364,8 @@ def lambda_pair_from_constants(
 ) -> tuple[float, float]:
     """Practical regularizer rule: ``lambda_A = c sqrt(log(4((s+2r)p + r^2)/delta) / (n eta))``
     with ``delta = 0.1``, and ``lambda_L = d sqrt(p) lambda_A``; ``c``
-    absorbs any other ``delta``.  It checks ``eta``, ``n``, ``r``, ``p``
-    and the model size as ``control_parameter`` does."""
+    absorbs any other ``delta``.  It checks ``eta``, ``n``, ``s``, ``r``,
+    ``p`` and the model size as ``control_parameter`` does."""
     lam_a = c * math.sqrt(_log_model_size(s, r, p, DEFAULT_DELTA) / _horizon(eta, n))
     return lam_a, d * math.sqrt(p) * lam_a
 
@@ -379,12 +375,11 @@ def control_parameter(eta: float, n: int, s: int, r: int, p: int) -> float:
 
     The success-probability curves of the recovery experiments collapse
     when plotted against this parameter (natural logarithm).  It needs
-    ``0 < eta < inf``, ``n, s, p >= 1``, ``r >= 0`` and a model size
-    ``(s+2r)p + r^2`` of at least 2; a ``ConstructionError`` names the
-    input that fails.
+    ``0 < eta < inf``, integers ``n, s, p >= 1`` and ``r >= 0``, and a
+    model size ``(s+2r)p + r^2`` of at least 2; a ``ConstructionError``
+    names the input that fails.
     """
-    if s < 1:
-        raise ConstructionError(f"s must be at least 1, got {s}")
+    s = require_count(s, "s", 1)
     return _horizon(eta, n) / (s**3 * _log_model_size(s, r, p))
 
 
@@ -405,6 +400,7 @@ def theorem_constants(
     16 Dmax ||L||_2))`` bounds the relative spectral error of the low-rank
     estimate as ``rho0 / (1 - 5 rho0)``.
     """
+    s = require_count(s, "s", 0)
     nu = alpha * theta / (2.0 * dmax) + (8.0 - theta) * math.sqrt(s) / (
         cmin * (4.0 - theta)
     )

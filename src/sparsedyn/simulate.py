@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import read_table, require_complete, table_blocks
-from .errors import ConstructionError, DataError, NumericalError
+from .errors import ConstructionError, DataError, NumericalError, require_count
 from .linalg import matrix_exponential, solve_lyapunov_continuous, solve_lyapunov_discrete
 from .model import SystemParams
 from .rng import CounterRng
@@ -157,10 +157,9 @@ def _sample(params: SystemParams, f: np.ndarray, factor: np.ndarray, stationary_
     ``params`` is stable and ``init`` and ``noise`` finite, so the path
     gets no check here but the ``Trajectory``'s own on its observed columns.
     """
-    if n < 1:
-        raise ConstructionError("n must be at least 1")
+    n = require_count(n, "n", 1)
     m = f.shape[0]
-    rng = CounterRng(seed)
+    rng = CounterRng(require_count(seed, "seed"))
     start = _initial_state(params, init, rng, stationary_cov)
     rows = n + 1
     b = math.isqrt(rows)
@@ -252,8 +251,7 @@ def binned_increment_covariance(joint: np.ndarray, eta: float, bins: int) -> np.
     enters unfiltered).  The result is the left Riemann sum of the exact
     integral and converges to it at rate O(eta / bins).
     """
-    if bins < 1:
-        raise ConstructionError("bins must be at least 1")
+    bins = require_count(bins, "bins", 1)
     m = joint.shape[0]
     step = matrix_exponential(joint * (eta / bins))
     g = np.zeros((m, m))

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csvio import _json_array, _json_doc, _json_number, json_text
-from .errors import ConstructionError, DataError, DivergenceError
+from .errors import ConstructionError, DataError, DivergenceError, require_count
 from .linalg import power_spectral_norm, prox_l1, prox_nuclear
 from .simulate import SufficientStats
 
@@ -70,8 +70,7 @@ class SolverConfig:
             raise ConstructionError("lambda_l must be finite")
         if self.mode == MODE_SPARSE_LOWRANK and self.lambda_l <= 0:
             raise ConstructionError("lambda_l must be positive in sparse_plus_lowrank mode")
-        if self.max_iter < 1:
-            raise ConstructionError("max_iter must be at least 1")
+        object.__setattr__(self, "max_iter", require_count(self.max_iter, "max_iter", 1))
         if not 0 < self.tol < math.inf:
             raise ConstructionError("tol must be finite and positive")
 

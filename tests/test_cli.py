@@ -389,6 +389,18 @@ def test_cli_bad_time_column_is_one_error_line(tmp_path, capsys, stamps):
     assert err.count("\n") == 1
 
 
+def test_failed_fit_writes_no_artifact(tmp_path, capsys):
+    # The estimate was written before the graph export rejected --zeta.
+    prices = _write_prices(tmp_path, [str(i) for i in range(40)])
+    out = tmp_path / "est.json"
+    code = run(["fit", "--prices", str(prices), "--lambda-a", "0.05", "--lambda-l", "0.1",
+                "--zeta", "-1", "--graph-out", str(tmp_path / "g.dot"), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error:ConstructionError:zeta must be finite and non-negative\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["prices.csv"]
+
+
 @pytest.mark.parametrize("flag,values,message", [
     ("--etas", ["0"], "must be finite and positive"),
     ("--etas", ["0.1", "-0.05"], "must be finite and positive"),
@@ -763,8 +775,8 @@ def _error_path_inputs(directory):
     (["cv", "--data", "traj.csv", "--mode", "pure_lasso", "--grid-c", "1", "--grid-d", "0.25",
       "0.5", "--chunks", "2", "--out", _OUT],
      "ConfigError:cv --mode pure_lasso does not use --grid-d, got [0.25, 0.5]"),
-    (["gen", "--p", "0", "--out", _OUT], "ConstructionError:p must be positive"),
-    (["gen", "--p", "4", "--r", "-1", "--out", _OUT], "ConstructionError:r must be non-negative"),
+    (["gen", "--p", "0", "--out", _OUT], "ConstructionError:p must be at least 1, got 0"),
+    (["gen", "--p", "4", "--r", "-1", "--out", _OUT], "ConstructionError:r must be at least 0, got -1"),
     (["gen", "--p", "4", "--r", "2", "--s", "1", "--eta", "5", "--out", _OUT],
      "StabilityError:eta = 5: I + eta*drift has spectral radius 13.4964 >= 1"),
     (["gen", "--kind", "illustrative", "--p", "4", "--r", "2", "--eta", "0.05", "--seed", "9",

@@ -498,6 +498,17 @@ def test_graph_rejects_duplicate_labels():
         export_dependency_graph(np.eye(4), zeta=0.1, labels=["b", "a", "b", "a"])
 
 
+@pytest.mark.parametrize("labels, message", [
+    ([1, 2], "label 1 must be a string"),
+    (["a", None], "label None must be a string"),
+    ([["a"], "b"], "label ['a'] must be a string"),
+], ids=["int", "none", "list"])
+def test_graph_rejects_labels_that_are_not_strings(labels, message):
+    # These ended in a bare TypeError.
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+        export_dependency_graph(np.eye(2), zeta=0.1, labels=labels)
+
+
 def test_graph_rejects_a_matrix_that_is_not_square():
     with pytest.raises(ConstructionError, match="^Ahat must be square$"):
         export_dependency_graph(np.zeros((2, 3)))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +66,45 @@ def test_genspec_rejects_bad_dimensions():
         GenSpec(p=6, r=1, s=2, seed=0)  # two distinct latents impossible
     with pytest.raises(ConstructionError):
         GenSpec(p=6, r=2, s=2, seed=0, diag_margin=0.0)
+
+
+def _spec(**kw):
+    return lambda: GenSpec(**{"p": 6, "r": 2, "s": 2, "seed": 0, **kw})
+
+
+@pytest.mark.parametrize("call, message", [
+    # Floats, strings and gen_illustrative's True ended in a bare TypeError,
+    # seed=True ran as seed 1, and p=True failed the s < p check instead.
+    (_spec(p=6.0), "p must be an integer, got 6.0"),
+    (_spec(p=True), "p must be an integer, got True"),
+    (_spec(p="6"), "p must be an integer, got '6'"),
+    (_spec(p=0), "p must be at least 1, got 0"),
+    (_spec(r=2.0), "r must be an integer, got 2.0"),
+    (_spec(r=-1), "r must be at least 0, got -1"),
+    (_spec(s=2.0), "s must be an integer, got 2.0"),
+    (_spec(s=-1), "s must be at least 0, got -1"),
+    (_spec(seed=0.5), "seed must be an integer, got 0.5"),
+    (_spec(seed=True), "seed must be an integer, got True"),
+    (_spec(seed="0"), "seed must be an integer, got '0'"),
+    (lambda: gen_illustrative(4.0, 2), "p must be an integer, got 4.0"),
+    (lambda: gen_illustrative(4, True), "r must be an integer, got True"),
+    (lambda: gen_illustrative("4", 2), "p must be an integer, got '4'"),
+    (lambda: gen_illustrative(4, 0), "r must be at least 1, got 0"),
+], ids=["p-float", "p-bool", "p-str", "p-0", "r-float", "r-negative", "s-float", "s-negative",
+        "seed-float", "seed-bool", "seed-str", "illustrative-p-float", "illustrative-r-bool",
+        "illustrative-p-str", "illustrative-r-0"])
+def test_generator_counts_name_the_bad_input(call, message):
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_generators_take_numpy_integer_counts():
+    spec = GenSpec(p=np.int64(6), r=np.int32(2), s=np.uint8(2), seed=np.int64(-3))
+    assert spec == GenSpec(p=6, r=2, s=2, seed=-3)
+    assert all(type(v) is int for v in (spec.p, spec.r, spec.s, spec.seed))
+    assert np.array_equal(gen_random_system(spec).A,
+                          gen_random_system(GenSpec(p=6, r=2, s=2, seed=-3)).A)
+    assert np.array_equal(gen_illustrative(np.int64(4), np.int64(2)).B, gen_illustrative(4, 2).B)
 
 
 def test_illustrative_structure():

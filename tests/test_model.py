@@ -104,10 +104,38 @@ def _lambdas(**kw):
     (_lambdas(horizon=0.0), ConstructionError, "horizon must be finite and positive"),
     (_lambdas(horizon=math.inf), ConstructionError, "horizon must be finite and positive"),
     (_lambdas(delta=1.0), ConstructionError, "delta must lie in (0, 1)"),
-    (_lambdas(s=0), ConstructionError, "s must be at least 1"),
+    (_lambdas(s=0), ConstructionError, "s must be at least 1, got 0"),
+    # 2.5 ran and True ran as 1; '3' ended in a bare TypeError.
+    (_lambdas(s=2.5), ConstructionError, "s must be an integer, got 2.5"),
+    (lambda: control_parameter(0.05, 100.5, 3, 2, 40), ConstructionError,
+     "n must be an integer, got 100.5"),
+    (lambda: control_parameter(0.05, True, 3, 2, 40), ConstructionError,
+     "n must be an integer, got True"),
+    (lambda: control_parameter(0.05, "100", 3, 2, 40), ConstructionError,
+     "n must be an integer, got '100'"),
+    (lambda: control_parameter(0.05, 100, 3.0, 2, 40), ConstructionError,
+     "s must be an integer, got 3.0"),
+    (lambda: control_parameter(0.05, 100, True, 2, 40), ConstructionError,
+     "s must be an integer, got True"),
+    (lambda: control_parameter(0.05, 100, "3", 2, 40), ConstructionError,
+     "s must be an integer, got '3'"),
+    (lambda: control_parameter(0.05, 100, 3, 2.0, 40), ConstructionError,
+     "r must be an integer, got 2.0"),
+    (lambda: control_parameter(0.05, 100, 3, 2, 40.0), ConstructionError,
+     "p must be an integer, got 40.0"),
+    (lambda: lambda_pair_from_constants(0.5, 1.0, 40, 2, 2.5, 0.05, 100), ConstructionError,
+     "s must be an integer, got 2.5"),
+    # r = 2.5 ran, p = 0 named no input, and s = -4 ended in a math domain error.
+    (lambda: identifiability_alpha(0.5, 2.5, 4), ConstructionError,
+     "r must be an integer, got 2.5"),
+    (lambda: identifiability_alpha(0.5, 1, 0), ConstructionError, "p must be at least 1, got 0"),
+    (lambda: theorem_constants(0.5, 0.5, 1.0, 1.0, -4, 0.1, 1.0), ConstructionError,
+     "s must be at least 0, got -4"),
 ], ids=["A-square", "B-shape", "C-shape", "D-shape", "mu-square", "alpha-mu", "theta-square",
         "theta-support-range", "m-margin", "lambdas-horizon-0", "lambdas-horizon-inf",
-        "lambdas-delta", "lambdas-s"])
+        "lambdas-delta", "lambdas-s", "lambdas-s-float", "theta-n-float", "theta-n-bool",
+        "theta-n-str", "theta-s-float", "theta-s-bool", "theta-s-str", "theta-r-float",
+        "theta-p-float", "rule-s-float", "alpha-r-float", "alpha-p-0", "constants-s-negative"])
 def test_model_checks_name_the_bad_input(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
@@ -436,6 +464,11 @@ def test_lambda_rule_and_control_parameter_name_a_bad_input(eta, n, r, message):
         lambda_pair_from_constants(0.5, 1.0, 6, r, 1, eta, n)
     with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
         control_parameter(eta, n, 1, r, 6)
+
+
+def test_control_parameter_takes_numpy_integer_counts():
+    counts = (np.int64(1000), np.int32(3), np.int64(2), np.uint16(40))
+    assert control_parameter(0.05, *counts) == control_parameter(0.05, 1000, 3, 2, 40)
 
 
 def test_lambda_rule_needs_a_model_size_and_control_parameter_an_s():

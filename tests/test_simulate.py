@@ -444,21 +444,62 @@ def _stats(eta: float) -> SufficientStats:
     return SufficientStats(S1=np.eye(1), S2=np.zeros((1, 1)), n=4, eta=eta, sq_increment_sum=1.0)
 
 
+def _discrete(**kw):
+    return lambda: simulate_discrete(_scalar_params(), **{"n": 4, **kw})
+
+
+def _continuous(**kw):
+    return lambda: simulate_continuous(_scalar_params(eta=0.0), eta=0.1, **{"n": 4, **kw})
+
+
 @pytest.mark.parametrize("call, message", [
-    (lambda: simulate_discrete(_scalar_params(), n=0), "n must be at least 1"),
-    (lambda: simulate_continuous(_scalar_params(eta=0.0), eta=0.1, n=0), "n must be at least 1"),
+    (lambda: simulate_discrete(_scalar_params(), n=0), "n must be at least 1, got 0"),
+    (lambda: simulate_continuous(_scalar_params(eta=0.0), eta=0.1, n=0),
+     "n must be at least 1, got 0"),
     (lambda: simulate_continuous(_scalar_params(eta=0.0), eta=0.1, n=4, bins=0),
-     "bins must be at least 1"),
-    (lambda: binned_increment_covariance(-np.eye(2), 0.1, 0), "bins must be at least 1"),
+     "bins must be at least 1, got 0"),
+    (lambda: binned_increment_covariance(-np.eye(2), 0.1, 0), "bins must be at least 1, got 0"),
     (lambda: simulate_continuous(_scalar_params(eta=0.0), eta=0.1, n=4, mode="euler"),
      "unknown mode 'euler' (expected 'exact' or 'binned')"),
     (lambda: merge_stats([]), "merge_stats needs at least one chunk"),
     (lambda: merge_stats([_stats(0.1), _stats(0.2)]), "cannot merge statistics with different eta"),
+    # A count must be an integer: 2.5 and '4' ended in a bare TypeError, True ran as 1.
+    (_discrete(n=2.5), "n must be an integer, got 2.5"),
+    (_discrete(n=True), "n must be an integer, got True"),
+    (_discrete(n="4"), "n must be an integer, got '4'"),
+    (_discrete(seed=0.5), "seed must be an integer, got 0.5"),
+    (_discrete(seed=True), "seed must be an integer, got True"),
+    (_discrete(seed="1"), "seed must be an integer, got '1'"),
+    (_continuous(n=2.5), "n must be an integer, got 2.5"),
+    (_continuous(n=True), "n must be an integer, got True"),
+    (_continuous(n="4"), "n must be an integer, got '4'"),
+    (_continuous(bins=2.5), "bins must be an integer, got 2.5"),
+    (_continuous(bins=True), "bins must be an integer, got True"),
+    (_continuous(bins="10"), "bins must be an integer, got '10'"),
+    (_continuous(seed=0.5), "seed must be an integer, got 0.5"),
+    (_continuous(seed=True), "seed must be an integer, got True"),
+    (_continuous(seed="1"), "seed must be an integer, got '1'"),
+    (lambda: binned_increment_covariance(-np.eye(2), 0.1, 2.5), "bins must be an integer, got 2.5"),
 ], ids=["discrete-n", "continuous-n", "continuous-bins", "binned-bins", "mode", "merge-none",
-        "merge-eta"])
+        "merge-eta", "discrete-n-float", "discrete-n-bool", "discrete-n-str", "discrete-seed-float",
+        "discrete-seed-bool", "discrete-seed-str", "continuous-n-float", "continuous-n-bool",
+        "continuous-n-str", "continuous-bins-float", "continuous-bins-bool", "continuous-bins-str",
+        "continuous-seed-float", "continuous-seed-bool", "continuous-seed-str", "binned-bins-float"])
 def test_sampler_and_reduction_checks_name_the_bad_input(call, message):
     with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_samplers_take_numpy_integer_counts():
+    params = _scalar_params()
+    assert np.array_equal(simulate_discrete(params, n=np.int64(6), seed=np.uint64(3)).x,
+                          simulate_discrete(params, n=6, seed=3).x)
+    cont = _scalar_params(eta=0.0)
+    assert np.array_equal(
+        simulate_continuous(cont, eta=0.1, n=np.int32(6), bins=np.int64(4), seed=np.int64(-2)).x,
+        simulate_continuous(cont, eta=0.1, n=6, bins=4, seed=-2).x)
+    assert np.array_equal(binned_increment_covariance(-np.eye(2), 0.1, np.int16(3)),
+                          binned_increment_covariance(-np.eye(2), 0.1, 3))
 
 
 def test_trajectory_validation():

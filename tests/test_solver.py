@@ -338,10 +338,23 @@ def test_fit_scaling_covariance():
     (lambda: fit(SufficientStats(S1=np.eye(2), S2=np.eye(3), n=4, eta=0.1, sq_increment_sum=1.0),
                  1.0, SolverConfig(lambda_a=1.0, lambda_l=1.0)),
      "S1/S2 shape mismatch"),
-], ids=["mode", "S1-S2"])
+    # 2.5 and True were accepted; '5' ended in a bare TypeError.
+    (lambda: SolverConfig(lambda_a=1.0, lambda_l=1.0, max_iter=2.5),
+     "max_iter must be an integer, got 2.5"),
+    (lambda: SolverConfig(lambda_a=1.0, lambda_l=1.0, max_iter=True),
+     "max_iter must be an integer, got True"),
+    (lambda: SolverConfig(lambda_a=1.0, lambda_l=1.0, max_iter="5"),
+     "max_iter must be an integer, got '5'"),
+], ids=["mode", "S1-S2", "max-iter-float", "max-iter-bool", "max-iter-str"])
 def test_solver_checks_name_the_bad_input(call, message):
     with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_solver_config_takes_a_numpy_integer_max_iter():
+    config = SolverConfig(lambda_a=1.0, lambda_l=1.0, max_iter=np.int64(7))
+    assert config == SolverConfig(lambda_a=1.0, lambda_l=1.0, max_iter=7)
+    assert type(config.max_iter) is int
 
 
 def test_solver_config_validation():
