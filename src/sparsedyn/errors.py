@@ -2,9 +2,11 @@
 
 Every error raised on a contract violation derives from ``SparsedynError``
 so callers (and the CLI) can distinguish library failures from bugs.
-``require_count`` is the one check of a count argument.
+``require_count`` is the one check of a count argument and ``require_real``
+the one check of a real-valued one; no other module tests a number's type.
 """
 
+import math
 import numbers
 
 
@@ -53,3 +55,19 @@ def require_count(value, what: str, least: int | None = None,
     if least is not None and value < least:
         raise error(f"{what} must be at least {least}, got {value}")
     return int(value)
+
+
+def require_real(value, what: str, bound: str | None = None,
+                 error: type[SparsedynError] = ConstructionError):
+    """``value`` itself, unconverted: a finite Python or numpy real number
+    that is ``bound`` (``"positive"``, ``"non-negative"`` or ``"in (0, 1)"``)
+    passes; a ``bool``, any other type, NaN, an infinity or a value out of
+    bound raises ``error`` naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{what} must be a real number, got {value!r}")
+    inside = {None: True, "positive": value > 0, "non-negative": value >= 0,
+              "in (0, 1)": 0 < value < 1}[bound]
+    if not (inside and -math.inf < value < math.inf):
+        raise error(f"{what} must be finite{'' if bound is None else ' and ' + bound}, "
+                    f"got {value}")
+    return value

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from collections import Counter
 from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
 from .csvio import table_blocks
-from .errors import ConfigError, ConstructionError, DivergenceError, require_count
+from .errors import ConfigError, ConstructionError, DivergenceError, require_count, require_real
 from .generate import GenSpec, gen_random_system
 from .model import control_parameter, lambda_pair_from_constants, steady_state
 from .rng import derive_seed
@@ -66,9 +65,7 @@ def _support_threshold(ahat: np.ndarray, zeta: float | None) -> float:
     """``zeta``, checked, or the default round-off guard when it is ``None``."""
     if zeta is None:
         return default_support_threshold(ahat)
-    if not 0 <= zeta < math.inf:
-        raise ConstructionError("zeta must be finite and non-negative")
-    return zeta
+    return require_real(zeta, "zeta", "non-negative")
 
 
 @dataclass(frozen=True)
@@ -171,8 +168,8 @@ def phase_transition(
     of the practical regularizer rule (``lambda_pair_from_constants``).
     Trials whose fit diverges count as failures.  One warning names the
     ``(point, trial)`` fits that diverged or did not converge.  A point's
-    ``eta`` must be a real number, and ``trials`` and a point's counts
-    integers (a ``bool`` is neither).
+    ``eta`` must be a finite positive real number, and ``trials`` and a
+    point's counts integers (a ``bool`` is neither).
     """
     trials = require_count(trials, "trials", 1)
     if not sweep:
@@ -186,10 +183,7 @@ def phase_transition(
         for key, what in (("eta", "a sampling step"), ("n", "a sample count")):
             if key not in overrides:
                 raise ConstructionError(f"sweep point {g} must carry {what} {key!r}")
-        eta = overrides["eta"]
-        if isinstance(eta, bool) or not isinstance(eta, numbers.Real):
-            raise ConstructionError(f"sweep point {g}: eta must be a real number, got {eta!r}")
-        eta = float(eta)
+        eta = require_real(overrides["eta"], f"sweep point {g}: eta", "positive")
         sizes = {key: require_count(overrides[key], f"sweep point {g}: {key}")
                  for key in ("n", "p", "r", "s") if key in overrides}
         n = sizes.pop("n")

@@ -15,13 +15,12 @@ same system bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .csvio import _json_array, _json_doc, _json_number, json_text
-from .errors import ConstructionError, DataError, require_count
+from .errors import ConstructionError, DataError, require_count, require_real
 from .model import SystemParams
 from .rng import CounterRng
 
@@ -67,10 +66,8 @@ class GenSpec:
             raise ConstructionError(
                 "r = 1 is infeasible: each row needs two distinct latent indices"
             )
-        if not 0 < self.diag_margin < math.inf:
-            raise ConstructionError("diag_margin must be finite and positive")
-        if not (math.isfinite(self.eta) and self.eta >= 0):
-            raise ConstructionError("eta must be finite and non-negative")
+        require_real(self.diag_margin, "diag_margin", "positive")
+        require_real(self.eta, "eta", "non-negative")
 
 
 def _row_support(rng: CounterRng, p: int, row: int, s: int) -> list[int]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConstructionError, NumericalError, StabilityError
+from .errors import ConstructionError, NumericalError, StabilityError, require_real
 
 __all__ = [
     "as_matrix",
@@ -112,8 +112,7 @@ def solve_lyapunov_discrete(a, eta: float) -> np.ndarray:
     ``M Q M^T - Q = -eta I`` with ``M = I + eta A``, which has a positive
     definite solution iff ``require_stable(A, eta)`` passes.
     """
-    if not 0 < eta < np.inf:
-        raise ConstructionError("eta must be finite and positive")
+    require_real(eta, "eta", "positive")
     a = as_matrix(a, "A")
     _require_square(a, "A")
     require_stable(a, eta)
@@ -136,8 +135,7 @@ def prox_l1(m, tau: float) -> np.ndarray:
     ``|m| <= tau`` map to exactly zero.
     """
     m = as_matrix(m, "prox_l1 input")
-    if not tau >= 0:
-        raise ConstructionError("tau must be non-negative")
+    require_real(tau, "tau", "non-negative")
     return np.sign(m) * np.maximum(np.abs(m) - tau, 0.0)
 
 
@@ -188,8 +186,7 @@ def prox_nuclear(m, tau: float) -> tuple[np.ndarray, np.ndarray]:
     fails, the exact SVD route runs instead.
     """
     m = as_matrix(m, "prox_nuclear input")
-    if not tau >= 0:
-        raise ConstructionError("tau must be non-negative")
+    require_real(tau, "tau", "non-negative")
     gram_route = _svt_by_gram(m, tau)
     if gram_route is not None:
         return gram_route

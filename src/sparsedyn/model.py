@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AssumptionError, ConstructionError, NumericalError, require_count
+from .errors import AssumptionError, ConstructionError, NumericalError, require_count, require_real
 from .linalg import as_matrix, require_stable, solve_lyapunov_continuous, solve_lyapunov_discrete
 
 __all__ = [
@@ -80,8 +80,7 @@ class SystemParams:
         object.__setattr__(self, "B", b)
         object.__setattr__(self, "C", c)
         object.__setattr__(self, "D", d)
-        if not (math.isfinite(self.eta) and self.eta >= 0):
-            raise ConstructionError("eta must be finite and non-negative")
+        require_real(self.eta, "eta", "non-negative")
         require_stable(self.joint(), self.eta)
 
     @property
@@ -215,9 +214,8 @@ def incoherence_mu(l_mat) -> float:
 
 def identifiability_alpha(mu: float, r: int, p: int) -> float:
     """Identifiability number ``3 sqrt(mu r / p)``; below one is required."""
+    require_real(mu, "mu", "non-negative")
     r, p = require_count(r, "r", 0), require_count(p, "p", 1)
-    if mu < 0:
-        raise ConstructionError("need mu >= 0, r >= 0, p >= 1")
     return 3.0 * math.sqrt(mu * r / p)
 
 
@@ -302,9 +300,7 @@ def _log_model_size(s: int, r: int, p: int, delta: float | None = None) -> float
 
 def _horizon(eta: float, n: int) -> float:
     """The observation horizon ``T = eta n`` of ``n`` samples at step ``eta``."""
-    if not 0 < eta < math.inf:
-        raise ConstructionError(f"eta must be finite and positive, got {eta}")
-    return eta * require_count(n, "n", 1)
+    return require_real(eta, "eta", "positive") * require_count(n, "n", 1)
 
 
 def theoretical_lambdas(
@@ -332,10 +328,8 @@ def theoretical_lambdas(
         raise AssumptionError("A3: incoherence theta must be positive")
     if not alpha < 1:
         raise AssumptionError("A2: identifiability alpha must be below one")
-    if not 0 < horizon < math.inf:
-        raise ConstructionError("horizon must be finite and positive")
-    if not 0 < delta < 1:
-        raise ConstructionError("delta must lie in (0, 1)")
+    require_real(horizon, "horizon", "positive")
+    require_real(delta, "delta", "in (0, 1)")
     s = require_count(s, "s", 1)
     m = latent_effect_constant(params, D)
     p, r = params.p, params.r
@@ -447,10 +441,9 @@ def assumption_report(
     and an observation horizon ``T = eta n`` is given, otherwise left as
     ``None``.
     """
-    if horizon is not None and not 0 < horizon < math.inf:
-        raise ConstructionError("horizon must be finite and positive")
-    if not 0 < delta < 1:
-        raise ConstructionError("delta must lie in (0, 1)")
+    if horizon is not None:
+        require_real(horizon, "horizon", "positive")
+    require_real(delta, "delta", "in (0, 1)")
     ss = steady_state(params)
     margin = stability_margin(params)
     mu = incoherence_mu(ss.L)

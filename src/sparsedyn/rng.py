@@ -23,6 +23,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .errors import require_count
+
 _U64 = np.uint64
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
 _MIX1 = _U64(0xBF58476D1CE4E5B9)
@@ -65,13 +67,14 @@ def derive_seed(master: int, *parts: int) -> int:
     """Derive a child seed from a master seed and a tuple of indices.
 
     Used to assign independent streams to grid points and trials by index,
-    so results do not depend on scheduling order.
+    so results do not depend on scheduling order.  Each input is an
+    integer of any sign, taken modulo 2^64.
     """
-    state = np.array([master & _MASK], dtype=_U64)
+    state = np.array([require_count(master, "master") & _MASK], dtype=_U64)
     token = np.empty(1, dtype=_U64)
     tmp = np.empty(1, dtype=_U64)
     for part in parts:
-        token[0] = part & _MASK
+        token[0] = require_count(part, "part") & _MASK
         token += _GOLDEN
         state ^= _mix(token, tmp)
         _mix(state, tmp)
@@ -155,7 +158,7 @@ class CounterRng:
     """Counter-mode splitmix64 stream with a fixed 64-bit seed."""
 
     def __init__(self, seed: int):
-        self._key = np.array(seed & _MASK, dtype=_U64)
+        self._key = np.array(require_count(seed, "seed") & _MASK, dtype=_U64)
         self._pos = 0
 
     @property
@@ -165,8 +168,7 @@ class CounterRng:
 
     def raw(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit words as a uint64 array."""
-        if n < 0:
-            raise ValueError("n must be non-negative")
+        n = require_count(n, "n", 0)
         z = np.arange(self._pos + 1, self._pos + n + 1, dtype=_U64)
         self._pos += n
         return _words(self._key, z, np.empty_like(z))
@@ -198,8 +200,7 @@ class CounterRng:
         descheduled mid-block delays the call until it resumes.  Each value depends only on the seed and its index, so
         the stream is the same bit for bit however the blocks are shared.
         """
-        if n < 0:
-            raise ValueError("n must be non-negative")
+        n = require_count(n, "n", 0)
         if out is None:
             out = np.empty(n)
         elif (out.dtype != np.float64 or out.size != n or not out.flags.c_contiguous
@@ -227,8 +228,7 @@ class CounterRng:
 
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
         """Standard normal matrix filled row-major from one ``normals`` call."""
-        if rows < 0 or cols < 0:
-            raise ValueError("rows and cols must be non-negative")
+        rows, cols = require_count(rows, "rows", 0), require_count(cols, "cols", 0)
         return self.normals(rows * cols).reshape(rows, cols)
 
     def below(self, k: int) -> int:
@@ -239,9 +239,7 @@ class CounterRng:
         """One integer uniform on {0, ..., k-1} for each ``k`` in
         ``bounds``, from one ``uniforms`` call: word ``t`` gives
         ``floor(u_t * k_t)``, clamped against rounding up to ``k_t``."""
-        bounds = list(bounds)
-        if any(k <= 0 for k in bounds):
-            raise ValueError("k must be positive")
+        bounds = [require_count(k, "k", 1) for k in bounds]
         return [min(int(u * k), k - 1) for u, k in zip(self.uniforms(len(bounds)).tolist(), bounds)]
 
     def shuffle(self, items: list) -> None:

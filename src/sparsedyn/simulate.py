@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import read_table, require_complete, table_blocks
-from .errors import ConstructionError, DataError, NumericalError, require_count
+from .errors import ConstructionError, DataError, NumericalError, require_count, require_real
 from .linalg import matrix_exponential, solve_lyapunov_continuous, solve_lyapunov_discrete
 from .model import SystemParams
 from .rng import CounterRng
@@ -76,8 +76,7 @@ class Trajectory:
             raise ConstructionError("trajectory needs at least two samples of shape (n+1, p)")
         if not _finite(x):
             raise ConstructionError("trajectory contains non-finite values")
-        if not (math.isfinite(self.eta) and self.eta > 0):
-            raise ConstructionError("eta must be finite and positive")
+        require_real(self.eta, "eta", "positive")
         object.__setattr__(self, "x", x)
 
     @property
@@ -159,7 +158,7 @@ def _sample(params: SystemParams, f: np.ndarray, factor: np.ndarray, stationary_
     """
     n = require_count(n, "n", 1)
     m = f.shape[0]
-    rng = CounterRng(require_count(seed, "seed"))
+    rng = CounterRng(seed)
     start = _initial_state(params, init, rng, stationary_cov)
     rows = n + 1
     b = math.isqrt(rows)
@@ -289,8 +288,7 @@ def simulate_continuous(
     so a binned path from ``"stationary"`` still has a burn-in.  ``params``
     is stable by construction, so its joint drift is Hurwitz.
     """
-    if not (math.isfinite(eta) and eta > 0):
-        raise ConstructionError("sampling step eta must be finite and positive")
+    require_real(eta, "eta", "positive")
     joint = params.joint()
     if mode == "exact":
         cov = exact_increment_covariance(joint, eta)

@@ -21,13 +21,12 @@ and reproduces the latent-blind baseline.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .csvio import _json_array, _json_doc, _json_number, json_text
-from .errors import ConstructionError, DataError, DivergenceError, require_count
+from .errors import ConstructionError, DataError, DivergenceError, require_count, require_real
 from .linalg import power_spectral_norm, prox_l1, prox_nuclear
 from .simulate import SufficientStats
 
@@ -64,15 +63,12 @@ class SolverConfig:
     def __post_init__(self):
         if self.mode not in (MODE_SPARSE_LOWRANK, MODE_PURE_LASSO):
             raise ConstructionError(f"unknown solver mode {self.mode!r}")
-        if not 0 < self.lambda_a < math.inf:
-            raise ConstructionError("lambda_a must be finite and positive")
-        if not math.isfinite(self.lambda_l):
-            raise ConstructionError("lambda_l must be finite")
+        require_real(self.lambda_a, "lambda_a", "positive")
+        require_real(self.lambda_l, "lambda_l")
         if self.mode == MODE_SPARSE_LOWRANK and self.lambda_l <= 0:
             raise ConstructionError("lambda_l must be positive in sparse_plus_lowrank mode")
         object.__setattr__(self, "max_iter", require_count(self.max_iter, "max_iter", 1))
-        if not 0 < self.tol < math.inf:
-            raise ConstructionError("tol must be finite and positive")
+        require_real(self.tol, "tol", "positive")
 
 
 @dataclass(frozen=True)

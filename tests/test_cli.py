@@ -397,7 +397,7 @@ def test_failed_fit_writes_no_artifact(tmp_path, capsys):
                 "--zeta", "-1", "--graph-out", str(tmp_path / "g.dot"), "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err == (
-        "error:ConstructionError:zeta must be finite and non-negative\n")
+        "error:ConstructionError:zeta must be finite and non-negative, got -1.0\n")
     assert sorted(path.name for path in tmp_path.iterdir()) == ["prices.csv"]
 
 
@@ -785,12 +785,12 @@ def _error_path_inputs(directory):
     (["cv", "--data", "traj.csv", "--grid-c", "1", "--chunks", "100", "--out", _OUT],
      "ConfigError:not enough transitions for the requested chunk count"),
     (["check", "--system", "system.json", "--horizon", "0", "--out", _OUT],
-     "ConstructionError:horizon must be finite and positive"),
+     "ConstructionError:horizon must be finite and positive, got 0.0\n"),
     (["check", "--system", "system.json", "--horizon", "-5", "--out", _OUT],
-     "ConstructionError:horizon must be finite and positive"),
+     "ConstructionError:horizon must be finite and positive, got -5.0\n"),
     # A1 fails on this system, so no constant would have used delta.
     (["check", "--system", "illustrative.json", "--delta", "5", "--out", _OUT],
-     "ConstructionError:delta must lie in (0, 1)"),
+     "ConstructionError:delta must be finite and in (0, 1), got 5.0\n"),
     (["phase", "--p", "8", "--r", "2", "--s", "0", "--etas", "0.1", "--thetas", "1",
       "--trials", "3", "--c", "0.6", "--d", "0.5", "--out", _OUT],
      "ConstructionError:s must be at least 1, got 0"),

@@ -27,12 +27,19 @@ from sparsedyn.simulate import Trajectory, simulate_continuous
 # ------------------------------------------------------ recovery report
 
 
-@pytest.mark.parametrize("zeta", [-1.0, float("nan"), float("inf")])
-def test_support_threshold_must_be_finite_and_non_negative(zeta):
+@pytest.mark.parametrize("zeta, message", [
+    (-1.0, "zeta must be finite and non-negative, got -1.0"),
+    (float("nan"), "zeta must be finite and non-negative, got nan"),
+    (float("inf"), "zeta must be finite and non-negative, got inf"),
+    # True was a threshold of 1 and '0.1' ended in a bare TypeError.
+    (True, "zeta must be a real number, got True"),
+    ("0.1", "zeta must be a real number, got '0.1'"),
+], ids=["-1.0", "nan", "inf", "bool", "str"])
+def test_support_threshold_must_be_finite_and_non_negative(zeta, message):
     eye = np.eye(2)
-    with pytest.raises(ConstructionError, match="^zeta must be finite and non-negative$"):
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
         recovery_report(eye, eye, eye, eye, zeta=zeta)
-    with pytest.raises(ConstructionError, match="^zeta must be finite and non-negative$"):
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
         export_dependency_graph(eye, zeta=zeta)
 
 
@@ -186,7 +193,9 @@ def test_phase_transition_validates_inputs(monkeypatch):
         ({"eta": 0.1, "n": 50, "diag_margin": 5.0, "bogus": 1},
          r"unrecognised keys \['bogus', 'diag_margin'\]"),
         ({"eta": 0.1, "n": 50, "s": 0}, "^s must be at least 1, got 0$"),
-        ({"eta": float("nan"), "n": 50}, "^eta must be finite and positive, got nan$"),
+        ({"eta": float("nan"), "n": 50},
+         "^sweep point 2: eta must be finite and positive, got nan$"),
+        ({"eta": -0.1, "n": 50}, "^sweep point 2: eta must be finite and positive, got -0.1$"),
         ({"eta": 0.1, "n": 0}, "^n must be at least 1, got 0$"),
     ]:
         with pytest.raises(ConstructionError, match=message):
@@ -306,7 +315,7 @@ def test_cv_reference_sizes_are_checked_by_the_rule():
 
 
 @pytest.mark.parametrize("grid_c, grid_d, r_ref, message", [
-    ([0.5, -1.0], [1.0], 1, "^lambda_a must be finite and positive$"),
+    ([0.5, -1.0], [1.0], 1, r"^lambda_a must be finite and positive, got -0\.40722593\d*$"),
     ([0.5], [1.0, -1.0], 1, "^lambda_l must be positive in sparse_plus_lowrank mode$"),
     ([0.5], [1.0], -5, "^r must be at least 0, got -5$"),
 ], ids=["bad-c", "bad-d", "bad-r-ref"])

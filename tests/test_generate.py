@@ -90,9 +90,21 @@ def _spec(**kw):
     (lambda: gen_illustrative(4, True), "r must be an integer, got True"),
     (lambda: gen_illustrative("4", 2), "p must be an integer, got '4'"),
     (lambda: gen_illustrative(4, 0), "r must be at least 1, got 0"),
+    # The real-valued fields: True was taken as 1.0 and '1' ended in a bare
+    # TypeError.
+    (_spec(diag_margin=True), "diag_margin must be a real number, got True"),
+    (_spec(diag_margin="1"), "diag_margin must be a real number, got '1'"),
+    (_spec(diag_margin=float("nan")), "diag_margin must be finite and positive, got nan"),
+    (_spec(diag_margin=float("inf")), "diag_margin must be finite and positive, got inf"),
+    (_spec(diag_margin=0.0), "diag_margin must be finite and positive, got 0.0"),
+    (_spec(eta=True), "eta must be a real number, got True"),
+    (_spec(eta="0.05"), "eta must be a real number, got '0.05'"),
+    (_spec(eta=float("nan")), "eta must be finite and non-negative, got nan"),
+    (_spec(eta=-0.05), "eta must be finite and non-negative, got -0.05"),
 ], ids=["p-float", "p-bool", "p-str", "p-0", "r-float", "r-negative", "s-float", "s-negative",
         "seed-float", "seed-bool", "seed-str", "illustrative-p-float", "illustrative-r-bool",
-        "illustrative-p-str", "illustrative-r-0"])
+        "illustrative-p-str", "illustrative-r-0", "margin-bool", "margin-str", "margin-nan",
+        "margin-inf", "margin-0", "eta-bool", "eta-str", "eta-nan", "eta-negative"])
 def test_generator_counts_name_the_bad_input(call, message):
     with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
         call()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -129,9 +131,15 @@ def test_lyapunov_discrete_rejects_unstable():
         solve_lyapunov_discrete(np.array([[1.0]]), eta=0.5)
 
 
-@pytest.mark.parametrize("eta", [np.nan, np.inf])
-def test_lyapunov_discrete_rejects_nonfinite_eta(eta):
-    with pytest.raises(ConstructionError, match="^eta must be finite and positive$"):
+@pytest.mark.parametrize("eta, message", [
+    (np.nan, "eta must be finite and positive, got nan"),
+    (np.inf, "eta must be finite and positive, got inf"),
+    (0.0, "eta must be finite and positive, got 0.0"),
+    (True, "eta must be a real number, got True"),
+    ("0.1", "eta must be a real number, got '0.1'"),
+], ids=["nan", "inf", "zero", "bool", "str"])
+def test_lyapunov_discrete_rejects_nonfinite_eta(eta, message):
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
         solve_lyapunov_discrete(-np.eye(2), eta)
 
 
@@ -320,11 +328,16 @@ def test_prox_nuclear_rejects_nonfinite():
 
 
 def test_prox_rejects_negative_tau():
-    for tau in (-0.1, np.nan):
-        with pytest.raises(ConstructionError):
-            prox_l1(np.eye(2), tau)
-        with pytest.raises(ConstructionError):
-            prox_nuclear(np.eye(2), tau)
+    # tau = inf returned zeros, True thresholded at 1 and '0.1' ended in a
+    # bare TypeError.
+    for tau, message in ((-0.1, "tau must be finite and non-negative, got -0.1"),
+                         (np.nan, "tau must be finite and non-negative, got nan"),
+                         (np.inf, "tau must be finite and non-negative, got inf"),
+                         (True, "tau must be a real number, got True"),
+                         ("0.1", "tau must be a real number, got '0.1'")):
+        for prox in (prox_l1, prox_nuclear):
+            with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+                prox(np.eye(2), tau)
 
 
 # ------------------------------------------------------ step size

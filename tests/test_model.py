@@ -94,16 +94,17 @@ def _lambdas(**kw):
      "D must be 1 x 1, got (2, 2)"),
     (lambda: incoherence_mu(np.zeros((2, 3))), ConstructionError, "L must be square"),
     (lambda: identifiability_alpha(-1.0, 1, 4), ConstructionError,
-     "need mu >= 0, r >= 0, p >= 1"),
+     "mu must be finite and non-negative, got -1.0"),
     (lambda: lasso_incoherence_theta(np.zeros((2, 3)), [(0,)]), ConstructionError,
      "Q must be square"),
     (lambda: lasso_incoherence_theta(np.eye(3), [(0, 3)]), ConstructionError,
      "support (0, 3) out of range for p = 3"),
     (lambda: latent_effect_constant(_observed_only(-np.eye(2), 0.0), 0.0), AssumptionError,
      "A1: stability margin must be positive to form m"),
-    (_lambdas(horizon=0.0), ConstructionError, "horizon must be finite and positive"),
-    (_lambdas(horizon=math.inf), ConstructionError, "horizon must be finite and positive"),
-    (_lambdas(delta=1.0), ConstructionError, "delta must lie in (0, 1)"),
+    (_lambdas(horizon=0.0), ConstructionError, "horizon must be finite and positive, got 0.0"),
+    (_lambdas(horizon=math.inf), ConstructionError,
+     "horizon must be finite and positive, got inf"),
+    (_lambdas(delta=1.0), ConstructionError, "delta must be finite and in (0, 1), got 1.0"),
     (_lambdas(s=0), ConstructionError, "s must be at least 1, got 0"),
     # 2.5 ran and True ran as 1; '3' ended in a bare TypeError.
     (_lambdas(s=2.5), ConstructionError, "s must be an integer, got 2.5"),
@@ -131,11 +132,41 @@ def _lambdas(**kw):
     (lambda: identifiability_alpha(0.5, 1, 0), ConstructionError, "p must be at least 1, got 0"),
     (lambda: theorem_constants(0.5, 0.5, 1.0, 1.0, -4, 0.1, 1.0), ConstructionError,
      "s must be at least 0, got -4"),
+    # nan gave alpha = nan; True was taken as 1 (a horizon, a step, mu) and
+    # strings ended in a bare TypeError.
+    (lambda: identifiability_alpha(math.nan, 1, 4), ConstructionError,
+     "mu must be finite and non-negative, got nan"),
+    (lambda: identifiability_alpha(True, 1, 4), ConstructionError,
+     "mu must be a real number, got True"),
+    (_lambdas(horizon=True), ConstructionError, "horizon must be a real number, got True"),
+    (_lambdas(horizon="0.5"), ConstructionError, "horizon must be a real number, got '0.5'"),
+    (_lambdas(delta=math.nan), ConstructionError,
+     "delta must be finite and in (0, 1), got nan"),
+    (lambda: assumption_report(_random_system(seed=21), horizon=math.nan), ConstructionError,
+     "horizon must be finite and positive, got nan"),
+    (lambda: assumption_report(_random_system(seed=21), horizon="5"), ConstructionError,
+     "horizon must be a real number, got '5'"),
+    (lambda: assumption_report(_random_system(seed=21), delta=0.0), ConstructionError,
+     "delta must be finite and in (0, 1), got 0.0"),
+    (lambda: _observed_only(-np.eye(2), -0.1), ConstructionError,
+     "eta must be finite and non-negative, got -0.1"),
+    (lambda: _observed_only(-np.eye(2), math.inf), ConstructionError,
+     "eta must be finite and non-negative, got inf"),
+    (lambda: _observed_only(-np.eye(2), True), ConstructionError,
+     "eta must be a real number, got True"),
+    (lambda: control_parameter(True, 100, 3, 2, 40), ConstructionError,
+     "eta must be a real number, got True"),
+    (lambda: control_parameter("0.05", 100, 3, 2, 40), ConstructionError,
+     "eta must be a real number, got '0.05'"),
 ], ids=["A-square", "B-shape", "C-shape", "D-shape", "mu-square", "alpha-mu", "theta-square",
         "theta-support-range", "m-margin", "lambdas-horizon-0", "lambdas-horizon-inf",
         "lambdas-delta", "lambdas-s", "lambdas-s-float", "theta-n-float", "theta-n-bool",
         "theta-n-str", "theta-s-float", "theta-s-bool", "theta-s-str", "theta-r-float",
-        "theta-p-float", "rule-s-float", "alpha-r-float", "alpha-p-0", "constants-s-negative"])
+        "theta-p-float", "rule-s-float", "alpha-r-float", "alpha-p-0", "constants-s-negative",
+        "alpha-mu-nan", "alpha-mu-bool", "lambdas-horizon-bool", "lambdas-horizon-str",
+        "lambdas-delta-nan", "report-horizon-nan", "report-horizon-str", "report-delta-0",
+        "params-eta-negative", "params-eta-inf", "params-eta-bool", "theta-eta-bool",
+        "theta-eta-str"])
 def test_model_checks_name_the_bad_input(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()

@@ -4,9 +4,11 @@ of a public callable or a flag of a ``sparsedyn`` subcommand must show up
 as an edit to this file."""
 
 import argparse
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -200,3 +202,16 @@ def test_cli_flags_are_the_pinned_lists():
         found[name] = sorted(options - {"--out", "--config", "--help", "-h"})
     assert all(flags == sorted(flags) for flags in FLAGS.values())
     assert found == FLAGS
+
+
+def test_only_errors_tests_a_number_type():
+    # ``errors.require_count`` and ``errors.require_real`` are the one type
+    # check of a number; no other module imports ``numbers`` to write its own.
+    importers = []
+    for path in sorted(Path(sparsedyn.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "numbers" in names:
+                importers.append(path.name)
+    assert importers == ["errors.py"]

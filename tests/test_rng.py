@@ -1,4 +1,5 @@
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -8,7 +9,10 @@ import pytest
 from reference import box_muller_normals
 
 import sparsedyn.rng as rng_module
+from sparsedyn.errors import ConstructionError
+from sparsedyn.generate import GenSpec, gen_random_system
 from sparsedyn.rng import CounterRng, derive_seed
+from sparsedyn.simulate import simulate_continuous
 
 
 def test_same_seed_same_stream():
@@ -80,6 +84,37 @@ def test_derive_seed_depends_on_all_parts():
     assert derive_seed(42, 1, 0) != base
     assert derive_seed(43, 0, 0) != base
     assert derive_seed(42, 0, 0) == base
+
+
+@pytest.mark.parametrize("call, message", [
+    # Floats and strings ended in a bare TypeError, and a bool ran as 0 or 1.
+    (lambda: CounterRng(0.5), "seed must be an integer, got 0.5"),
+    (lambda: CounterRng(True), "seed must be an integer, got True"),
+    (lambda: CounterRng("1"), "seed must be an integer, got '1'"),
+    (lambda: derive_seed(1.5), "master must be an integer, got 1.5"),
+    (lambda: derive_seed(True, 0), "master must be an integer, got True"),
+    (lambda: derive_seed(1, 2.5), "part must be an integer, got 2.5"),
+    (lambda: derive_seed(1, 0, False), "part must be an integer, got False"),
+], ids=["rng-float", "rng-bool", "rng-str", "master-float", "master-bool", "part-float",
+        "part-bool"])
+def test_seeds_must_be_integers(call, message):
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_numpy_scalars_give_the_stream_and_result_of_python_ones():
+    # Seeds of any sign are taken modulo 2^64, as numpy or Python integers.
+    a, b = CounterRng(np.uint64(2**64 - 1)), CounterRng(-1)
+    assert a.raw(np.int32(3)).tolist() == b.raw(3).tolist()
+    assert a.normals(np.int64(5)).tobytes() == b.normals(5).tobytes()
+    assert a.normal_matrix(np.int64(2), np.uint8(3)).tobytes() == b.normal_matrix(2, 3).tobytes()
+    assert a.below_each([np.int64(7), np.uint16(3)]) == b.below_each([7, 3])
+    assert a.position == b.position
+    assert derive_seed(np.int64(5), np.int32(-2)) == derive_seed(5, 2**64 - 2)
+    params = gen_random_system(GenSpec(p=4, r=2, s=1, seed=3))
+    path = simulate_continuous(params, np.float64(0.05), np.int64(30), seed=np.int64(-9))
+    assert path.eta == 0.05
+    assert path.x.tobytes() == simulate_continuous(params, 0.05, 30, seed=-9).x.tobytes()
 
 
 def test_position_tracks_consumption():
@@ -237,16 +272,25 @@ def test_normal_matrix_draws_through_normals_once(monkeypatch):
     assert rng.position == 7008
 
 
-@pytest.mark.parametrize("draw", [
-    lambda r: r.normals(-1), lambda r: r.normals(-2), lambda r: r.raw(-1),
-    lambda r: r.uniforms(-1), lambda r: r.normal_matrix(-1, 3),
-    lambda r: r.normal_matrix(3, -1), lambda r: r.normal_matrix(-2, -3),
+@pytest.mark.parametrize("draw, message", [
+    (lambda r: r.normals(-1), "n must be at least 0, got -1"),
+    (lambda r: r.normals(-2), "n must be at least 0, got -2"),
+    (lambda r: r.raw(-1), "n must be at least 0, got -1"),
+    (lambda r: r.uniforms(-1), "n must be at least 0, got -1"),
+    (lambda r: r.normal_matrix(-1, 3), "rows must be at least 0, got -1"),
+    (lambda r: r.normal_matrix(3, -1), "cols must be at least 0, got -1"),
+    (lambda r: r.normal_matrix(-2, -3), "rows must be at least 0, got -2"),
+    # These ended in a bare TypeError, and True drew two words.
+    (lambda r: r.normals(2.5), "n must be an integer, got 2.5"),
+    (lambda r: r.normals(True), "n must be an integer, got True"),
+    (lambda r: r.raw("3"), "n must be an integer, got '3'"),
+    (lambda r: r.normal_matrix(2.0, 3), "rows must be an integer, got 2.0"),
 ], ids=["normals-1", "normals-2", "raw-1", "uniforms-1", "matrix-rows", "matrix-cols",
-        "matrix-both"])
-def test_negative_sizes_rejected_without_consuming(draw):
+        "matrix-both", "normals-float", "normals-bool", "raw-str", "matrix-float"])
+def test_negative_sizes_rejected_without_consuming(draw, message):
     rng = CounterRng(9)
     rng.raw(2)
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
         draw(rng)
     assert rng.position == 2
 
@@ -322,9 +366,13 @@ def test_below_each_is_one_below_per_bound():
 
 
 def test_below_each_rejects_a_bound_without_consuming():
+    # The float bound returned 1.5, a value that is not an integer.
     rng = CounterRng(19)
-    with pytest.raises(ValueError, match="positive"):
-        rng.below_each([3, 0, 2])
+    for bounds, message in (([3, 0, 2], "k must be at least 1, got 0"),
+                            ([2.5], "k must be an integer, got 2.5"),
+                            ([3, True], "k must be an integer, got True")):
+        with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+            rng.below_each(bounds)
     assert rng.position == 0
 
 

@@ -181,15 +181,16 @@ def test_continuous_blowup_detection():
     assert np.abs(traj.x).max() > 1e11
 
 
-@pytest.mark.parametrize("eta", [np.nan, np.inf])
+# True was taken as a step of 1 and '0.1' ended in a bare TypeError.
+@pytest.mark.parametrize("eta", [np.nan, np.inf, -0.1, True, "0.1"])
 def test_non_finite_eta_is_rejected(eta):
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ConstructionError, match="^eta must be "):
         Trajectory(x=np.zeros((3, 2)), eta=eta)
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ConstructionError, match="^eta must be "):
         dataclasses.replace(_scalar_params(), eta=eta)
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ConstructionError, match="^eta must be "):
         GenSpec(p=3, r=0, s=1, seed=0, eta=eta)
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ConstructionError, match="^eta must be "):
         simulate_continuous(_scalar_params(eta=0.0), eta=eta, n=4)
 
 
@@ -480,11 +481,15 @@ def _continuous(**kw):
     (_continuous(seed=True), "seed must be an integer, got True"),
     (_continuous(seed="1"), "seed must be an integer, got '1'"),
     (lambda: binned_increment_covariance(-np.eye(2), 0.1, 2.5), "bins must be an integer, got 2.5"),
+    (lambda: simulate_continuous(_scalar_params(eta=0.0), eta=0.0, n=4),
+     "eta must be finite and positive, got 0.0"),
+    (lambda: Trajectory(x=np.zeros((3, 2)), eta="0.1"), "eta must be a real number, got '0.1'"),
 ], ids=["discrete-n", "continuous-n", "continuous-bins", "binned-bins", "mode", "merge-none",
         "merge-eta", "discrete-n-float", "discrete-n-bool", "discrete-n-str", "discrete-seed-float",
         "discrete-seed-bool", "discrete-seed-str", "continuous-n-float", "continuous-n-bool",
         "continuous-n-str", "continuous-bins-float", "continuous-bins-bool", "continuous-bins-str",
-        "continuous-seed-float", "continuous-seed-bool", "continuous-seed-str", "binned-bins-float"])
+        "continuous-seed-float", "continuous-seed-bool", "continuous-seed-str", "binned-bins-float",
+        "continuous-eta-0", "trajectory-eta-str"])
 def test_sampler_and_reduction_checks_name_the_bad_input(call, message):
     with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
         call()

@@ -358,22 +358,28 @@ def test_solver_config_takes_a_numpy_integer_max_iter():
 
 
 def test_solver_config_validation():
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ConstructionError, match="^lambda_a must be finite and positive, got 0.0$"):
         SolverConfig(lambda_a=0.0, lambda_l=1.0)
     with pytest.raises(ConstructionError):
         SolverConfig(lambda_a=1.0, lambda_l=0.0)  # required outside lasso mode
     with pytest.raises(ConstructionError):
         SolverConfig(lambda_a=1.0, lambda_l=1.0, max_iter=0)
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ConstructionError, match="^tol must be finite and positive, got 0.0$"):
         SolverConfig(lambda_a=1.0, lambda_l=1.0, tol=0.0)
     SolverConfig(lambda_a=1.0, mode=MODE_PURE_LASSO)  # lambda_l optional here
 
 
 @pytest.mark.parametrize("field", ["lambda_a", "lambda_l", "tol"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
-def test_solver_config_rejects_non_finite_numbers(field, value):
+@pytest.mark.parametrize("value, message", [
+    pytest.param(float("nan"), "must be finite", id="nan"),
+    pytest.param(float("inf"), "must be finite", id="inf"),
+    # True was taken as 1.0 and '0.1' ended in a bare TypeError.
+    pytest.param(True, "must be a real number, got True$", id="bool"),
+    pytest.param("0.1", "must be a real number, got '0\\.1'$", id="str"),
+])
+def test_solver_config_rejects_non_finite_numbers(field, value, message):
     kwargs = {"lambda_a": 1.0, "lambda_l": 1.0, "tol": 1e-8, field: value}
-    with pytest.raises(ConstructionError, match=f"^{field} must be finite"):
+    with pytest.raises(ConstructionError, match=f"^{field} {message}"):
         SolverConfig(**kwargs)
 
 
