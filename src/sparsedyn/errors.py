@@ -57,17 +57,16 @@ def require_count(value, what: str, least: int | None = None,
     return int(value)
 
 
-def require_real(value, what: str, bound: str | None = None,
-                 error: type[SparsedynError] = ConstructionError):
+def require_real(value, what: str, bound: str | None = None):
     """``value`` itself, unconverted: a finite Python or numpy real number
     that is ``bound`` (``"positive"``, ``"non-negative"`` or ``"in (0, 1)"``)
     passes; a ``bool``, any other type, NaN, an infinity or a value out of
-    bound raises ``error`` naming ``what``."""
+    bound raises a ``ConstructionError`` naming ``what``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise error(f"{what} must be a real number, got {value!r}")
+        raise ConstructionError(f"{what} must be a real number, got {value!r}")
     inside = {None: True, "positive": value > 0, "non-negative": value >= 0,
               "in (0, 1)": 0 < value < 1}[bound]
     if not (inside and -math.inf < value < math.inf):
-        raise error(f"{what} must be finite{'' if bound is None else ' and ' + bound}, "
-                    f"got {value}")
+        raise ConstructionError(
+            f"{what} must be finite{'' if bound is None else ' and ' + bound}, got {value}")
     return value

@@ -169,7 +169,8 @@ def phase_transition(
     Trials whose fit diverges count as failures.  One warning names the
     ``(point, trial)`` fits that diverged or did not converge.  A point's
     ``eta`` must be a finite positive real number, and ``trials`` and a
-    point's counts integers (a ``bool`` is neither).
+    point's counts integers (a ``bool`` is neither); a row holds its
+    ``eta`` as a ``float``.
     """
     trials = require_count(trials, "trials", 1)
     if not sweep:
@@ -216,7 +217,7 @@ def phase_transition(
             successes += int(report.signed_match)
         rows.append(
             PhasePoint(
-                p=spec.p, r=spec.r, s=spec.s, eta=eta, n=n, theta=theta,
+                p=spec.p, r=spec.r, s=spec.s, eta=float(eta), n=n, theta=theta,
                 trials=trials, successes=successes,
             )
         )

@@ -232,7 +232,8 @@ def test_phase_transition_takes_numpy_integers_and_reals():
                               master_seed=7)
     assert result == phase_transition(base, sweep, trials=2, lambda_rule=(0.6, 0.5),
                                       master_seed=7)
-    assert all(type(row.n) is int and type(row.trials) is int for row in result.rows)
+    assert all(type(row.n) is int and type(row.trials) is int and type(row.eta) is float
+               for row in result.rows)
 
 
 # ------------------------------------------------------ cross-validation
