@@ -2,9 +2,10 @@
 library modules; every table goes through ``csvio``.
 
 Subcommands cover the full experiment pipeline: ``gen`` (system JSON),
-``simulate`` (trajectory CSV), ``fit`` (estimate JSON plus optional graph
-exports), ``phase`` (success-rate CSV), ``cv`` (constant selection JSON),
-``predict`` (forecast CSV), and ``check`` (assumption-report JSON).
+``simulate`` (trajectory CSV, with a binary copy beside it), ``fit``
+(estimate JSON plus optional graph exports), ``phase`` (success-rate
+CSV), ``cv`` (constant selection JSON), ``predict`` (forecast CSV), and
+``check`` (assumption-report JSON).
 
 Every artifact embeds its configuration and carries no timestamps.  The
 configuration is every flag except ``--out``, ``--graph-out``,
@@ -67,7 +68,7 @@ def _load_trajectory(args: argparse.Namespace) -> tuple[sim.Trajectory, list[str
     """The input trajectory and its series labels (``None`` for ``--data``)."""
     if args.data is not None:
         _reject_unused(args, _PRICE_ONLY, f"{args.command} --data")
-        return sim.trajectory_from_csv(read_text(args.data)), None
+        return sim.load_trajectory(args.data), None
     labels, series = ingest_csv(args.prices, missing=args.missing, convert=args.convert)
     return sim.Trajectory(x=series, eta=args.price_eta), labels
 
@@ -100,7 +101,7 @@ def cmd_simulate(args: argparse.Namespace, config: dict) -> int:
             params, eta=args.eta, n=args.n, mode=args.mode, seed=args.seed
         )
     comment = "config: " + json.dumps(config, sort_keys=True)
-    _write(Path(args.out), sim.trajectory_blocks(traj, comments=[comment]))
+    sim.save_trajectory(args.out, traj, comments=[comment])
     print(f"wrote {traj.n + 1} samples to {args.out}")
     return 0
 

@@ -12,6 +12,7 @@ sorted keys and two-space indents, ending in a line feed.
 from __future__ import annotations
 
 import datetime
+import io
 import json
 import logging
 import math
@@ -27,7 +28,7 @@ from .errors import ConfigError, DataError
 log = logging.getLogger("sparsedyn")
 
 __all__ = ["Table", "read_table", "require_complete", "table_blocks", "number", "json_text",
-           "ingest_csv", "read_text"]
+           "ingest_csv", "read_text", "decode_text"]
 
 _NUMBER = "%.17g"
 
@@ -104,8 +105,15 @@ def _json_array(value, name: str) -> np.ndarray:
 def read_text(path) -> str:
     """The text of an input file; bytes that are not UTF-8 are a
     ``DataError`` naming the file."""
+    return decode_text(Path(path).read_bytes(), path)
+
+
+def decode_text(data: bytes, path) -> str:
+    """``data``, the bytes of the file at ``path``, decoded as a text file
+    is read: UTF-8 with universal newlines; bytes that are not UTF-8 are a
+    ``DataError`` naming the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 

@@ -358,8 +358,12 @@ def lambda_pair_from_constants(
 ) -> tuple[float, float]:
     """Practical regularizer rule: ``lambda_A = c sqrt(log(4((s+2r)p + r^2)/delta) / (n eta))``
     with ``delta = 0.1``, and ``lambda_L = d sqrt(p) lambda_A``; ``c``
-    absorbs any other ``delta``.  It checks ``eta``, ``n``, ``s``, ``r``,
-    ``p`` and the model size as ``control_parameter`` does."""
+    absorbs any other ``delta``.  ``c`` must be positive and ``d``
+    non-negative (pure-lasso selection passes ``d = 0``); it checks
+    ``eta``, ``n``, ``s``, ``r``, ``p`` and the model size as
+    ``control_parameter`` does."""
+    require_real(c, "c", "positive")
+    require_real(d, "d", "non-negative")
     lam_a = c * math.sqrt(_log_model_size(s, r, p, DEFAULT_DELTA) / _horizon(eta, n))
     return lam_a, d * math.sqrt(p) * lam_a
 

@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import require_count
+from .errors import ConstructionError, require_count
 
 _U64 = np.uint64
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
@@ -189,7 +189,7 @@ class CounterRng:
         returned: a C-contiguous float64 array of ``n`` entries, of any
         shape.  Its values are the same bits ``normals(n)`` would return,
         and no other array of the draw's size is made.  A wrong ``out``
-        is a ``ValueError`` before any word is consumed.
+        is a ``ConstructionError`` before any word is consumed.
 
         The pairs are computed in cache-sized blocks written straight into
         the output.  A draw of several blocks is shared by the calling
@@ -203,9 +203,10 @@ class CounterRng:
         n = require_count(n, "n", 0)
         if out is None:
             out = np.empty(n)
-        elif (out.dtype != np.float64 or out.size != n or not out.flags.c_contiguous
-              or not out.flags.writeable):
-            raise ValueError(f"out must be a writeable C-contiguous float64 array of {n} entries")
+        elif (not isinstance(out, np.ndarray) or out.dtype != np.float64 or out.size != n
+              or not out.flags.c_contiguous or not out.flags.writeable):
+            raise ConstructionError(
+                f"out must be a writeable C-contiguous float64 array of {n} entries")
         flat = out.reshape(-1)
         m = (n + 1) // 2
         first = self._pos + 1

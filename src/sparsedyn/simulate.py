@@ -22,17 +22,27 @@ The solver never touches raw paths: ``sufficient_stats`` reduces a
 trajectory to the two cross-moment matrices and the squared-increment sum
 that determine the least-squares objective.  The trajectory CSV layout
 lives here too; ``csvio`` handles the text.
+
+``save_trajectory`` also writes a binary copy of the path beside its CSV
+(``traj.csv.npz`` beside ``traj.csv``): a ``.npz`` archive of ``x``,
+``eta`` and the SHA-256 of the CSV bytes as written.  ``load_trajectory``
+trusts the copy only while that digest matches the CSV's bytes and
+otherwise parses the CSV, so the CSV stays the one authority and the copy
+only saves the parse.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import zipfile
 from collections.abc import Iterator
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .csvio import read_table, require_complete, table_blocks
+from .csvio import decode_text, read_table, require_complete, table_blocks
 from .errors import ConstructionError, DataError, NumericalError, require_count, require_real
 from .linalg import matrix_exponential, solve_lyapunov_continuous, solve_lyapunov_discrete
 from .model import SystemParams
@@ -50,11 +60,16 @@ __all__ = [
     "trajectory_blocks",
     "trajectory_to_csv",
     "trajectory_from_csv",
+    "save_trajectory",
+    "load_trajectory",
 ]
 
 # Rows of normals turned into increments per matrix product (a 1.4 MB
 # buffer at p+r = 42).
 _CHUNK_ROWS = 4096
+
+# The sidecar's arrays: the path, its step and the SHA-256 of the CSV bytes.
+_SIDECAR_KEYS = ["eta", "sha256", "x"]
 
 
 def _finite(a: np.ndarray) -> bool:
@@ -370,8 +385,95 @@ def trajectory_from_csv(text: str) -> Trajectory:
     if len(table.lines) < 2:
         raise DataError("trajectory CSV needs a header and at least two rows")
     require_complete(table)
-    steps = np.diff(table.values[:, 0])
+    return Trajectory(x=table.values[:, 1:], eta=_grid_step(table.values[:, 0]))
+
+
+def _grid_step(times: np.ndarray) -> float:
+    """The step of a uniform, strictly increasing time column; any other
+    column (a time that is not a finite number included) is a ``DataError``."""
+    steps = np.diff(times)
     eta = float(steps[0])
     if not (eta > 0 and np.all(np.abs(steps - eta) <= 1e-9 * max(eta, 1.0))):
         raise DataError("time column must be a uniform, strictly increasing grid")
-    return Trajectory(x=table.values[:, 1:], eta=eta)
+    return eta
+
+
+def save_trajectory(path, traj: Trajectory, comments: list[str] | None = None) -> None:
+    """Write ``traj``'s CSV to ``path`` block by block, then its sidecar.
+
+    The CSV's bytes are those of :func:`trajectory_blocks`; they are hashed
+    as they are written, never read back.  The sidecar is written only
+    after the CSV is complete, and only when ``path`` is a regular file
+    whose parse :func:`trajectory_from_csv` accepts, so that loading the
+    sidecar gives what parsing the CSV gives.  Its bytes depend only on
+    the trajectory and the CSV's digest (no time stamps).
+    """
+    path = Path(path)
+    blocks = trajectory_blocks(traj, comments)
+    digest = hashlib.sha256()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("wb") as handle:
+        for block in blocks:
+            data = block.encode("utf-8")
+            digest.update(data)
+            handle.write(data)
+    if not path.is_file():
+        return
+    try:
+        _grid_step(np.arange(traj.x.shape[0]) * traj.eta)
+    except DataError:
+        return
+    arrays = {"eta": np.float64(traj.eta), "sha256": np.frombuffer(digest.digest(), np.uint8),
+              "x": traj.x}
+    # ``np.savez`` would stamp each member with the current time, and copy
+    # the path whole.
+    with zipfile.ZipFile(_sidecar(path), "w") as archive:
+        for key in _SIDECAR_KEYS:
+            with archive.open(zipfile.ZipInfo(key + ".npy"), "w", force_zip64=True) as member:
+                _write_npy(member, np.asarray(arrays[key]))
+
+
+def _write_npy(handle, a: np.ndarray) -> None:
+    """``a`` in the ``.npy`` format, ``_CHUNK_ROWS`` rows at a time."""
+    np.lib.format.write_array_header_1_0(handle, {
+        "descr": np.lib.format.dtype_to_descr(a.dtype), "fortran_order": False, "shape": a.shape})
+    rows = np.atleast_1d(a)
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        handle.write(rows[start:start + _CHUNK_ROWS].tobytes())
+
+
+def load_trajectory(path) -> Trajectory:
+    """The trajectory in the CSV at ``path``.
+
+    The file is read once and hashed.  When its sidecar holds that digest,
+    the trajectory is built from the sidecar's arrays, with the
+    ``Trajectory``'s own checks.  In any other case (no sidecar, a stale,
+    corrupt or foreign one) the CSV is decoded and parsed by
+    :func:`trajectory_from_csv`, with its errors.
+    """
+    data = Path(path).read_bytes()
+    traj = _from_sidecar(_sidecar(path), hashlib.sha256(data).digest())
+    return traj if traj is not None else trajectory_from_csv(decode_text(data, path))
+
+
+def _sidecar(path) -> Path:
+    """A trajectory CSV's binary copy: the CSV's name plus ``.npz``."""
+    return Path(f"{path}.npz")
+
+
+def _from_sidecar(path: Path, digest: bytes) -> Trajectory | None:
+    """The sidecar's trajectory when it matches ``digest``, else ``None``."""
+    # The sidecar only saves a parse: whatever fails in reading it (a
+    # missing, truncated or foreign file, a bad member, a non-finite path),
+    # the CSV is parsed instead.
+    try:
+        # A handle of our own: np.load leaks the one it opens when the zip is bad.
+        with path.open("rb") as handle, np.load(handle, allow_pickle=False) as archive:
+            if sorted(archive.files) != _SIDECAR_KEYS or archive["sha256"].tobytes() != digest:
+                return None
+            x, eta = archive["x"], archive["eta"]
+        if x.dtype != np.float64 or x.ndim != 2 or eta.dtype != np.float64 or eta.shape != ():
+            return None
+        return Trajectory(x=x, eta=float(eta))
+    except Exception:
+        return None

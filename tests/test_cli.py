@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import sparsedyn.cli as cli_module
 import sparsedyn.evaluate as ev_module
+import sparsedyn.simulate as sim_module
 from sparsedyn.cli import ingest_csv, run
 from sparsedyn.errors import ConfigError, DataError
 from sparsedyn.model import assumption_report
@@ -949,6 +950,79 @@ def test_readme_commands_parse():
             pytest.fail(f"README command does not parse: {command}")
     assert {args.command for args in parsed} == set(_subparsers())
     assert sum(bool(getattr(args, "prices", None)) for args in parsed) >= 2
+
+
+def _counted_parses(monkeypatch) -> list:
+    """Each later trajectory CSV parse, as the length of its text."""
+    calls, parse = [], sim_module.trajectory_from_csv
+
+    def counted(text):
+        calls.append(len(text))
+        return parse(text)
+
+    monkeypatch.setattr(sim_module, "trajectory_from_csv", counted)
+    return calls
+
+
+def _run_all(commands, capsys) -> list[str]:
+    """Run each command; its stdout lines."""
+    printed = []
+    for command in commands:
+        assert run(shlex.split(command)[1:]) == 0, command
+        printed.append(capsys.readouterr().out)
+    return printed
+
+
+def test_readme_steps_3_to_5_write_the_same_bytes_without_the_sidecar(tmp_path, monkeypatch,
+                                                                     capsys):
+    # Steps 3-5 load the sidecar that step 2 writes; once it is deleted they
+    # parse traj.csv, and every artifact and message stays the same.
+    monkeypatch.chdir(tmp_path)
+    steps = _readme_commands()[:5]
+    _run_all(steps[:2], capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "system.json", "traj.csv", "traj.csv.npz"]
+    artifacts = ["cv.json", "estimate.json", "graph.dot", "edges.csv", "forecast.csv"]
+    calls = _counted_parses(monkeypatch)
+    printed = _run_all(steps[2:], capsys)
+    assert calls == []
+    written = {name: Path(name).read_bytes() for name in artifacts}
+    Path("traj.csv.npz").unlink()
+    assert _run_all(steps[2:], capsys) == printed
+    assert len(calls) == 3
+    assert {name: Path(name).read_bytes() for name in artifacts} == written
+
+
+def _edit_last_cell(path: Path, tail: str) -> None:
+    """Replace the file's text from its last ``,`` on by ``tail``."""
+    text = path.read_text()
+    path.write_text(text[: text.rindex(",")] + tail)
+
+
+@pytest.mark.parametrize("edit", ["cell", "truncated"])
+def test_an_edited_trajectory_csv_gives_the_result_of_its_parse(tmp_path, monkeypatch, capsys,
+                                                                  edit):
+    # The sidecar of the unedited file is stale: fit reads the edited CSV
+    # as it would with no sidecar, down to the error line.
+    monkeypatch.chdir(tmp_path)
+    assert run(["gen", "--p", "3", "--r", "2", "--s", "1", "--out", "system.json"]) == 0
+    assert run(["simulate", "--system", "system.json", "--eta", "0.05", "--n", "200",
+                "--out", "traj.csv"]) == 0
+    _edit_last_cell(Path("traj.csv"), ",12.5\n" if edit == "cell" else "")
+    Path("out").mkdir()
+    capsys.readouterr()
+    results = []
+    for _ in range(2):
+        code = run(["fit", "--data", "traj.csv", *_FIT])
+        out = Path(_OUT).read_bytes() if Path(_OUT).exists() else None
+        results.append((code, capsys.readouterr(), out))
+        Path("traj.csv.npz").unlink(missing_ok=True)
+    assert results[0] == results[1]
+    if edit == "truncated":
+        assert results[0][:2] == (1, ("", "error:DataError:line 203: expected 4 fields, got 3\n"))
+        assert list(Path("out").iterdir()) == []
+    else:
+        assert results[0][0] == 0
 
 
 def test_readme_library_quickstart_runs():

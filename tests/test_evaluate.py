@@ -316,8 +316,8 @@ def test_cv_reference_sizes_are_checked_by_the_rule():
 
 
 @pytest.mark.parametrize("grid_c, grid_d, r_ref, message", [
-    ([0.5, -1.0], [1.0], 1, r"^lambda_a must be finite and positive, got -0\.40722593\d*$"),
-    ([0.5], [1.0, -1.0], 1, "^lambda_l must be positive in sparse_plus_lowrank mode$"),
+    ([0.5, -1.0], [1.0], 1, "^c must be finite and positive, got -1.0$"),
+    ([0.5], [1.0, -1.0], 1, "^d must be finite and non-negative, got -1.0$"),
     ([0.5], [1.0], -5, "^r must be at least 0, got -5$"),
 ], ids=["bad-c", "bad-d", "bad-r-ref"])
 def test_cv_checks_the_whole_grid_before_any_work(monkeypatch, grid_c, grid_d, r_ref, message):

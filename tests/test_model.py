@@ -78,6 +78,16 @@ def _blocks(a, b, c, d):
                                 C=np.zeros(c), D=np.zeros(d))
 
 
+def _rule(**kw):
+    args = {"c": 0.5, "d": 1.0, "p": 40, "r": 2, "s": 3, "eta": 0.05, "n": 100, **kw}
+    return lambda: lambda_pair_from_constants(**args)
+
+
+def test_lambda_rule_takes_d_zero_for_pure_lasso():
+    lam_a, lam_l = lambda_pair_from_constants(0.5, 0.0, 40, 2, 3, 0.05, 100)
+    assert lam_a > 0 and lam_l == 0.0
+
+
 def _lambdas(**kw):
     args = {"D": 1.0, "theta": 0.5, "alpha": 0.5, "s": 2, "horizon": 0.5, "delta": 0.1, **kw}
     return lambda: theoretical_lambdas(_random_system(seed=21, eta=0.05), **args)
@@ -158,6 +168,16 @@ def _lambdas(**kw):
      "eta must be a real number, got True"),
     (lambda: control_parameter("0.05", 100, 3, 2, 40), ConstructionError,
      "eta must be a real number, got '0.05'"),
+    # c = nan gave (nan, nan), '0.5' ended in a bare TypeError, -0.5 gave a
+    # negative pair and True was taken as 1.0.
+    (_rule(c=math.nan), ConstructionError, "c must be finite and positive, got nan"),
+    (_rule(c="0.5"), ConstructionError, "c must be a real number, got '0.5'"),
+    (_rule(c=-0.5), ConstructionError, "c must be finite and positive, got -0.5"),
+    (_rule(c=0.0), ConstructionError, "c must be finite and positive, got 0.0"),
+    (_rule(c=True, d=True), ConstructionError, "c must be a real number, got True"),
+    (_rule(d=True), ConstructionError, "d must be a real number, got True"),
+    (_rule(d=-0.5), ConstructionError, "d must be finite and non-negative, got -0.5"),
+    (_rule(d=math.inf), ConstructionError, "d must be finite and non-negative, got inf"),
 ], ids=["A-square", "B-shape", "C-shape", "D-shape", "mu-square", "alpha-mu", "theta-square",
         "theta-support-range", "m-margin", "lambdas-horizon-0", "lambdas-horizon-inf",
         "lambdas-delta", "lambdas-s", "lambdas-s-float", "theta-n-float", "theta-n-bool",
@@ -166,7 +186,8 @@ def _lambdas(**kw):
         "alpha-mu-nan", "alpha-mu-bool", "lambdas-horizon-bool", "lambdas-horizon-str",
         "lambdas-delta-nan", "report-horizon-nan", "report-horizon-str", "report-delta-0",
         "params-eta-negative", "params-eta-inf", "params-eta-bool", "theta-eta-bool",
-        "theta-eta-str"])
+        "theta-eta-str", "rule-c-nan", "rule-c-str", "rule-c-negative", "rule-c-0",
+        "rule-c-d-bool", "rule-d-bool", "rule-d-negative", "rule-d-inf"])
 def test_model_checks_name_the_bad_input(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()

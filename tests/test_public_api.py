@@ -69,8 +69,8 @@ MODULE_ONLY = {
 # Each submodule's sorted ``__all__``.
 MODULE_ALL = {
     "sparsedyn.cli": ["main", "run"],
-    "sparsedyn.csvio": ["Table", "ingest_csv", "json_text", "number", "read_table",
-                        "read_text", "require_complete", "table_blocks"],
+    "sparsedyn.csvio": ["Table", "decode_text", "ingest_csv", "json_text", "number",
+                        "read_table", "read_text", "require_complete", "table_blocks"],
     "sparsedyn.evaluate": ["CvSelection", "DependencyGraph", "PhasePoint", "PhaseResult",
                            "RecoveryReport", "block_cross_validate", "default_support_threshold",
                            "export_dependency_graph", "phase_transition", "predict",
@@ -87,9 +87,10 @@ MODULE_ALL = {
                         "row_supports", "stability_margin", "steady_state", "support_size",
                         "theorem_constants", "theoretical_lambdas"],
     "sparsedyn.simulate": ["SufficientStats", "Trajectory", "binned_increment_covariance",
-                           "exact_increment_covariance", "merge_stats", "simulate_continuous",
-                           "simulate_discrete", "sufficient_stats", "trajectory_blocks",
-                           "trajectory_from_csv", "trajectory_to_csv"],
+                           "exact_increment_covariance", "load_trajectory", "merge_stats",
+                           "save_trajectory", "simulate_continuous", "simulate_discrete",
+                           "sufficient_stats", "trajectory_blocks", "trajectory_from_csv",
+                           "trajectory_to_csv"],
     "sparsedyn.solver": ["Estimate", "SolverConfig", "estimate_from_json", "estimate_to_json",
                          "fit", "objective", "smooth_gradient"],
 }
@@ -149,6 +150,7 @@ OPTIONS = {
     "sparsedyn.simulate.simulate_continuous": {
         "mode": "'binned'", "bins": "10", "seed": "0", "noise": "None", "init": "'zero'"},
     "sparsedyn.simulate.simulate_discrete": {"seed": "0", "noise": "None", "init": "'zero'"},
+    "sparsedyn.simulate.save_trajectory": {"comments": "None"},
     "sparsedyn.simulate.trajectory_blocks": {"comments": "None"},
     "sparsedyn.simulate.trajectory_to_csv": {"comments": "None"},
     "sparsedyn.solver.Estimate": {

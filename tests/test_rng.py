@@ -323,12 +323,13 @@ def test_normals_fill_a_two_dimensional_out_row_major():
 @pytest.mark.parametrize("out", [
     np.empty(12, dtype=np.float32), np.empty(12, dtype=np.int64), np.empty(11), np.empty(13),
     np.empty(24)[::2], np.empty((3, 4), order="F"), np.empty((12, 2))[:, 0],
-    np.frombuffer(bytes(96)),
-], ids=["float32", "int64", "short", "long", "strided", "fortran", "column", "read-only"])
+    np.frombuffer(bytes(96)), [0.0] * 12,
+], ids=["float32", "int64", "short", "long", "strided", "fortran", "column", "read-only",
+        "list"])
 def test_normals_reject_a_bad_out_without_consuming(out):
     rng = CounterRng(9)
     rng.raw(2)
-    with pytest.raises(ValueError, match="out must be"):
+    with pytest.raises(ConstructionError, match="out must be"):
         rng.normals(12, out=out)
     assert rng.position == 2
 

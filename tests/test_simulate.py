@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import sparsedyn.csvio as csvio
+import sparsedyn.simulate as sim_module
 from sparsedyn.cli import run
 from sparsedyn.errors import ConstructionError, DataError, StabilityError
 from sparsedyn.generate import GenSpec, gen_illustrative, gen_random_system, system_to_json
@@ -20,6 +21,7 @@ from sparsedyn.simulate import (
     Trajectory,
     binned_increment_covariance,
     exact_increment_covariance,
+    load_trajectory,
     merge_stats,
     simulate_continuous,
     simulate_discrete,
@@ -626,6 +628,162 @@ def test_trajectory_csv_rejects_malformed():
         trajectory_from_csv("t,x1\n0.0,1.0\n0.3,2.0\n0.4,3.0\n")  # non-uniform
     with pytest.raises(DataError):
         trajectory_from_csv("x1,x2\n1.0,2.0\n")
+
+
+# ------------------------------------------------------------- sidecar
+
+
+def _simulated_csv(tmp_path, mode="binned", n=300, seed=8, name="traj.csv"):
+    """A trajectory CSV and its sidecar as ``sparsedyn simulate`` writes them."""
+    params = gen_random_system(GenSpec(p=5, r=2, s=2, seed=4,
+                                       eta=0.05 if mode == "discrete" else 0.0))
+    out = tmp_path / name
+    step = [] if mode == "discrete" else ["--eta", "0.05"]
+    assert run(["simulate", "--system", _system_file(tmp_path, params), "--mode", mode, *step,
+                "--n", str(n), "--seed", str(seed), "--out", str(out)]) == 0
+    return out
+
+
+def _counted_parses(monkeypatch) -> list:
+    """Each later call of ``trajectory_from_csv`` through the module, as
+    the length of its text."""
+    calls, parse = [], sim_module.trajectory_from_csv
+
+    def counted(text):
+        calls.append(len(text))
+        return parse(text)
+
+    monkeypatch.setattr(sim_module, "trajectory_from_csv", counted)
+    return calls
+
+
+def _same_bits(a: Trajectory, b: Trajectory) -> bool:
+    return (a.x.shape == b.x.shape and a.x.tobytes() == b.x.tobytes()
+            and type(a.eta) is type(b.eta) is float and a.eta.hex() == b.eta.hex())
+
+
+@pytest.mark.parametrize("mode, n", [("discrete", 300), ("binned", 300), ("exact", 300),
+                                     ("binned", 1)])
+def test_sidecar_loads_what_the_csv_parses_bit_for_bit(tmp_path, monkeypatch, mode, n):
+    csv = _simulated_csv(tmp_path, mode, n)
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "system.json", "traj.csv", "traj.csv.npz"]
+    parsed = trajectory_from_csv(csvio.read_text(csv))
+    calls = _counted_parses(monkeypatch)
+    loaded = load_trajectory(csv)
+    assert calls == []
+    assert _same_bits(loaded, parsed)
+    a, b = sufficient_stats(loaded), sufficient_stats(parsed)
+    assert a.S1.tobytes() == b.S1.tobytes() and a.S2.tobytes() == b.S2.tobytes()
+    assert a.sq_increment_sum == b.sq_increment_sum
+
+
+def test_sidecar_bytes_carry_no_time_stamp(tmp_path):
+    csv = _simulated_csv(tmp_path)
+    first = (tmp_path / "traj.csv.npz").read_bytes()
+    _simulated_csv(tmp_path)
+    assert (tmp_path / "traj.csv.npz").read_bytes() == first
+    with np.load(tmp_path / "traj.csv.npz", allow_pickle=False) as archive:
+        assert sorted(archive.files) == ["eta", "sha256", "x"]
+        assert archive["sha256"].tobytes() == hashlib.sha256(csv.read_bytes()).digest()
+
+
+def _rewrite_sidecar(csv, **arrays):
+    """Replace the sidecar by an archive of the given arrays, with the CSV's
+    own digest unless ``sha256`` is given."""
+    digest = np.frombuffer(hashlib.sha256(csv.read_bytes()).digest(), np.uint8)
+    with open(f"{csv}.npz", "wb") as handle:
+        np.savez(handle, **{"sha256": digest, **arrays})
+
+
+def _tamper_sidecar(kind, csv, tmp_path):
+    sidecar = tmp_path / "traj.csv.npz"
+    good = load_trajectory(csv)
+    x, eta = good.x, np.float64(good.eta)
+    if kind == "truncated":
+        sidecar.write_bytes(sidecar.read_bytes()[:-100])
+    elif kind == "not-zip":
+        sidecar.write_bytes(b"t,x1\n0,1\n")
+    elif kind == "npy-not-npz":
+        with sidecar.open("wb") as handle:
+            np.save(handle, x)
+    elif kind == "missing-key":
+        _rewrite_sidecar(csv, x=x)
+    elif kind == "extra-key":
+        _rewrite_sidecar(csv, x=x, eta=eta, n=np.int64(good.n))
+    elif kind == "x-shape":
+        _rewrite_sidecar(csv, x=x.reshape(-1), eta=eta)
+    elif kind == "x-dtype":
+        _rewrite_sidecar(csv, x=x.astype(np.float32), eta=eta)
+    elif kind == "eta-shape":
+        _rewrite_sidecar(csv, x=x, eta=np.array([good.eta]))
+    elif kind == "non-finite":
+        _rewrite_sidecar(csv, x=np.where(x > 0, np.nan, x), eta=eta)
+    elif kind == "pickled":
+        _rewrite_sidecar(csv, x=np.array([None], dtype=object), eta=eta)
+    elif kind == "other-digest":
+        _simulated_csv(tmp_path, seed=9, name="other.csv")
+        sidecar.write_bytes((tmp_path / "other.csv.npz").read_bytes())
+    else:
+        raise AssertionError(kind)
+
+
+@pytest.mark.parametrize("kind", ["truncated", "not-zip", "npy-not-npz", "missing-key",
+                                  "extra-key", "x-shape", "x-dtype", "eta-shape", "non-finite",
+                                  "pickled", "other-digest"])
+def test_a_bad_sidecar_falls_back_to_the_parse(tmp_path, monkeypatch, kind):
+    csv = _simulated_csv(tmp_path)
+    _tamper_sidecar(kind, csv, tmp_path)
+    calls = _counted_parses(monkeypatch)
+    loaded = load_trajectory(csv)
+    text = csvio.read_text(csv)
+    assert calls == [len(text)]
+    assert _same_bits(loaded, trajectory_from_csv(text))
+
+
+def test_an_edited_csv_is_parsed_as_it_now_reads(tmp_path, monkeypatch):
+    csv = _simulated_csv(tmp_path)
+    stale = load_trajectory(csv)
+    lines = csv.read_text().splitlines(keepends=True)
+    cells = lines[-1].split(",")
+    cells[1] = "12.5"
+    lines[-1] = ",".join(cells)
+    csv.write_text("".join(lines))
+    calls = _counted_parses(monkeypatch)
+    loaded = load_trajectory(csv)
+    assert len(calls) == 1
+    assert loaded.x[-1, 0] == 12.5 != stale.x[-1, 0]
+    assert _same_bits(loaded, trajectory_from_csv(csvio.read_text(csv)))
+
+
+def test_a_truncated_csv_fails_as_its_parse_does(tmp_path):
+    csv = _simulated_csv(tmp_path)
+    text = csv.read_text()
+    csv.write_text(text[: text.rindex(",")])
+    with pytest.raises(DataError) as parsed:
+        trajectory_from_csv(csvio.read_text(csv))
+    with pytest.raises(DataError) as loaded:
+        load_trajectory(csv)
+    assert str(loaded.value) == str(parsed.value)
+    assert str(loaded.value).endswith("expected 6 fields, got 5")
+
+
+def test_a_csv_copied_without_its_sidecar_is_parsed(tmp_path, monkeypatch):
+    csv = _simulated_csv(tmp_path)
+    copy = tmp_path / "copy.csv"
+    copy.write_bytes(csv.read_bytes())
+    calls = _counted_parses(monkeypatch)
+    assert _same_bits(load_trajectory(copy), load_trajectory(csv))
+    assert len(calls) == 1
+
+
+def test_load_trajectory_names_a_file_that_is_not_utf8(tmp_path):
+    # The sidecar's digest does not match, so the bytes are decoded as
+    # ``csvio.read_text`` decodes them.
+    csv = _simulated_csv(tmp_path)
+    csv.write_bytes(csv.read_bytes().replace(b"t,x1", b"t,x\xff", 1))
+    with pytest.raises(DataError, match=r"traj\.csv is not UTF-8 text: invalid start byte at byte"):
+        load_trajectory(csv)
 
 
 # ------------------------------------------------------ bounded memory
