@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 import sparsedyn.cli as cli_module
 import sparsedyn.evaluate as ev_module
-import sparsedyn.simulate as sim_module
 from sparsedyn.cli import ingest_csv, run
 from sparsedyn.errors import ConfigError, DataError
 from sparsedyn.model import assumption_report
@@ -952,18 +951,6 @@ def test_readme_commands_parse():
     assert sum(bool(getattr(args, "prices", None)) for args in parsed) >= 2
 
 
-def _counted_parses(monkeypatch) -> list:
-    """Each later trajectory CSV parse, as the length of its text."""
-    calls, parse = [], sim_module.trajectory_from_csv
-
-    def counted(text):
-        calls.append(len(text))
-        return parse(text)
-
-    monkeypatch.setattr(sim_module, "trajectory_from_csv", counted)
-    return calls
-
-
 def _run_all(commands, capsys) -> list[str]:
     """Run each command; its stdout lines."""
     printed = []
@@ -974,7 +961,7 @@ def _run_all(commands, capsys) -> list[str]:
 
 
 def test_readme_steps_3_to_5_write_the_same_bytes_without_the_sidecar(tmp_path, monkeypatch,
-                                                                     capsys):
+                                                                     capsys, csv_parses):
     # Steps 3-5 load the sidecar that step 2 writes; once it is deleted they
     # parse traj.csv, and every artifact and message stays the same.
     monkeypatch.chdir(tmp_path)
@@ -983,13 +970,12 @@ def test_readme_steps_3_to_5_write_the_same_bytes_without_the_sidecar(tmp_path, 
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "system.json", "traj.csv", "traj.csv.npz"]
     artifacts = ["cv.json", "estimate.json", "graph.dot", "edges.csv", "forecast.csv"]
-    calls = _counted_parses(monkeypatch)
     printed = _run_all(steps[2:], capsys)
-    assert calls == []
+    assert csv_parses == []
     written = {name: Path(name).read_bytes() for name in artifacts}
     Path("traj.csv.npz").unlink()
     assert _run_all(steps[2:], capsys) == printed
-    assert len(calls) == 3
+    assert len(csv_parses) == 3
     assert {name: Path(name).read_bytes() for name in artifacts} == written
 
 
