@@ -21,6 +21,7 @@ import numpy as np
 from .csvio import table_blocks
 from .errors import ConfigError, ConstructionError, DivergenceError, require_count, require_real
 from .generate import GenSpec, gen_random_system
+from .linalg import as_matrix
 from .model import control_parameter, lambda_pair_from_constants, steady_state
 from .rng import derive_seed
 from .simulate import (
@@ -57,6 +58,7 @@ def default_support_threshold(ahat: np.ndarray) -> float:
     """Round-off guard for supports of estimated matrices:
     ``1e-6 * max(1, ||Ahat||_inf)``.  Proximal output has exact zeros, so
     this only absorbs floating-point dust."""
+    ahat = as_matrix(ahat, "Ahat")
     scale = float(np.max(np.abs(ahat))) if ahat.size else 0.0
     return 1e-6 * max(1.0, scale)
 
@@ -96,14 +98,8 @@ def recovery_report(
     compared on the thresholded supports.  ``zeta = None`` selects the
     default round-off guard.
     """
-    ahat = np.asarray(ahat, dtype=float)
-    astar = np.asarray(astar, dtype=float)
-    if ahat.shape != astar.shape:
-        raise ConstructionError("Ahat and Astar shapes differ")
-    lhat = np.asarray(lhat, dtype=float)
-    lstar = np.asarray(lstar, dtype=float)
-    if lhat.shape != lstar.shape:
-        raise ConstructionError("Lhat and Lstar shapes differ")
+    ahat, lhat = as_matrix(ahat, "Ahat"), as_matrix(lhat, "Lhat")
+    astar, lstar = as_matrix(astar, "Astar", ahat.shape), as_matrix(lstar, "Lstar", lhat.shape)
     zeta = _support_threshold(ahat, zeta)
     supp_hat = np.abs(ahat) > zeta
     supp_star = np.abs(astar) > zeta
@@ -338,11 +334,8 @@ def predict(
     supplied, the mean squared error over entries and steps.
     """
     horizon = require_count(horizon, "horizon", 1)
-    ahat, lhat = np.asarray(ahat, dtype=float), np.asarray(lhat, dtype=float)
-    if not ahat.shape == lhat.shape == (history.p, history.p):
-        raise ConstructionError(f"Ahat and Lhat must have shape {(history.p, history.p)} to "
-                                f"match the history, got {ahat.shape} and {lhat.shape}")
-    m_sum = ahat + lhat
+    shape = (history.p, history.p)
+    m_sum = as_matrix(ahat, "Ahat", shape) + as_matrix(lhat, "Lhat", shape)
     state = history.x[-1].copy()
     preds = np.empty((horizon, history.p))
     for k in range(horizon):
@@ -350,12 +343,7 @@ def predict(
         preds[k] = state
     mse = None
     if actuals is not None:
-        actuals = np.asarray(actuals, dtype=float)
-        if actuals.shape != preds.shape:
-            raise ConstructionError(
-                f"actuals must have shape {preds.shape}, got {actuals.shape}"
-            )
-        mse = float(np.mean((preds - actuals) ** 2))
+        mse = float(np.mean((preds - as_matrix(actuals, "actuals", preds.shape)) ** 2))
     return preds, mse
 
 
@@ -390,10 +378,8 @@ def export_dependency_graph(
 ) -> DependencyGraph:
     """Edges ``(i, j)``, ``i != j``, wherever ``|A_ij| > zeta`` or
     ``|A_ji| > zeta``, plus the nonzero-fraction sparsity statistic."""
-    ahat = np.asarray(ahat, dtype=float)
+    ahat = as_matrix(ahat, "Ahat", "square")
     p = ahat.shape[0]
-    if ahat.shape != (p, p):
-        raise ConstructionError("Ahat must be square")
     zeta = _support_threshold(ahat, zeta)
     if labels is None:
         labels = [f"x{i + 1}" for i in range(p)]

@@ -1,7 +1,8 @@
 """Dense real-matrix primitives: the stability check, matrix exponential,
 Lyapunov solvers, l1 and nuclear-norm proximal maps, and the step size.
 
-Matrices are plain float64 ndarrays validated at the public entry points.
+Matrices are plain float64 ndarrays; ``as_matrix`` is the one check of a
+matrix argument, here and in every other module.
 All functions are pure; outputs are freshly allocated and safe to share.
 ``scipy.linalg`` is imported by the three functions that call it, so
 importing the package (and every CLI command that never simulates) does
@@ -26,25 +27,25 @@ __all__ = [
 ]
 
 
-def as_matrix(values, name: str = "matrix") -> np.ndarray:
-    """Validate and return ``values`` as a finite 2-D float64 array."""
+def as_matrix(values, name: str = "matrix", shape=None) -> np.ndarray:
+    """``values`` as a finite 2-D float64 array of ``shape``: ``None`` (any),
+    ``"square"``, or a pair of ints or ``None`` (any size).  This is the one
+    matrix check: a ``ConstructionError`` names ``name`` with its expected
+    and actual shape, or says that it has non-finite entries."""
     m = np.asarray(values, dtype=np.float64)
-    if m.ndim != 2:
-        raise ConstructionError(f"{name} must be 2-D, got shape {m.shape}")
+    want = m.shape[-1:] * 2 if shape == "square" else shape or (None, None)
+    if m.ndim != 2 or any(k not in (None, got) for k, got in zip(want, m.shape)):
+        expected = ("2-D" if shape is None else "square" if shape == "square"
+                    else " x ".join("any" if k is None else str(k) for k in shape))
+        raise ConstructionError(f"{name} must be {expected}, got shape {m.shape}")
     if m.size and not np.isfinite(m).all():
         raise ConstructionError(f"{name} contains non-finite entries")
     return m
 
 
-def _require_square(m: np.ndarray, name: str) -> None:
-    if m.shape[0] != m.shape[1]:
-        raise ConstructionError(f"{name} must be square, got shape {m.shape}")
-
-
 def matrix_exponential(m) -> np.ndarray:
     """Matrix exponential ``e^M`` (scaling-and-squaring with a Pade core)."""
-    m = as_matrix(m, "matrix_exponential input")
-    _require_square(m, "matrix_exponential input")
+    m = as_matrix(m, "matrix_exponential input", "square")
     import scipy.linalg
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -60,6 +61,7 @@ def require_stable(a: np.ndarray, eta: float = 0.0) -> None:
     """Raise ``StabilityError`` unless the drift ``a`` is Hurwitz (``eta = 0``) or
     ``rho(I + eta a) < 1`` (``eta > 0``), exactly when a stationary covariance exists.
     The second implies the first: ``|1 + eta lambda| < 1`` forces ``Re lambda < 0``."""
+    a = as_matrix(a, "A", "square")
     if eta == 0:
         alpha = float(np.linalg.eigvals(a).real.max(initial=-np.inf))
         if alpha >= 0:
@@ -91,8 +93,7 @@ def solve_lyapunov_continuous(a) -> np.ndarray:
     solver; the returned matrix is symmetrized and checked against the
     residual bound ``||AQ + QA^T + I||_F <= 1e-10 ||Q||_F``.
     """
-    a = as_matrix(a, "A")
-    _require_square(a, "A")
+    a = as_matrix(a, "A", "square")
     require_stable(a)
     n = a.shape[0]
     import scipy.linalg
@@ -113,8 +114,7 @@ def solve_lyapunov_discrete(a, eta: float) -> np.ndarray:
     definite solution iff ``require_stable(A, eta)`` passes.
     """
     require_real(eta, "eta", "positive")
-    a = as_matrix(a, "A")
-    _require_square(a, "A")
+    a = as_matrix(a, "A", "square")
     require_stable(a, eta)
     n = a.shape[0]
     m = np.eye(n) + eta * a
@@ -201,6 +201,5 @@ def prox_nuclear(m, tau: float) -> tuple[np.ndarray, np.ndarray]:
 def power_spectral_norm(s) -> float:
     """Largest eigenvalue of a symmetric matrix (the spectral norm when it
     is PSD), computed exactly by ``eigvalsh``; sets the solver step size."""
-    s = as_matrix(s, "power_spectral_norm input")
-    _require_square(s, "power_spectral_norm input")
+    s = as_matrix(s, "power_spectral_norm input", "square")
     return float(np.linalg.eigvalsh(s)[-1]) if s.size else 0.0

@@ -62,20 +62,12 @@ class SystemParams:
     eta: float = 0.0
 
     def __post_init__(self):
-        a = as_matrix(self.A, "A")
+        a = as_matrix(self.A, "A", "square")
         p = a.shape[0]
-        if a.shape != (p, p):
-            raise ConstructionError(f"A must be square, got {a.shape}")
-        b = as_matrix(self.B, "B") if np.size(self.B) or np.ndim(self.B) == 2 else np.zeros((p, 0))
+        b = as_matrix(self.B, "B", (p, None))
         r = b.shape[1]
-        c = as_matrix(self.C, "C")
-        d = as_matrix(self.D, "D")
-        if b.shape != (p, r):
-            raise ConstructionError(f"B must be {p} x r, got {b.shape}")
-        if c.shape != (r, p):
-            raise ConstructionError(f"C must be {r} x {p}, got {c.shape}")
-        if d.shape != (r, r):
-            raise ConstructionError(f"D must be {r} x {r}, got {d.shape}")
+        c = as_matrix(self.C, "C", (r, p))
+        d = as_matrix(self.D, "D", (r, r))
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "B", b)
         object.__setattr__(self, "C", c)
@@ -192,9 +184,7 @@ def incoherence_mu(l_mat) -> float:
 
     A zero matrix has rank 0 and returns ``mu = 0``.
     """
-    l_mat = as_matrix(l_mat, "L")
-    if l_mat.shape[0] != l_mat.shape[1]:
-        raise ConstructionError("L must be square")
+    l_mat = as_matrix(l_mat, "L", "square")
     p = l_mat.shape[0]
     u, svals, vh = np.linalg.svd(l_mat)
     if svals.size == 0 or svals[0] <= 0:
@@ -222,7 +212,7 @@ def identifiability_alpha(mu: float, r: int, p: int) -> float:
 def row_supports(a: np.ndarray) -> list[tuple[int, ...]]:
     """Exact nonzero column indices of each row (generated systems are
     sparse by construction, so zero means exactly zero)."""
-    return [tuple(np.nonzero(a[k])[0]) for k in range(a.shape[0])]
+    return [tuple(np.nonzero(row)[0]) for row in as_matrix(a, "A")]
 
 
 def support_size(a: np.ndarray) -> int:
@@ -243,9 +233,7 @@ def lasso_incoherence_theta(q, supports) -> float:
     worst case.  Negative values signal the incoherence assumption fails
     (returned, not raised).
     """
-    q = as_matrix(q, "Q")
-    if q.shape[0] != q.shape[1]:
-        raise ConstructionError("Q must be square")
+    q = as_matrix(q, "Q", "square")
     p = q.shape[0]
     unique = {tuple(sorted(set(int(i) for i in s))) for s in supports}
     worst = 0.0
@@ -271,6 +259,7 @@ def lasso_incoherence_theta(q, supports) -> float:
 
 def max_row_l1(b: np.ndarray) -> float:
     """Largest row l1 norm (the (inf,1) operator norm)."""
+    b = as_matrix(b, "B")
     if b.size == 0:
         return 0.0
     return float(np.max(np.sum(np.abs(b), axis=1)))

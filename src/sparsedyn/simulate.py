@@ -44,7 +44,8 @@ import numpy as np
 
 from .csvio import decode_text, read_table, require_complete, table_blocks
 from .errors import ConstructionError, DataError, NumericalError, require_count, require_real
-from .linalg import matrix_exponential, solve_lyapunov_continuous, solve_lyapunov_discrete
+from .linalg import (as_matrix, matrix_exponential, solve_lyapunov_continuous,
+                     solve_lyapunov_discrete)
 from .model import SystemParams
 from .rng import CounterRng
 
@@ -80,7 +81,8 @@ def _finite(a: np.ndarray) -> bool:
 @dataclass(frozen=True)
 class Trajectory:
     """Observed sample path ``x(0..n)``, shape (n+1, p), at sampling step
-    ``eta``; its finiteness check is the one check on a sampled path."""
+    ``eta`` over a finite horizon ``eta n``; its finiteness check is the one
+    check on a sampled path."""
 
     x: np.ndarray
     eta: float
@@ -93,6 +95,7 @@ class Trajectory:
             raise ConstructionError("trajectory contains non-finite values")
         require_real(self.eta, "eta", "positive")
         object.__setattr__(self, "x", x)
+        require_real(float(self.eta) * self.n, "the horizon eta * n")
 
     @property
     def n(self) -> int:
@@ -244,6 +247,7 @@ def simulate_discrete(
 def exact_increment_covariance(joint: np.ndarray, eta: float) -> np.ndarray:
     """Covariance ``G(eta) = int_0^eta e^{sM} e^{sM^T} ds`` of the exact
     one-step stochastic increment, via the Van Loan block exponential."""
+    joint = as_matrix(joint, "joint", "square")
     m = joint.shape[0]
     block = np.zeros((2 * m, 2 * m))
     block[:m, :m] = -joint
@@ -266,6 +270,7 @@ def binned_increment_covariance(joint: np.ndarray, eta: float, bins: int) -> np.
     integral and converges to it at rate O(eta / bins).
     """
     bins = require_count(bins, "bins", 1)
+    joint = as_matrix(joint, "joint", "square")
     m = joint.shape[0]
     step = matrix_exponential(joint * (eta / bins))
     g = np.zeros((m, m))
@@ -472,7 +477,7 @@ def _from_sidecar(path: Path, digest: bytes) -> Trajectory | None:
             if sorted(archive.files) != _SIDECAR_KEYS or archive["sha256"].tobytes() != digest:
                 return None
             x, eta = archive["x"], archive["eta"]
-        if x.dtype != np.float64 or x.ndim != 2 or eta.dtype != np.float64 or eta.shape != ():
+        if x.dtype != np.float64 or eta.dtype != np.float64 or eta.shape != ():
             return None
         return Trajectory(x=x, eta=float(eta))
     except Exception:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .csvio import _json_array, _json_doc, _json_number, json_text
 from .errors import ConstructionError, DataError, DivergenceError, require_count, require_real
-from .linalg import power_spectral_norm, prox_l1, prox_nuclear
+from .linalg import as_matrix, power_spectral_norm, prox_l1, prox_nuclear
 from .simulate import SufficientStats
 
 __all__ = [
@@ -137,11 +137,11 @@ def fit(
     progress keeps the iterate and stops the solver; otherwise it stops
     when the relative objective change drops below ``config.tol``.
     """
-    p = stats.S1.shape[0]
-    if stats.S2.shape != (p, p):
-        raise ConstructionError("S1/S2 shape mismatch")
+    s1 = as_matrix(stats.S1, "S1", "square")
+    as_matrix(stats.S2, "S2", s1.shape)
+    p = s1.shape[0]
     lasso = config.mode == MODE_PURE_LASSO
-    smax = power_spectral_norm(stats.S1)
+    smax = power_spectral_norm(s1)
     step = 1.0 / (2.0 * smax) if smax > 0 else 1.0
 
     a = np.zeros((p, p))
@@ -214,9 +214,8 @@ def estimate_to_json(est: Estimate, config: dict | None = None) -> str:
 def estimate_from_json(text: str) -> tuple[Estimate, dict]:
     doc = _json_doc(text, "estimate")
     try:
-        a, l_mat = (_json_array(doc[key], key) for key in ("Ahat", "Lhat"))
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or l_mat.shape != a.shape:
-            raise ValueError(f"'Ahat' and 'Lhat' must be one square shape, got {a.shape}, {l_mat.shape}")
+        a = as_matrix(_json_array(doc["Ahat"], "Ahat"), "'Ahat'", "square")
+        l_mat = as_matrix(_json_array(doc["Lhat"], "Lhat"), "'Lhat'", a.shape)
         for key, kind in (("iterations", int), ("converged", bool)):
             if type(doc[key]) is not kind:
                 raise TypeError(f"{key!r} must be a JSON {kind.__name__}, got {doc[key]!r}")

@@ -44,8 +44,8 @@ def test_support_threshold_must_be_finite_and_non_negative(zeta, message):
 
 
 @pytest.mark.parametrize("ahat, lhat, message", [
-    (np.eye(3), np.eye(2), "^Ahat and Astar shapes differ$"),
-    (np.eye(2), np.eye(3), "^Lhat and Lstar shapes differ$"),
+    (np.eye(3), np.eye(2), r"^Astar must be 3 x 3, got shape \(2, 2\)$"),
+    (np.eye(2), np.eye(3), r"^Lstar must be 3 x 3, got shape \(2, 2\)$"),
 ], ids=["A", "L"])
 def test_recovery_report_rejects_shapes_that_differ_from_the_truth(ahat, lhat, message):
     with pytest.raises(ConstructionError, match=message):
@@ -446,7 +446,7 @@ def test_predict_takes_a_numpy_integer_horizon():
 @pytest.mark.parametrize("a_shape,l_shape", [((3, 3), (3, 3)), ((2, 2), (3, 3)), ((2, 3), (2, 3))])
 def test_predict_rejects_estimate_of_another_dimension(a_shape, l_shape):
     traj = Trajectory(x=np.zeros((3, 2)), eta=0.1)
-    with pytest.raises(ConstructionError, match=r"must have shape \(2, 2\)"):
+    with pytest.raises(ConstructionError, match=r"^[AL]hat must be 2 x 2, got shape"):
         predict(np.zeros(a_shape), np.zeros(l_shape), traj, horizon=2)
 
 
@@ -520,7 +520,7 @@ def test_graph_rejects_labels_that_are_not_strings(labels, message):
 
 
 def test_graph_rejects_a_matrix_that_is_not_square():
-    with pytest.raises(ConstructionError, match="^Ahat must be square$"):
+    with pytest.raises(ConstructionError, match=r"^Ahat must be square, got shape \(2, 3\)$"):
         export_dependency_graph(np.zeros((2, 3)))
 
 

@@ -4,16 +4,38 @@ import numpy as np
 import pytest
 
 from sparsedyn.errors import ConstructionError, NumericalError, StabilityError
+from sparsedyn.evaluate import (
+    default_support_threshold,
+    export_dependency_graph,
+    predict,
+    recovery_report,
+)
 from sparsedyn.linalg import (
     as_matrix,
     matrix_exponential,
     power_spectral_norm,
     prox_l1,
     prox_nuclear,
+    require_stable,
     solve_lyapunov_continuous,
     solve_lyapunov_discrete,
 )
+from sparsedyn.model import (
+    SystemParams,
+    incoherence_mu,
+    lasso_incoherence_theta,
+    max_row_l1,
+    row_supports,
+    support_size,
+)
 from sparsedyn.rng import CounterRng
+from sparsedyn.simulate import (
+    SufficientStats,
+    Trajectory,
+    binned_increment_covariance,
+    exact_increment_covariance,
+)
+from sparsedyn.solver import SolverConfig, fit
 
 from reference import (
     kron_lyapunov_continuous,
@@ -320,6 +342,96 @@ def test_prox_nuclear_raises_numerical_error_when_the_svd_fails(monkeypatch):
 def test_as_matrix_rejects_an_array_that_is_not_2d():
     with pytest.raises(ConstructionError, match=r"^A must be 2-D, got shape \(3,\)$"):
         as_matrix(np.zeros(3), "A")
+
+
+@pytest.mark.parametrize("shape, expected", [
+    (None, None), ((2, 3), None), ((2, None), None), ((None, 3), None), ((None, None), None),
+    ("square", "square"), ((3, None), "3 x any"), ((None, 2), "any x 2"), ((3, 2), "3 x 2"),
+])
+def test_as_matrix_checks_the_expected_shape(shape, expected):
+    m = np.zeros((2, 3))
+    if expected is None:
+        assert as_matrix(m, "M", shape) is m
+    else:
+        with pytest.raises(ConstructionError,
+                           match=f"^M must be {expected}, got shape \\(2, 3\\)$"):
+            as_matrix(m, "M", shape)
+
+
+def _system(**blocks):
+    return SystemParams(**{"A": -np.eye(2), "B": np.zeros((2, 1)), "C": np.zeros((1, 2)),
+                           "D": -np.eye(1), **blocks})
+
+
+def _stats(**blocks):
+    return SufficientStats(**{"S1": np.eye(2), "S2": np.zeros((2, 2)), **blocks}, n=4, eta=0.1,
+                           sq_increment_sum=1.0)
+
+
+_HISTORY = Trajectory(x=np.ones((3, 2)), eta=0.1)
+_EYE = np.eye(2)
+
+# Every matrix argument of a public function, as (where, the name its error
+# gives, the expected shape as the error states it, a matrix of that shape,
+# the call with ``m`` in the argument's place).  The sampled path, the
+# start vector and the noise of ``simulate`` keep their own memory-bounded
+# checks, and ``objective``/``smooth_gradient`` run inside ``fit`` on
+# matrices it has checked.
+MATRIX_ARGUMENTS = [
+    ("as_matrix", "M", "2 x any", _EYE, lambda m: as_matrix(m, "M", (2, None))),
+    ("require_stable", "A", "square", -_EYE, lambda m: require_stable(m)),
+    ("matrix_exponential", "matrix_exponential input", "square", _EYE, matrix_exponential),
+    ("lyapunov_continuous", "A", "square", -_EYE, solve_lyapunov_continuous),
+    ("lyapunov_discrete", "A", "square", -_EYE, lambda m: solve_lyapunov_discrete(m, 0.1)),
+    ("prox_l1", "prox_l1 input", "2-D", _EYE, lambda m: prox_l1(m, 0.1)),
+    ("prox_nuclear", "prox_nuclear input", "2-D", _EYE, lambda m: prox_nuclear(m, 0.1)),
+    ("power_spectral_norm", "power_spectral_norm input", "square", _EYE, power_spectral_norm),
+    ("SystemParams-A", "A", "square", -_EYE, lambda m: _system(A=m)),
+    ("SystemParams-B", "B", "2 x any", np.zeros((2, 1)), lambda m: _system(B=m)),
+    ("SystemParams-C", "C", "1 x 2", np.zeros((1, 2)), lambda m: _system(C=m)),
+    ("SystemParams-D", "D", "1 x 1", -np.eye(1), lambda m: _system(D=m)),
+    ("incoherence_mu", "L", "square", _EYE, incoherence_mu),
+    ("row_supports", "A", "2-D", _EYE, row_supports),
+    ("support_size", "A", "2-D", _EYE, support_size),
+    ("lasso_incoherence_theta", "Q", "square", _EYE,
+     lambda m: lasso_incoherence_theta(m, [(0,)])),
+    ("max_row_l1", "B", "2-D", _EYE, max_row_l1),
+    ("exact_increment_covariance", "joint", "square", -_EYE,
+     lambda m: exact_increment_covariance(m, 0.1)),
+    ("binned_increment_covariance", "joint", "square", -_EYE,
+     lambda m: binned_increment_covariance(m, 0.1, 2)),
+    ("fit-S1", "S1", "square", _EYE, lambda m: fit(_stats(S1=m), 1.0, SolverConfig(0.1, 0.1))),
+    ("fit-S2", "S2", "2 x 2", _EYE, lambda m: fit(_stats(S2=m), 1.0, SolverConfig(0.1, 0.1))),
+    ("default_support_threshold", "Ahat", "2-D", _EYE, default_support_threshold),
+    ("recovery_report-Ahat", "Ahat", "2-D", _EYE, lambda m: recovery_report(m, _EYE, _EYE, _EYE)),
+    ("recovery_report-Astar", "Astar", "2 x 2", _EYE,
+     lambda m: recovery_report(_EYE, m, _EYE, _EYE)),
+    ("recovery_report-Lhat", "Lhat", "2-D", _EYE, lambda m: recovery_report(_EYE, _EYE, m, _EYE)),
+    ("recovery_report-Lstar", "Lstar", "2 x 2", _EYE,
+     lambda m: recovery_report(_EYE, _EYE, _EYE, m)),
+    ("predict-Ahat", "Ahat", "2 x 2", -_EYE, lambda m: predict(m, 0 * _EYE, _HISTORY, 2)),
+    ("predict-Lhat", "Lhat", "2 x 2", 0 * _EYE, lambda m: predict(-_EYE, m, _HISTORY, 2)),
+    ("predict-actuals", "actuals", "2 x 2", _EYE,
+     lambda m: predict(-_EYE, 0 * _EYE, _HISTORY, 2, actuals=m)),
+    ("export_dependency_graph", "Ahat", "square", _EYE, export_dependency_graph),
+]
+
+
+@pytest.mark.parametrize("case", ["1-D", "NaN", "shape"])
+@pytest.mark.parametrize("name, expected, good, call", [row[1:] for row in MATRIX_ARGUMENTS],
+                         ids=[row[0] for row in MATRIX_ARGUMENTS])
+def test_every_matrix_argument_fails_in_one_form(name, expected, good, call, case):
+    # Another shape has one more row, or is 3-D where any 2-D shape passes.
+    if case == "NaN":
+        bad = good.copy()
+        bad[0, 0] = np.nan
+        message = f"{name} contains non-finite entries"
+    else:
+        bad = (np.ones(2) if case == "1-D" else np.zeros((1, *good.shape)) if expected == "2-D"
+               else np.zeros((good.shape[0] + 1, good.shape[1])))
+        message = f"{name} must be {expected}, got shape {bad.shape}"
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+        call(bad)
 
 
 def test_prox_nuclear_rejects_nonfinite():

@@ -95,18 +95,19 @@ def _lambdas(**kw):
 
 @pytest.mark.parametrize("call, error, message", [
     (_blocks(np.zeros((2, 3)), (2, 0), (0, 2), (0, 0)), ConstructionError,
-     "A must be square, got (2, 3)"),
+     "A must be square, got shape (2, 3)"),
     (_blocks(-np.eye(2), (3, 1), (1, 2), (1, 1)), ConstructionError,
-     "B must be 2 x r, got (3, 1)"),
+     "B must be 2 x any, got shape (3, 1)"),
     (_blocks(-np.eye(2), (2, 1), (2, 2), (1, 1)), ConstructionError,
-     "C must be 1 x 2, got (2, 2)"),
+     "C must be 1 x 2, got shape (2, 2)"),
     (_blocks(-np.eye(2), (2, 1), (1, 2), (2, 2)), ConstructionError,
-     "D must be 1 x 1, got (2, 2)"),
-    (lambda: incoherence_mu(np.zeros((2, 3))), ConstructionError, "L must be square"),
+     "D must be 1 x 1, got shape (2, 2)"),
+    (lambda: incoherence_mu(np.zeros((2, 3))), ConstructionError,
+     "L must be square, got shape (2, 3)"),
     (lambda: identifiability_alpha(-1.0, 1, 4), ConstructionError,
      "mu must be finite and non-negative, got -1.0"),
     (lambda: lasso_incoherence_theta(np.zeros((2, 3)), [(0,)]), ConstructionError,
-     "Q must be square"),
+     "Q must be square, got shape (2, 3)"),
     (lambda: lasso_incoherence_theta(np.eye(3), [(0, 3)]), ConstructionError,
      "support (0, 3) out of range for p = 3"),
     (lambda: latent_effect_constant(_observed_only(-np.eye(2), 0.0), 0.0), AssumptionError,

@@ -142,7 +142,7 @@ OPTIONS = {
     "sparsedyn.evaluate.recovery_report": {"zeta": "None"},
     "sparsedyn.generate.GenSpec": {"diag_margin": "1.0", "eta": "0.0"},
     "sparsedyn.generate.system_to_json": {"config": "None"},
-    "sparsedyn.linalg.as_matrix": {"name": "'matrix'"},
+    "sparsedyn.linalg.as_matrix": {"name": "'matrix'", "shape": "None"},
     "sparsedyn.linalg.require_stable": {"eta": "0.0"},
     "sparsedyn.model.AssumptionReport": {"passes": "<factory>"},
     "sparsedyn.model.SystemParams": {"eta": "0.0"},
@@ -217,3 +217,38 @@ def test_only_errors_tests_a_number_type():
             if "numbers" in names:
                 importers.append(path.name)
     assert importers == ["errors.py"]
+
+
+# The shape comparisons written outside ``linalg``, by module and function:
+# table columns of one length, and the sampled path, start vector, noise and
+# sidecar step, whose checks stay bounded in memory (no ``isfinite`` mask).
+HAND_SHAPE_CHECKS = [
+    ("csvio.py", "table_blocks"),
+    ("simulate.py", "Trajectory.__post_init__"),
+    ("simulate.py", "_from_sidecar"),
+    ("simulate.py", "_initial_state"),
+    ("simulate.py", "_sample"),
+]
+
+
+def test_only_linalg_compares_a_matrix_shape():
+    # ``linalg.as_matrix`` is the one check of a matrix argument's shape; no
+    # other function compares a ``.shape`` or ``.ndim`` of its own.
+    def is_shape(node):
+        node = node.value if isinstance(node, ast.Subscript) else node
+        return isinstance(node, ast.Attribute) and node.attr in ("shape", "ndim")
+
+    def comparing(node, where):
+        """The qualified names of the functions under ``node`` that compare a shape."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Compare) and any(
+                    is_shape(side) for side in [child.left, *child.comparators]):
+                yield where
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+            yield from comparing(child, f"{where}.{child.name}".lstrip(".") if named else where)
+
+    found = sorted({(path.name, where)
+                    for path in Path(sparsedyn.__file__).parent.glob("*.py")
+                    if path.name != "linalg.py"
+                    for where in comparing(ast.parse(path.read_text()), "")})
+    assert found == HAND_SHAPE_CHECKS

@@ -337,7 +337,7 @@ def test_fit_scaling_covariance():
      "unknown solver mode 'ridge'"),
     (lambda: fit(SufficientStats(S1=np.eye(2), S2=np.eye(3), n=4, eta=0.1, sq_increment_sum=1.0),
                  1.0, SolverConfig(lambda_a=1.0, lambda_l=1.0)),
-     "S1/S2 shape mismatch"),
+     "S2 must be 2 x 2, got shape (3, 3)"),
     # 2.5 and True were accepted; '5' ended in a bare TypeError.
     (lambda: SolverConfig(lambda_a=1.0, lambda_l=1.0, max_iter=2.5),
      "max_iter must be an integer, got 2.5"),
