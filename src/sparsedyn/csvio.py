@@ -1,5 +1,5 @@
 """The text of every artifact: the one CSV format of every numeric table,
-the price-panel reader, and the JSON writer, parser and number check.
+the price-panel reader, and the JSON writer, parser and matrix reader.
 
 A table is optional ``# `` comment lines, a header of column names, then
 one row per line; cells are ``,``-separated and numbers are written as
@@ -23,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, require_real
+from .linalg import as_matrix
 
 log = logging.getLogger("sparsedyn")
 
@@ -82,24 +83,15 @@ def _json_doc(text: str, what: str):
         raise DataError(f"invalid {what} JSON: {exc}") from exc
 
 
-def _json_number(value, name: str) -> float:
-    """``value`` as a float when it is a finite JSON number: not a string, a
-    boolean, or the ``NaN``/``Infinity`` that Python's ``json`` also reads."""
-    if type(value) not in (int, float):
-        raise TypeError(f"{name!r}: {value!r} is not a JSON number")
-    try:
-        number = float(value)
-    except OverflowError:
-        raise ValueError(f"{name!r}: an integer beyond the float range") from None
-    if not math.isfinite(number):
-        raise ValueError(f"{name!r}: {value!r} is not a finite number")
-    return number
-
-
-def _json_array(value, name: str) -> np.ndarray:
-    """Nested JSON lists of numbers as a float64 array of their shape."""
+def _json_matrix(value, name: str, shape) -> np.ndarray:
+    """Nested JSON lists as the matrix ``as_matrix(..., name, shape)`` checks, each
+    entry through ``require_real``; ``[]`` stands for a shape with a zero dimension."""
     entries = np.asarray(value, dtype=object)
-    return np.array([_json_number(v, name) for v in entries.flat]).reshape(entries.shape)
+    for entry in entries.flat:
+        require_real(entry, name)
+    if value == [] and shape != "square" and 0 in shape:
+        entries = entries.reshape(shape)
+    return as_matrix(entries, name, shape)
 
 
 def read_text(path) -> str:

@@ -61,12 +61,17 @@ def require_real(value, what: str, bound: str | None = None):
     """``value`` itself, unconverted: a finite Python or numpy real number
     that is ``bound`` (``"positive"``, ``"non-negative"`` or ``"in (0, 1)"``)
     passes; a ``bool``, any other type, NaN, an infinity or a value out of
-    bound raises a ``ConstructionError`` naming ``what``."""
+    bound raises a ``ConstructionError`` naming ``what``.  So does an integer
+    beyond the float range, whose digits the message leaves out."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConstructionError(f"{what} must be a real number, got {value!r}")
+    try:
+        finite, shown = math.isfinite(value), value
+    except OverflowError:
+        finite, shown = False, "an integer beyond the float range"
     inside = {None: True, "positive": value > 0, "non-negative": value >= 0,
               "in (0, 1)": 0 < value < 1}[bound]
-    if not (inside and -math.inf < value < math.inf):
+    if not (inside and finite):
         raise ConstructionError(
-            f"{what} must be finite{'' if bound is None else ' and ' + bound}, got {value}")
+            f"{what} must be finite{'' if bound is None else ' and ' + bound}, got {shown}")
     return value

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import _json_array, _json_doc, _json_number, json_text
+from .csvio import _json_doc, _json_matrix, json_text
 from .errors import ConstructionError, DataError, require_count, require_real
 from .model import SystemParams
 from .rng import CounterRng
@@ -202,12 +202,10 @@ def system_from_json(text: str) -> tuple[SystemParams, dict]:
     """Parse a system JSON document; returns (params, embedded config)."""
     doc = _json_doc(text, "system")
     try:
-        p, r = doc["p"], doc["r"]
-        if type(p) is not int or type(r) is not int:
-            raise TypeError(f"'p' and 'r' must be JSON ints, got {p!r} and {r!r}")
+        p, r = require_count(doc["p"], "'p'", 1), require_count(doc["r"], "'r'", 0)
         shapes = {"A": (p, p), "B": (p, r), "C": (r, p), "D": (r, r)}
-        blocks = {key: _json_array(doc[key], key).reshape(shape) for key, shape in shapes.items()}
-        blocks["eta"] = _json_number(doc["eta"], "eta")
+        blocks = {key: _json_matrix(doc[key], f"'{key}'", shape) for key, shape in shapes.items()}
+        blocks["eta"] = float(require_real(doc["eta"], "'eta'"))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"system JSON missing or malformed field: {exc}") from exc
     return SystemParams(**blocks), doc.get("config", {})

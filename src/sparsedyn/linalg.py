@@ -62,6 +62,7 @@ def require_stable(a: np.ndarray, eta: float = 0.0) -> None:
     ``rho(I + eta a) < 1`` (``eta > 0``), exactly when a stationary covariance exists.
     The second implies the first: ``|1 + eta lambda| < 1`` forces ``Re lambda < 0``."""
     a = as_matrix(a, "A", "square")
+    require_real(eta, "eta", "non-negative")
     if eta == 0:
         alpha = float(np.linalg.eigvals(a).real.max(initial=-np.inf))
         if alpha >= 0:

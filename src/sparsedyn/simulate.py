@@ -248,6 +248,7 @@ def exact_increment_covariance(joint: np.ndarray, eta: float) -> np.ndarray:
     """Covariance ``G(eta) = int_0^eta e^{sM} e^{sM^T} ds`` of the exact
     one-step stochastic increment, via the Van Loan block exponential."""
     joint = as_matrix(joint, "joint", "square")
+    require_real(eta, "eta", "positive")
     m = joint.shape[0]
     block = np.zeros((2 * m, 2 * m))
     block[:m, :m] = -joint
@@ -271,6 +272,7 @@ def binned_increment_covariance(joint: np.ndarray, eta: float, bins: int) -> np.
     """
     bins = require_count(bins, "bins", 1)
     joint = as_matrix(joint, "joint", "square")
+    require_real(eta, "eta", "positive")
     m = joint.shape[0]
     step = matrix_exponential(joint * (eta / bins))
     g = np.zeros((m, m))

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .csvio import _json_array, _json_doc, _json_number, json_text
+from .csvio import _json_doc, _json_matrix, json_text
 from .errors import ConstructionError, DataError, DivergenceError, require_count, require_real
 from .linalg import as_matrix, power_spectral_norm, prox_l1, prox_nuclear
 from .simulate import SufficientStats
@@ -214,18 +214,18 @@ def estimate_to_json(est: Estimate, config: dict | None = None) -> str:
 def estimate_from_json(text: str) -> tuple[Estimate, dict]:
     doc = _json_doc(text, "estimate")
     try:
-        a = as_matrix(_json_array(doc["Ahat"], "Ahat"), "'Ahat'", "square")
-        l_mat = as_matrix(_json_array(doc["Lhat"], "Lhat"), "'Lhat'", a.shape)
-        for key, kind in (("iterations", int), ("converged", bool)):
-            if type(doc[key]) is not kind:
-                raise TypeError(f"{key!r} must be a JSON {kind.__name__}, got {doc[key]!r}")
+        a = _json_matrix(doc["Ahat"], "'Ahat'", "square")
+        l_mat = _json_matrix(doc["Lhat"], "'Lhat'", a.shape)
+        if not isinstance(doc["converged"], bool):
+            raise TypeError(f"'converged' must be a JSON bool, got {doc['converged']!r}")
         est = Estimate(
             Ahat=a,
             Lhat=l_mat,
-            objective_trace=[_json_number(v, "objective_trace") for v in doc["objective_trace"]],
-            iterations=doc["iterations"],
+            objective_trace=[float(require_real(v, "'objective_trace'"))
+                             for v in doc["objective_trace"]],
+            iterations=require_count(doc["iterations"], "'iterations'", 0),
             converged=doc["converged"],
-            step_used=_json_number(doc["step_used"], "step_used"),
+            step_used=float(require_real(doc["step_used"], "'step_used'")),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"estimate JSON missing or malformed field: {exc}") from exc

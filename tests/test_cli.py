@@ -761,13 +761,12 @@ def _error_path_inputs(directory):
      "DataError:estimate JSON missing or malformed field: 'converged' must be a JSON bool, "
      "got 'false'"),
     (["simulate", "--system", "p_float.json", "--n", "10", "--eta", "0.1", "--out", _OUT],
-     "DataError:system JSON missing or malformed field: 'p' and 'r' must be JSON ints, "
-     "got 1.9 and 0"),
+     "DataError:system JSON missing or malformed field: 'p' must be an integer, got 1.9"),
     (["predict", "--data", "traj.csv", "--estimate", "step_string.json", "--out", _OUT],
-     "DataError:estimate JSON missing or malformed field: 'step_used': '0.25' is not a JSON "
-     "number"),
+     "DataError:estimate JSON missing or malformed field: 'step_used' must be a real number, "
+     "got '0.25'"),
     (["simulate", "--system", "entry_string.json", "--n", "10", "--eta", "0.1", "--out", _OUT],
-     "DataError:system JSON missing or malformed field: 'A': '-1' is not a JSON number"),
+     "DataError:system JSON missing or malformed field: 'A' must be a real number, got '-1'"),
     # Pure lasso pins L = 0, so the nuclear-norm weights would go unused.
     (["fit", "--data", "traj.csv", "--mode", "pure_lasso", *_FIT],
      "ConfigError:fit --mode pure_lasso does not use --lambda-l, got 0.1"),

@@ -13,7 +13,7 @@ from sparsedyn.generate import (
     system_from_json,
     system_to_json,
 )
-from sparsedyn.model import stability_margin, steady_state
+from sparsedyn.model import SystemParams, stability_margin, steady_state
 
 
 def test_random_system_structure():
@@ -97,6 +97,9 @@ def _spec(**kw):
     (_spec(diag_margin=float("nan")), "diag_margin must be finite and positive, got nan"),
     (_spec(diag_margin=float("inf")), "diag_margin must be finite and positive, got inf"),
     (_spec(diag_margin=0.0), "diag_margin must be finite and positive, got 0.0"),
+    # 10**400 passed and ended in a bare OverflowError in gen_random_system.
+    (_spec(diag_margin=10**400),
+     "diag_margin must be finite and positive, got an integer beyond the float range"),
     (_spec(eta=True), "eta must be a real number, got True"),
     (_spec(eta="0.05"), "eta must be a real number, got '0.05'"),
     (_spec(eta=float("nan")), "eta must be finite and non-negative, got nan"),
@@ -104,7 +107,7 @@ def _spec(**kw):
 ], ids=["p-float", "p-bool", "p-str", "p-0", "r-float", "r-negative", "s-float", "s-negative",
         "seed-float", "seed-bool", "seed-str", "illustrative-p-float", "illustrative-r-bool",
         "illustrative-p-str", "illustrative-r-0", "margin-bool", "margin-str", "margin-nan",
-        "margin-inf", "margin-0", "eta-bool", "eta-str", "eta-nan", "eta-negative"])
+        "margin-inf", "margin-0", "margin-int-beyond-float", "eta-bool", "eta-str", "eta-nan", "eta-negative"])
 def test_generator_counts_name_the_bad_input(call, message):
     with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
         call()
@@ -180,7 +183,7 @@ def test_system_json_rejects_garbage():
 
 
 # Each value below used to be read through int(): a 1-observed system, or
-# no latents.  The message names both counts and shows their values.
+# no latents.  The message names the count and shows its value.
 @pytest.mark.parametrize("field, value", [("p", 1.9), ("p", True), ("r", False), ("r", 0.0)])
 def test_system_json_counts_must_be_json_integers(field, value):
     from sparsedyn.errors import DataError
@@ -188,8 +191,8 @@ def test_system_json_counts_must_be_json_integers(field, value):
     doc = {"p": 1, "r": 0, "eta": 0.0, "A": [[-1.0]], "B": [], "C": [], "D": []}
     assert system_from_json(json.dumps(doc))[0].p == 1
     doc[field] = value
-    with pytest.raises(DataError, match=f"malformed field: 'p' and 'r' must be JSON ints, got "
-                                        f"{doc['p']!r} and {doc['r']!r}$"):
+    message = f"system JSON missing or malformed field: '{field}' must be an integer, got {value!r}"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         system_from_json(json.dumps(doc))
 
 
@@ -197,10 +200,12 @@ def test_system_json_counts_must_be_json_integers(field, value):
 # numbers, and -Infinity failed later as a ConstructionError.  The message
 # names the field and the entry.
 @pytest.mark.parametrize("field, value, message", [
-    ("eta", "0.0", "'0.0' is not a JSON number"), ("eta", False, "False is not a JSON number"),
-    ("A", [["-1"]], "'-1' is not a JSON number"), ("A", [[True]], "True is not a JSON number"),
-    ("D", [None], "None is not a JSON number"),
-    ("A", [[float("-inf")]], "-inf is not a finite number"),
+    ("eta", "0.0", "must be a real number, got '0.0'"),
+    ("eta", False, "must be a real number, got False"),
+    ("A", [["-1"]], "must be a real number, got '-1'"),
+    ("A", [[True]], "must be a real number, got True"),
+    ("D", [None], "must be a real number, got None"),
+    ("A", [[float("-inf")]], "must be finite, got -inf"),
 ], ids=["eta-string", "eta-bool", "A-string", "A-bool", "D-null", "A-Infinity"])
 def test_system_json_entries_must_be_json_numbers(field, value, message):
     from sparsedyn.errors import DataError
@@ -208,7 +213,8 @@ def test_system_json_entries_must_be_json_numbers(field, value, message):
     doc = {"p": 1, "r": 0, "eta": 0.0, "A": [[-1.0]], "B": [], "C": [], "D": []}
     assert system_from_json(json.dumps(doc))[0].eta == 0.0
     doc[field] = value
-    with pytest.raises(DataError, match=f"malformed field: '{field}': {message}$"):
+    message = f"system JSON missing or malformed field: '{field}' {message}"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         system_from_json(json.dumps(doc))
 
 
@@ -216,11 +222,36 @@ def test_system_json_integers_beyond_float_or_the_digit_limit_are_data_errors():
     from sparsedyn.errors import DataError
 
     doc = {"p": 1, "r": 0, "eta": 0.0, "A": [[-(10**400)]], "B": [], "C": [], "D": []}
-    with pytest.raises(DataError, match="malformed field: 'A': an integer beyond the float range$"):
+    with pytest.raises(DataError, match="^system JSON missing or malformed field: 'A' must be "
+                                        "finite, got an integer beyond the float range$"):
         system_from_json(json.dumps(doc))
     # json.loads refuses an integer literal of more than 4300 digits.
     with pytest.raises(DataError, match="^invalid system JSON: Exceeds the limit"):
         system_from_json(json.dumps(doc).replace(str(10**400), "1" * 5000))
+
+
+# Both used to be reshaped into the 2 x 2 system [[-1, 0], [0, -1]].
+@pytest.mark.parametrize("a, shape", [([-1, 0, 0, -1], (4,)), ([[-1, 0, 0, -1]], (1, 4))],
+                         ids=["flat", "one-row"])
+def test_system_json_blocks_must_have_their_shape(a, shape):
+    from sparsedyn.errors import DataError
+
+    doc = {"p": 2, "r": 0, "eta": 0.0, "A": a, "B": [], "C": [], "D": []}
+    message = f"system JSON missing or malformed field: 'A' must be 2 x 2, got shape {shape}"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        system_from_json(json.dumps(doc))
+
+
+def test_system_json_without_latents_roundtrips():
+    # JSON writes the 0 x 2 C and the 0 x 0 D as [].
+    params = SystemParams(A=-np.eye(2), B=np.zeros((2, 0)), C=np.zeros((0, 2)),
+                          D=np.zeros((0, 0)), eta=0.05)
+    text = system_to_json(params)
+    assert json.loads(text)["C"] == json.loads(text)["D"] == []
+    restored, _ = system_from_json(text)
+    assert (restored.p, restored.r, restored.eta) == (2, 0, 0.05)
+    assert np.array_equal(restored.joint(), params.joint())
+    assert system_to_json(restored) == text
 
 
 def test_system_json_rejects_unstable_drift():

@@ -153,16 +153,20 @@ def test_lyapunov_discrete_rejects_unstable():
         solve_lyapunov_discrete(np.array([[1.0]]), eta=0.5)
 
 
-@pytest.mark.parametrize("eta, message", [
-    (np.nan, "eta must be finite and positive, got nan"),
-    (np.inf, "eta must be finite and positive, got inf"),
-    (0.0, "eta must be finite and positive, got 0.0"),
-    (True, "eta must be a real number, got True"),
-    ("0.1", "eta must be a real number, got '0.1'"),
-], ids=["nan", "inf", "zero", "bool", "str"])
-def test_lyapunov_discrete_rejects_nonfinite_eta(eta, message):
+# require_stable, which the solve calls, ended in a bare LinAlgError on a
+# NaN eta and warned of an invalid value on an infinite one.
+@pytest.mark.parametrize("call, eta, message", [
+    (solve_lyapunov_discrete, np.nan, "eta must be finite and positive, got nan"),
+    (solve_lyapunov_discrete, np.inf, "eta must be finite and positive, got inf"),
+    (solve_lyapunov_discrete, 0.0, "eta must be finite and positive, got 0.0"),
+    (solve_lyapunov_discrete, True, "eta must be a real number, got True"),
+    (solve_lyapunov_discrete, "0.1", "eta must be a real number, got '0.1'"),
+    (require_stable, np.nan, "eta must be finite and non-negative, got nan"),
+    (require_stable, np.inf, "eta must be finite and non-negative, got inf"),
+], ids=["nan", "inf", "zero", "bool", "str", "require_stable-nan", "require_stable-inf"])
+def test_lyapunov_discrete_rejects_nonfinite_eta(call, eta, message):
     with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
-        solve_lyapunov_discrete(-np.eye(2), eta)
+        call(-np.eye(2), eta)
 
 
 def test_lyapunov_discrete_symmetric_pd():
@@ -440,13 +444,15 @@ def test_prox_nuclear_rejects_nonfinite():
 
 
 def test_prox_rejects_negative_tau():
-    # tau = inf returned zeros, True thresholded at 1 and '0.1' ended in a
-    # bare TypeError.
+    # tau = inf returned zeros, True thresholded at 1, and '0.1' and 10**400
+    # ended in a bare TypeError and OverflowError.
     for tau, message in ((-0.1, "tau must be finite and non-negative, got -0.1"),
                          (np.nan, "tau must be finite and non-negative, got nan"),
                          (np.inf, "tau must be finite and non-negative, got inf"),
                          (True, "tau must be a real number, got True"),
-                         ("0.1", "tau must be a real number, got '0.1'")):
+                         ("0.1", "tau must be a real number, got '0.1'"),
+                         (10**400, "tau must be finite and non-negative, "
+                                   "got an integer beyond the float range")):
         for prox in (prox_l1, prox_nuclear):
             with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
                 prox(np.eye(2), tau)

@@ -208,15 +208,25 @@ def test_cli_flags_are_the_pinned_lists():
 
 def test_only_errors_tests_a_number_type():
     # ``errors.require_count`` and ``errors.require_real`` are the one type
-    # check of a number; no other module imports ``numbers`` to write its own.
-    importers = []
+    # check of a number; no other module imports ``numbers`` or compares a
+    # ``type(...)`` with a named type such as ``int`` or ``float`` to write its
+    # own.  Comparing two ``type(...)`` calls (one kind of key per file) is no
+    # number check.
+    def is_type_call(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "type"
+
+    importers, type_tests = [], []
     for path in sorted(Path(sparsedyn.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
                      else [node.module] if isinstance(node, ast.ImportFrom) else [])
             if "numbers" in names:
                 importers.append(path.name)
+            sides = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
+            if any(map(is_type_call, sides)) and not all(map(is_type_call, sides)):
+                type_tests.append(path.name)
     assert importers == ["errors.py"]
+    assert set(type_tests) <= {"errors.py"}
 
 
 # The shape comparisons written outside ``linalg``, by module and function:

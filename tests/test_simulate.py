@@ -488,6 +488,16 @@ def _continuous(**kw):
     (lambda: simulate_continuous(_scalar_params(eta=0.0), eta=0.0, n=4),
      "eta must be finite and positive, got 0.0"),
     (lambda: Trajectory(x=np.zeros((3, 2)), eta="0.1"), "eta must be a real number, got '0.1'"),
+    # A NaN eta was named as a non-finite matrix_exponential input, an
+    # infinite one warned of an invalid value, and -0.5 returned a matrix.
+    (lambda: exact_increment_covariance(-np.eye(2), np.nan),
+     "eta must be finite and positive, got nan"),
+    (lambda: exact_increment_covariance(-np.eye(2), -0.5),
+     "eta must be finite and positive, got -0.5"),
+    (lambda: binned_increment_covariance(-np.eye(2), np.nan, 2),
+     "eta must be finite and positive, got nan"),
+    (lambda: binned_increment_covariance(-np.eye(2), np.inf, 2),
+     "eta must be finite and positive, got inf"),
     # Its time column was written with an overflow warning, as inf, which
     # the CSV reader rejects.
     (lambda: Trajectory(x=np.zeros((3, 1)), eta=1e308),
@@ -499,7 +509,8 @@ def _continuous(**kw):
         "discrete-seed-bool", "discrete-seed-str", "continuous-n-float", "continuous-n-bool",
         "continuous-n-str", "continuous-bins-float", "continuous-bins-bool", "continuous-bins-str",
         "continuous-seed-float", "continuous-seed-bool", "continuous-seed-str", "binned-bins-float",
-        "continuous-eta-0", "trajectory-eta-str", "trajectory-horizon-inf",
+        "continuous-eta-0", "trajectory-eta-str", "exact-eta-nan", "exact-eta-negative",
+        "binned-eta-nan", "binned-eta-inf", "trajectory-horizon-inf",
         "trajectory-horizon-inf-numpy"])
 def test_sampler_and_reduction_checks_name_the_bad_input(call, message):
     with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):

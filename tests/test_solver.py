@@ -345,7 +345,11 @@ def test_fit_scaling_covariance():
      "max_iter must be an integer, got True"),
     (lambda: SolverConfig(lambda_a=1.0, lambda_l=1.0, max_iter="5"),
      "max_iter must be an integer, got '5'"),
-], ids=["mode", "S1-S2", "max-iter-float", "max-iter-bool", "max-iter-str"])
+    # Accepted, and the first prox_l1 ended in a bare OverflowError.
+    (lambda: SolverConfig(lambda_a=10**400, lambda_l=1.0),
+     "lambda_a must be finite and positive, got an integer beyond the float range"),
+], ids=["mode", "S1-S2", "max-iter-float", "max-iter-bool", "max-iter-str",
+        "lambda-a-int-beyond-float"])
 def test_solver_checks_name_the_bad_input(call, message):
     with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
         call()
@@ -443,7 +447,7 @@ def test_fit_lasso_denser_than_joint_on_latent_systems():
 
 # Each value below used to be coerced: "false" read as True, 2.7 as 2,
 # True as 1, a number in a string as the number, and a 1-D or mismatched
-# Ahat/Lhat, or one holding NaN, loaded as it was.
+# Ahat/Lhat, or one holding NaN, loaded as it was, as did -1 iterations.
 @pytest.mark.parametrize("field, value", [
     ("converged", "false"), ("converged", 1), ("iterations", 2.7), ("iterations", True),
     ("Ahat", [0.0]), ("Ahat", [[0.0, 1.0]]), ("Lhat", [[0.0]]),
@@ -451,10 +455,11 @@ def test_fit_lasso_denser_than_joint_on_latent_systems():
     ("objective_trace", [1.0, True]), ("Lhat", [[True, 0.0], [0.0, 0.0]]),
     ("Ahat", [["-1", "0"], ["0", "-1"]]), ("Ahat", [[-1.0, 0.0], [0.0, -10**400]]),
     ("Ahat", [[float("nan"), 0.0], [0.0, -1.0]]), ("step_used", float("inf")),
+    ("iterations", -1),
 ], ids=["converged-string", "converged-int", "iterations-float", "iterations-bool", "Ahat-1d",
         "Ahat-not-square", "Lhat-other-shape", "step_used-string", "step_used-bool",
         "objective_trace-string", "objective_trace-bool", "Lhat-bool", "Ahat-strings",
-        "Ahat-int-beyond-float", "Ahat-NaN", "step_used-Infinity"])
+        "Ahat-int-beyond-float", "Ahat-NaN", "step_used-Infinity", "iterations-negative"])
 def test_estimate_json_rejects_a_field_of_the_wrong_type_or_shape(field, value):
     est = Estimate(Ahat=-np.eye(2), Lhat=np.zeros((2, 2)), objective_trace=[1.0, 0.5],
                    iterations=1, converged=True, step_used=0.25)
