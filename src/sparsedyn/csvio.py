@@ -76,11 +76,14 @@ def json_text(doc: dict) -> str:
 
 
 def _json_doc(text: str, what: str):
-    """Parse a JSON artifact; text that is not JSON is a ``DataError``."""
+    """Parse a JSON artifact; text that is not a JSON object is a ``DataError``."""
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except ValueError as exc:  # also an integer past the digit limit
         raise DataError(f"invalid {what} JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"invalid {what} JSON: the document is not a JSON object")
+    return doc
 
 
 def _json_matrix(value, name: str, shape) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Dense real-matrix primitives: the stability check, matrix exponential,
-Lyapunov solvers, l1 and nuclear-norm proximal maps, and the step size.
+Lyapunov solvers, l1 and nuclear-norm proximal maps, and the solver's
+largest eigenvalue.
 
 Matrices are plain float64 ndarrays; ``as_matrix`` is the one check of a
 matrix argument, here and in every other module.
@@ -201,6 +202,6 @@ def prox_nuclear(m, tau: float) -> tuple[np.ndarray, np.ndarray]:
 
 def power_spectral_norm(s) -> float:
     """Largest eigenvalue of a symmetric matrix (the spectral norm when it
-    is PSD), computed exactly by ``eigvalsh``; sets the solver step size."""
+    is PSD), computed exactly by ``eigvalsh``; sets the solver's ``rho``."""
     s = as_matrix(s, "power_spectral_norm input", "square")
     return float(np.linalg.eigvalsh(s)[-1]) if s.size else 0.0

@@ -1,5 +1,5 @@
-"""Accelerated proximal gradient solver for the l1 + nuclear-norm
-regularized least-squares decomposition.
+"""Splitting solver (ADMM) for the l1 + nuclear-norm regularized
+least-squares decomposition.
 
 The estimator splits the drift into a sparse interaction matrix ``A`` and
 a low-rank latent-effect matrix ``L`` by minimizing
@@ -9,14 +9,14 @@ a low-rank latent-effect matrix ``L`` by minimizing
 
 over both blocks.  The smooth part depends on the data only through the
 sufficient statistics, so one pass over the trajectory suffices and each
-iteration costs three p x p products (gradient, objective, Gram matrix)
-plus one p x p factorization: ``prox_nuclear``'s eigendecomposition of the
-Gram matrix, or an exact SVD where its threshold falls below 1e-4 of the
-largest singular value.  A rejected momentum step costs one more.  The
-nuclear-norm term of each iterate's objective is the sum of the singular
-values the prox step already shrank, so scoring an iterate needs no
-factorization of its own.  A pure-lasso mode of ``fit`` pins ``L = 0``
-and reproduces the latent-blind baseline.
+iteration costs three p x p products (the ``M = A + L`` update, objective,
+Gram matrix) plus one p x p factorization: ``prox_nuclear``'s
+eigendecomposition of the Gram matrix, or an exact SVD where its threshold
+falls below 1e-4 of the largest singular value.  The nuclear-norm term of
+each iterate's objective is the sum of the singular values the prox step
+already shrank, so scoring an iterate needs no factorization of its own.
+A pure-lasso mode of ``fit`` pins ``L = 0`` and reproduces the
+latent-blind baseline.
 """
 
 from __future__ import annotations
@@ -48,10 +48,9 @@ MODE_PURE_LASSO = "pure_lasso"
 class SolverConfig:
     """Weights, mode, and stopping rules for one fit.
 
-    The step size is always ``1 / (2 sigma_max(S1))``, the inverse of the
-    joint-block Lipschitz constant of the smooth gradient (the Hessian
-    acts as ``[[S1, S1], [S1, S1]]``, whose largest eigenvalue is
-    ``2 sigma_max(S1)``).
+    ``fit`` stops once both ADMM residuals are within ``sqrt(tol)`` of
+    their scale, or after ``max_iter`` iterations.  Its penalty parameter
+    ``rho = 0.2 sigma_max(S1)`` is fixed, not a setting.
     """
 
     lambda_a: float
@@ -75,8 +74,10 @@ class SolverConfig:
 class Estimate:
     """Fitted pair plus solver diagnostics.
 
-    ``objective_trace[k]`` is the objective after ``k`` iterations (entry 0
-    is the starting value); function-value restarts keep it non-increasing.
+    ``fit`` holds the best iterate, as MFISTA does: it moves to a new one
+    only if its objective is no higher.  ``Ahat``/``Lhat`` are the held pair
+    and ``objective_trace[k]`` its objective after ``k`` iterations (entry
+    0 is the start at zero), so the trace never increases.
     """
 
     Ahat: np.ndarray
@@ -84,7 +85,6 @@ class Estimate:
     objective_trace: list[float] = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
-    step_used: float = 0.0
 
 
 def objective(
@@ -124,76 +124,72 @@ def fit(
     sq_increment_sum: float,
     config: SolverConfig,
 ) -> Estimate:
-    """Minimize the regularized objective by FISTA on the joint pair.
+    """Minimize the regularized objective by ADMM on the split ``M = A + L``.
 
-    Each iteration extrapolates with the momentum sequence, takes one
-    gradient step shared by both blocks, then applies the entrywise soft
-    threshold to the ``A`` block and singular value thresholding to the
-    ``L`` block, which is the iteration's one factorization.  An accelerated
-    step that would increase the objective is rejected, and the next pass takes
-    a plain proximal gradient step, which cannot increase it at this step
-    size, from the last accepted iterate with the momentum reset; a
-    rejected step is not an iteration.  A plain step that makes no
-    progress keeps the iterate and stops the solver; otherwise it stops
-    when the relative objective change drops below ``config.tol``.
+    With ``rho = 0.2 sigma_max(S1)`` (1.0 when ``S1 = 0``) and the scaled
+    dual ``U``, each iteration takes
+
+        M <- (S2 + rho (A + L - U)) (S1 + rho I)^-1
+        A <- prox_l1(M + U - L, lambda_A / rho)
+        L <- prox_nuclear(M + U - A, lambda_L / rho)
+        U <- U + M - A - L
+
+    (Boyd et al. 2011, section 3; Lin, Chen & Ma 2010 for robust PCA).  The
+    nuclear step is the iteration's one factorization.  It stops when the
+    primal residual ``||M - A - L||_F`` is at most ``sqrt(tol)`` times
+    ``max(||M||_F, ||A + L||_F, ||S2||_F / sigma_max)`` and the dual residual
+    ``rho ||delta(A + L)||_F`` is at most ``sqrt(tol) rho ||U||_F``.  The
+    ``S2`` floor lets an all-zero solution stop: there ``M`` shrinks
+    geometrically to zero, and the dual residual is exactly zero.  It
+    returns the best iterate seen (see ``Estimate``).
     """
     s1 = as_matrix(stats.S1, "S1", "square")
-    as_matrix(stats.S2, "S2", s1.shape)
+    s2 = as_matrix(stats.S2, "S2", s1.shape)
     p = s1.shape[0]
     lasso = config.mode == MODE_PURE_LASSO
     smax = power_spectral_norm(s1)
-    step = 1.0 / (2.0 * smax) if smax > 0 else 1.0
+    rho = 0.2 * smax if smax > 0 else 1.0
+    solve = np.linalg.inv(s1 + rho * np.eye(p))
+    primal_floor = float(np.linalg.norm(s2)) / (smax if smax > 0 else 1.0)
+    root_tol = np.sqrt(config.tol)
 
-    a = np.zeros((p, p))
-    l_mat = np.zeros((p, p))
-    ya, yl = a, l_mat
-    t_momentum = 1.0
+    a = l_mat = u = np.zeros((p, p))
+    a_held, l_held = a, l_mat
     obj = objective(a, l_mat, stats, sq_increment_sum, config.lambda_a, 0.0)
     trace = [obj]
     converged = False
-    iterations = 0
+    nuclear = 0.0  # pure lasso keeps L = 0
 
-    while iterations < config.max_iter:
-        # The nuclear norm of the new L is the sum of the values its prox shrank.
-        step_grad = step * smooth_gradient(ya + yl, stats)
-        a_new = prox_l1(ya - step_grad, step * config.lambda_a)
-        if lasso:
-            l_new, nuclear = yl, 0.0
-        else:
-            l_new, shrunk = prox_nuclear(yl - step_grad, step * config.lambda_l)
+    for iterations in range(1, config.max_iter + 1):
+        pair_old = a + l_mat
+        m = (s2 + rho * (pair_old - u)) @ solve
+        a = prox_l1(m + u - l_mat, config.lambda_a / rho)
+        if not lasso:
+            # The nuclear norm of the new L is the sum of the values its prox shrank.
+            l_mat, shrunk = prox_nuclear(m + u - a, config.lambda_l / rho)
             nuclear = config.lambda_l * float(shrunk.sum())
-        obj_new = objective(a_new, l_new, stats, sq_increment_sum, config.lambda_a, 0.0) + nuclear
+        pair = a + l_mat
+        residual = m - pair
+        u = u + residual
+        obj_new = objective(a, l_mat, stats, sq_increment_sum, config.lambda_a, 0.0) + nuclear
         if not np.isfinite(obj_new):
-            raise DivergenceError(f"objective became non-finite at iteration {iterations + 1}")
-        if obj_new > obj:
-            if t_momentum > 1.0:
-                # Momentum overshot: reject the step and take a plain one
-                # from the last accepted iterate on the next pass.
-                t_momentum = 1.0
-                ya, yl = a, l_mat
-                continue
-            # Plain step cannot make progress: numerically converged.
-            a_new, l_new, obj_new = a, l_mat, obj
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2))
-        beta = (t_momentum - 1.0) / t_next
-        ya = a_new + beta * (a_new - a)
-        yl = l_new + beta * (l_new - l_mat)
-        t_momentum = t_next
-        rel_change = abs(obj - obj_new) / max(1.0, abs(obj))
-        a, l_mat, obj = a_new, l_new, obj_new
+            raise DivergenceError(f"objective became non-finite at iteration {iterations}")
+        if obj_new <= obj:
+            a_held, l_held, obj = a, l_mat, obj_new
         trace.append(obj)
-        iterations += 1
-        if rel_change < config.tol:
+        # Both residuals as in the docstring; rho cancels from the dual one.
+        primal_scale = max(np.linalg.norm(m), np.linalg.norm(pair), primal_floor)
+        if (np.linalg.norm(residual) <= root_tol * primal_scale
+                and np.linalg.norm(pair - pair_old) <= root_tol * np.linalg.norm(u)):
             converged = True
             break
 
     return Estimate(
-        Ahat=a,
-        Lhat=l_mat,
+        Ahat=a_held,
+        Lhat=l_held,
         objective_trace=trace,
         iterations=iterations,
         converged=converged,
-        step_used=float(step),
     )
 
 
@@ -206,7 +202,6 @@ def estimate_to_json(est: Estimate, config: dict | None = None) -> str:
         "objective_trace": est.objective_trace,
         "iterations": est.iterations,
         "converged": est.converged,
-        "step_used": est.step_used,
     }
     return json_text(doc)
 
@@ -218,14 +213,15 @@ def estimate_from_json(text: str) -> tuple[Estimate, dict]:
         l_mat = _json_matrix(doc["Lhat"], "'Lhat'", a.shape)
         if not isinstance(doc["converged"], bool):
             raise TypeError(f"'converged' must be a JSON bool, got {doc['converged']!r}")
+        trace = doc["objective_trace"]
+        if not isinstance(trace, list):
+            raise TypeError(f"'objective_trace' must be a JSON list, got {trace!r}")
         est = Estimate(
             Ahat=a,
             Lhat=l_mat,
-            objective_trace=[float(require_real(v, "'objective_trace'"))
-                             for v in doc["objective_trace"]],
+            objective_trace=[float(require_real(v, "'objective_trace'")) for v in trace],
             iterations=require_count(doc["iterations"], "'iterations'", 0),
             converged=doc["converged"],
-            step_used=float(require_real(doc["step_used"], "'step_used'")),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"estimate JSON missing or malformed field: {exc}") from exc

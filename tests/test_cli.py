@@ -476,7 +476,7 @@ def test_cli_non_finite_eta_is_one_error_line(tmp_path, capsys, eta, command):
 def _write_forecast_inputs(directory, p_estimate):
     Path(directory, "traj.csv").write_text("t,x1,x2\n0,1,2\n0.5,2,4\n1,1,2\n1.5,0.5,1.5\n")
     doc = {"Ahat": (-np.eye(p_estimate)).tolist(), "Lhat": np.zeros((p_estimate, p_estimate)).tolist(),
-           "objective_trace": [], "iterations": 0, "converged": True, "step_used": 1.0}
+           "objective_trace": [], "iterations": 0, "converged": True}
     Path(directory, "est.json").write_text(json.dumps(doc))
 
 
@@ -705,8 +705,8 @@ def _error_path_inputs(directory):
             '"converged": true', '"converged": "false"'),
         "p_float.json": json.dumps({"p": 1.9, "r": 0, "eta": 0.0, "A": [[-1.0]],
                                     "B": [], "C": [], "D": []}),
-        "step_string.json": json.dumps({**json.loads(Path(directory, "est.json").read_text()),
-                                        "step_used": "0.25"}),
+        "trace_number.json": json.dumps({**json.loads(Path(directory, "est.json").read_text()),
+                                         "objective_trace": 3}),
         "entry_string.json": json.dumps({"p": 1, "r": 0, "eta": 0.0, "A": [["-1"]],
                                          "B": [], "C": [], "D": []}),
         "list.json": "[1]",
@@ -762,9 +762,11 @@ def _error_path_inputs(directory):
      "got 'false'"),
     (["simulate", "--system", "p_float.json", "--n", "10", "--eta", "0.1", "--out", _OUT],
      "DataError:system JSON missing or malformed field: 'p' must be an integer, got 1.9"),
-    (["predict", "--data", "traj.csv", "--estimate", "step_string.json", "--out", _OUT],
-     "DataError:estimate JSON missing or malformed field: 'step_used' must be a real number, "
-     "got '0.25'"),
+    (["predict", "--data", "traj.csv", "--estimate", "trace_number.json", "--out", _OUT],
+     "DataError:estimate JSON missing or malformed field: 'objective_trace' must be a JSON "
+     "list, got 3"),
+    (["predict", "--data", "traj.csv", "--estimate", "list.json", "--out", _OUT],
+     "DataError:invalid estimate JSON: the document is not a JSON object"),
     (["simulate", "--system", "entry_string.json", "--n", "10", "--eta", "0.1", "--out", _OUT],
      "DataError:system JSON missing or malformed field: 'A' must be a real number, got '-1'"),
     # Pure lasso pins L = 0, so the nuclear-norm weights would go unused.
@@ -826,7 +828,7 @@ def _error_path_inputs(directory):
         "config-empty-list", "config-int-too-long", "prices-missing", "prices-one-row", "trajectory-one-row",
         "log-negative", "returns-zero", "returns-too-few-rows", "estimate-not-json",
         "estimate-missing-field", "estimate-converged-string", "system-p-float",
-        "estimate-step-used-string", "system-entry-string",
+        "estimate-trace-number", "estimate-not-object", "system-entry-string",
         "fit-lasso-lambda-l", "cv-lasso-grid-d", "gen-p-0", "gen-r-negative", "gen-eta-too-large",
         "gen-illustrative-random-only-flags",
         "cv-too-many-chunks", "check-horizon-0", "check-horizon-negative",

@@ -182,6 +182,15 @@ def test_system_json_rejects_garbage():
         system_from_json(json.dumps({"p": 2, "r": 0}))
 
 
+# A list used to end in "list indices must be integers or slices, not str".
+@pytest.mark.parametrize("text", ["[1]", "null", "3", '"A"'])
+def test_system_json_must_be_an_object(text):
+    from sparsedyn.errors import DataError
+
+    with pytest.raises(DataError, match="^invalid system JSON: the document is not a JSON object$"):
+        system_from_json(text)
+
+
 # Each value below used to be read through int(): a 1-observed system, or
 # no latents.  The message names the count and shows its value.
 @pytest.mark.parametrize("field, value", [("p", 1.9), ("p", True), ("r", False), ("r", 0.0)])

@@ -154,8 +154,7 @@ OPTIONS = {
     "sparsedyn.simulate.trajectory_blocks": {"comments": "None"},
     "sparsedyn.simulate.trajectory_to_csv": {"comments": "None"},
     "sparsedyn.solver.Estimate": {
-        "objective_trace": "<factory>", "iterations": "0", "converged": "False",
-        "step_used": "0.0"},
+        "objective_trace": "<factory>", "iterations": "0", "converged": "False"},
     "sparsedyn.solver.SolverConfig": {
         "lambda_l": "0.0", "mode": "'sparse_plus_lowrank'", "max_iter": "5000", "tol": "1e-08"},
     "sparsedyn.solver.estimate_to_json": {"config": "None"},

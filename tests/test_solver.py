@@ -215,24 +215,11 @@ def test_fit_trace_ends_at_public_objective():
         assert abs(est.objective_trace[-1] - public) <= 1e-12 * abs(public)
 
 
-def test_fit_step_is_exact_on_near_degenerate_s1():
-    # Top two eigenvalues 1 and 0.999: a power iteration stalls short of
-    # lambda_max here, which would make the step larger than 1/L.
-    rng = CounterRng(17)
-    q, _ = np.linalg.qr(rng.normal_matrix(5, 5))
-    s1 = (q * np.array([1.0, 0.999, 0.5, 0.3, 0.1])) @ q.T
-    s1 = 0.5 * (s1 + s1.T)
-    stats = SufficientStats(S1=s1, S2=0.3 * rng.normal_matrix(5, 5), n=100, eta=0.1,
-                            sq_increment_sum=10.0)
-    est = fit(stats, stats.sq_increment_sum,
-              SolverConfig(lambda_a=0.01, lambda_l=0.02, max_iter=5))
-    assert est.step_used == 1.0 / (2.0 * np.linalg.eigvalsh(s1)[-1])
-
-
 def test_fit_fixed_point_after_convergence():
-    # The stopping rule bounds the one-step movement through the descent
-    # lemma: ||next - current||_F <= sqrt(2 step |delta f|) with
-    # |delta f| <= tol * max(1, |f|).
+    # A converged fit is near a fixed point of the proximal gradient map at
+    # the joint step 1 / (2 sigma_max(S1)): one such step moves it by no
+    # more than the descent lemma allows a step that lowers the objective
+    # by tol * max(1, |f|), ||next - current||_F <= sqrt(2 step |delta f|).
     from sparsedyn.linalg import prox_l1, prox_nuclear
 
     stats, _ = _stats_from_system(seed=41, p=4, r=2, s=1, n=80)
@@ -240,7 +227,7 @@ def test_fit_fixed_point_after_convergence():
     config = SolverConfig(lambda_a=0.05, lambda_l=0.1, max_iter=20000, tol=tol)
     est = fit(stats, stats.sq_increment_sum, config)
     assert est.converged
-    step = est.step_used
+    step = 1.0 / (2.0 * np.linalg.eigvalsh(stats.S1)[-1])
     g = smooth_gradient(est.Ahat + est.Lhat, stats)
     a_next = prox_l1(est.Ahat - step * g, step * config.lambda_a)
     l_next, _ = prox_nuclear(est.Lhat - step * g, step * config.lambda_l)
@@ -260,12 +247,33 @@ def test_fit_fixed_point_exact_at_zero_solution():
     lam_l = float(np.linalg.norm(stats.S2, 2)) * 2.0
     config = SolverConfig(lambda_a=lam_a, lambda_l=lam_l, tol=1e-8)
     est = fit(stats, stats.sq_increment_sum, config)
-    step = est.step_used
+    step = 1.0 / (2.0 * np.linalg.eigvalsh(stats.S1)[-1])
     g = smooth_gradient(est.Ahat + est.Lhat, stats)
     a_next = prox_l1(est.Ahat - step * g, step * lam_a)
     l_next, _ = prox_nuclear(est.Lhat - step * g, step * lam_l)
     move = np.linalg.norm(a_next - est.Ahat) + np.linalg.norm(l_next - est.Lhat)
     assert move < 10 * config.tol
+
+
+@pytest.mark.parametrize("c, d", [(0.1, 0.1), (0.1, 1.0), (0.8, 0.1), (0.8, 1.0)])
+def test_fit_at_protocol_tol_is_near_the_optimum(c, d):
+    # One cross-validation fold's fit (p = 40, n = 4,000) at the corners of
+    # the CV grid: the protocol's stop is within 1e-6 relative of the
+    # optimum, which a fit at tol = 1e-15 stands for.
+    from sparsedyn.evaluate import PROTOCOL_TOL
+    from sparsedyn.model import lambda_pair_from_constants
+
+    params = gen_random_system(GenSpec(p=40, r=2, s=3, seed=31))
+    stats = sufficient_stats(simulate_continuous(params, eta=0.05, n=4000, seed=32))
+    lam_a, lam_l = lambda_pair_from_constants(c, d, 40, 1, 1, 0.05, stats.n)
+    values = []
+    for tol in (PROTOCOL_TOL, 1e-15):
+        est = fit(stats, stats.sq_increment_sum,
+                  SolverConfig(lambda_a=lam_a, lambda_l=lam_l, max_iter=20000, tol=tol))
+        assert est.converged
+        values.append(objective(est.Ahat, est.Lhat, stats, stats.sq_increment_sum, lam_a, lam_l))
+    stopped, optimum = values
+    assert stopped - optimum <= 1e-6 * abs(optimum)
 
 
 def test_fit_divergence_names_first_iteration():
@@ -274,34 +282,6 @@ def test_fit_divergence_names_first_iteration():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError, match="at iteration 1$"):
             fit(stats, stats.sq_increment_sum, SolverConfig(lambda_a=0.1, lambda_l=0.1))
-
-
-def test_fit_stops_when_a_plain_step_makes_no_progress(monkeypatch):
-    # tol = 1e-300 never fires on a moving objective, so the fit ends only
-    # when a momentum step overshoots and the plain step from the last
-    # accepted iterate cannot lower the objective either: the trace ends
-    # in one flat step.  Three overshoots cost one extra prox step each.
-    import sparsedyn.solver as solver_module
-
-    calls = {"prox": 0}
-    real_prox = solver_module.prox_nuclear
-
-    def counting_prox(*args, **kwargs):
-        calls["prox"] += 1
-        return real_prox(*args, **kwargs)
-
-    monkeypatch.setattr(solver_module, "prox_nuclear", counting_prox)
-    params = gen_random_system(GenSpec(p=10, r=2, s=2, seed=4))
-    stats = sufficient_stats(simulate_continuous(params, eta=0.05, n=2000, seed=5))
-    est = fit(stats, stats.sq_increment_sum,
-              SolverConfig(lambda_a=0.05, lambda_l=0.2, tol=1e-300, max_iter=20000))
-    assert (est.iterations, est.converged, len(est.objective_trace)) == (49, True, 50)
-    assert calls["prox"] == 52
-    assert [v.hex() for v in est.objective_trace[:2]] == [
-        "0x1.7eef99b896205p+6", "0x1.738569d110a2fp+6"]
-    assert [v.hex() for v in est.objective_trace[-3:]] == [
-        "0x1.6ab12f460a09ep+6", "0x1.6ab12f460a09cp+6", "0x1.6ab12f460a09cp+6"]
-    assert np.count_nonzero(est.Ahat) == 41 and np.all(est.Lhat == 0)
 
 
 def test_fit_mode_equivalence_without_latents():
@@ -448,25 +428,35 @@ def test_fit_lasso_denser_than_joint_on_latent_systems():
 # Each value below used to be coerced: "false" read as True, 2.7 as 2,
 # True as 1, a number in a string as the number, and a 1-D or mismatched
 # Ahat/Lhat, or one holding NaN, loaded as it was, as did -1 iterations.
+# A number for objective_trace ended in "'int' object is not iterable".
 @pytest.mark.parametrize("field, value", [
     ("converged", "false"), ("converged", 1), ("iterations", 2.7), ("iterations", True),
     ("Ahat", [0.0]), ("Ahat", [[0.0, 1.0]]), ("Lhat", [[0.0]]),
-    ("step_used", "0.25"), ("step_used", True), ("objective_trace", ["1", True]),
-    ("objective_trace", [1.0, True]), ("Lhat", [[True, 0.0], [0.0, 0.0]]),
+    ("objective_trace", ["1", True]), ("objective_trace", [1.0, True]),
+    ("objective_trace", 3), ("Lhat", [[True, 0.0], [0.0, 0.0]]),
     ("Ahat", [["-1", "0"], ["0", "-1"]]), ("Ahat", [[-1.0, 0.0], [0.0, -10**400]]),
-    ("Ahat", [[float("nan"), 0.0], [0.0, -1.0]]), ("step_used", float("inf")),
-    ("iterations", -1),
+    ("Ahat", [[float("nan"), 0.0], [0.0, -1.0]]), ("iterations", -1),
 ], ids=["converged-string", "converged-int", "iterations-float", "iterations-bool", "Ahat-1d",
-        "Ahat-not-square", "Lhat-other-shape", "step_used-string", "step_used-bool",
-        "objective_trace-string", "objective_trace-bool", "Lhat-bool", "Ahat-strings",
-        "Ahat-int-beyond-float", "Ahat-NaN", "step_used-Infinity", "iterations-negative"])
+        "Ahat-not-square", "Lhat-other-shape", "objective_trace-string", "objective_trace-bool",
+        "objective_trace-number", "Lhat-bool", "Ahat-strings", "Ahat-int-beyond-float",
+        "Ahat-NaN", "iterations-negative"])
 def test_estimate_json_rejects_a_field_of_the_wrong_type_or_shape(field, value):
     est = Estimate(Ahat=-np.eye(2), Lhat=np.zeros((2, 2)), objective_trace=[1.0, 0.5],
-                   iterations=1, converged=True, step_used=0.25)
+                   iterations=1, converged=True)
     doc = json.loads(estimate_to_json(est, {"seed": 1}))
-    restored, config = estimate_from_json(json.dumps(doc))
+    # Keys the reader does not use are ignored, so files that still carry
+    # the old step_used key load.
+    restored, config = estimate_from_json(json.dumps({**doc, "step_used": 0.25}))
     assert config == {"seed": 1}
     assert np.array_equal(restored.Lhat, est.Lhat) and restored.iterations == 1
     doc[field] = value
     with pytest.raises(DataError, match=f"^estimate JSON missing or malformed field: .*'{field}'"):
         estimate_from_json(json.dumps(doc))
+
+
+# A list used to end in "list indices must be integers or slices, not str".
+@pytest.mark.parametrize("text", ["[1]", "null", "3", '"Ahat"'])
+def test_estimate_json_must_be_an_object(text):
+    with pytest.raises(DataError, match="^invalid estimate JSON: the document is not a JSON object$"):
+        estimate_from_json(text)
+
