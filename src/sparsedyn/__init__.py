@@ -3,8 +3,9 @@ observed alongside unobserved (latent) time series.
 
 The package learns which observed variables directly drive which by
 decomposing the least-squares drift estimate into a sparse interaction
-matrix and a low-rank latent-effect matrix, solved with an accelerated
-proximal gradient method under l1 + nuclear-norm regularization.
+matrix and a low-rank latent-effect matrix under l1 + nuclear-norm
+regularization, solved by ADMM on the split ``M = A + L``, which returns
+the best iterate it has seen.
 
 The package root holds the pipeline: each command's library call with the
 types it takes and returns, the ground truth and the recovery score, seed

@@ -107,11 +107,6 @@ class SteadyState:
     Cmin: float
     Dmax: float
 
-    def joint(self) -> np.ndarray:
-        top = np.hstack([self.Q, self.R.T])
-        bottom = np.hstack([self.R, self.P])
-        return np.vstack([top, bottom])
-
 
 def stability_margin(params: SystemParams) -> float:
     """Stability margin of assumption A1 (positive iff A1 holds).

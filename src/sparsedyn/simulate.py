@@ -24,8 +24,8 @@ that determine the least-squares objective.  The trajectory CSV layout
 lives here too; ``csvio`` handles the text.
 
 ``save_trajectory`` also writes a binary copy of the path beside its CSV
-(``traj.csv.npz`` beside ``traj.csv``): a ``.npz`` archive of ``x``,
-``eta`` and the SHA-256 of the CSV bytes as written.  ``load_trajectory``
+(``traj.csv.npy`` beside ``traj.csv``): one ``.npy`` record of the SHA-256
+of the CSV bytes as written, ``eta`` and ``x``.  ``load_trajectory``
 trusts the copy only while that digest matches the CSV's bytes and
 otherwise parses the CSV, so the CSV stays the one authority and the copy
 only saves the parse.
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import zipfile
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,9 +67,6 @@ __all__ = [
 # Rows of normals turned into increments per matrix product (a 1.4 MB
 # buffer at p+r = 42).
 _CHUNK_ROWS = 4096
-
-# The sidecar's arrays: the path, its step and the SHA-256 of the CSV bytes.
-_SIDECAR_KEYS = ["eta", "sha256", "x"]
 
 
 def _finite(a: np.ndarray) -> bool:
@@ -412,8 +408,9 @@ def save_trajectory(path, traj: Trajectory, comments: list[str] | None = None) -
     as they are written, never read back.  The sidecar is written only
     after the CSV is complete, and only when ``path`` is a regular file
     whose parse :func:`trajectory_from_csv` accepts, so that loading the
-    sidecar gives what parsing the CSV gives.  Its bytes depend only on
-    the trajectory and the CSV's digest (no time stamps).
+    sidecar gives what parsing the CSV gives.  Its path is written
+    ``_CHUNK_ROWS`` rows at a time, never copied whole, and its bytes
+    depend only on the trajectory and the CSV's digest.
     """
     path = Path(path)
     blocks = trajectory_blocks(traj, comments)
@@ -430,30 +427,20 @@ def save_trajectory(path, traj: Trajectory, comments: list[str] | None = None) -
         _grid_step(np.arange(traj.x.shape[0]) * traj.eta)
     except DataError:
         return
-    arrays = {"eta": np.float64(traj.eta), "sha256": np.frombuffer(digest.digest(), np.uint8),
-              "x": traj.x}
-    # ``np.savez`` would stamp each member with the current time, and copy
-    # the path whole.
-    with zipfile.ZipFile(_sidecar(path), "w") as archive:
-        for key in _SIDECAR_KEYS:
-            with archive.open(zipfile.ZipInfo(key + ".npy"), "w", force_zip64=True) as member:
-                _write_npy(member, np.asarray(arrays[key]))
-
-
-def _write_npy(handle, a: np.ndarray) -> None:
-    """``a`` in the ``.npy`` format, ``_CHUNK_ROWS`` rows at a time."""
-    np.lib.format.write_array_header_1_0(handle, {
-        "descr": np.lib.format.dtype_to_descr(a.dtype), "fortran_order": False, "shape": a.shape})
-    rows = np.atleast_1d(a)
-    for start in range(0, len(rows), _CHUNK_ROWS):
-        handle.write(rows[start:start + _CHUNK_ROWS].tobytes())
+    with _sidecar(path).open("wb") as handle:
+        np.lib.format.write_array_header_1_0(handle, {
+            "descr": np.lib.format.dtype_to_descr(_record(traj.x.shape)),
+            "fortran_order": False, "shape": ()})
+        handle.write(digest.digest() + np.float64(traj.eta).tobytes())
+        for start in range(0, traj.x.shape[0], _CHUNK_ROWS):
+            handle.write(traj.x[start:start + _CHUNK_ROWS].tobytes())
 
 
 def load_trajectory(path) -> Trajectory:
     """The trajectory in the CSV at ``path``.
 
     The file is read once and hashed.  When its sidecar holds that digest,
-    the trajectory is built from the sidecar's arrays, with the
+    the trajectory is built from the sidecar's record, with the
     ``Trajectory``'s own checks.  In any other case (no sidecar, a stale,
     corrupt or foreign one) the CSV is decoded and parsed by
     :func:`trajectory_from_csv`, with its errors.
@@ -464,23 +451,25 @@ def load_trajectory(path) -> Trajectory:
 
 
 def _sidecar(path) -> Path:
-    """A trajectory CSV's binary copy: the CSV's name plus ``.npz``."""
-    return Path(f"{path}.npz")
+    """A trajectory CSV's binary copy: the CSV's name plus ``.npy``."""
+    return Path(f"{path}.npy")
+
+
+def _record(shape) -> np.dtype:
+    """The sidecar's one record: the CSV's SHA-256, ``eta`` and ``x`` of ``shape``."""
+    return np.dtype([("sha256", np.uint8, 32), ("eta", np.float64), ("x", np.float64, shape)])
 
 
 def _from_sidecar(path: Path, digest: bytes) -> Trajectory | None:
     """The sidecar's trajectory when it matches ``digest``, else ``None``."""
     # The sidecar only saves a parse: whatever fails in reading it (a
-    # missing, truncated or foreign file, a bad member, a non-finite path),
-    # the CSV is parsed instead.
+    # missing, truncated or foreign file, another record, a non-finite
+    # path), the CSV is parsed instead.
     try:
-        # A handle of our own: np.load leaks the one it opens when the zip is bad.
-        with path.open("rb") as handle, np.load(handle, allow_pickle=False) as archive:
-            if sorted(archive.files) != _SIDECAR_KEYS or archive["sha256"].tobytes() != digest:
-                return None
-            x, eta = archive["x"], archive["eta"]
-        if x.dtype != np.float64 or eta.dtype != np.float64 or eta.shape != ():
+        record = np.load(path, allow_pickle=False)
+        x = record["x"]
+        if record.dtype != _record(x.shape) or record["sha256"].tobytes() != digest:
             return None
-        return Trajectory(x=x, eta=float(eta))
+        return Trajectory(x=x, eta=float(record["eta"]))
     except Exception:
         return None

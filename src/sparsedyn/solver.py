@@ -21,6 +21,7 @@ latent-blind baseline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,10 +75,11 @@ class SolverConfig:
 class Estimate:
     """Fitted pair plus solver diagnostics.
 
-    ``fit`` holds the best iterate, as MFISTA does: it moves to a new one
-    only if its objective is no higher.  ``Ahat``/``Lhat`` are the held pair
-    and ``objective_trace[k]`` its objective after ``k`` iterations (entry
-    0 is the start at zero), so the trace never increases.
+    ADMM's objective need not fall at every iteration, so ``fit`` holds
+    the best iterate seen: it moves to a new one only if its objective is
+    no higher.  ``Ahat``/``Lhat`` are the held pair and
+    ``objective_trace[k]`` its objective after ``k`` iterations (entry 0 is
+    the start at zero), so the trace never increases.
     """
 
     Ahat: np.ndarray
@@ -119,6 +121,8 @@ def smooth_gradient(m_sum: np.ndarray, stats: SufficientStats) -> np.ndarray:
     return m_sum @ stats.S1 - stats.S2
 
 
+# Overflow shows as a non-finite M or objective, which fit checks.
+@np.errstate(over="ignore", invalid="ignore")
 def fit(
     stats: SufficientStats,
     sq_increment_sum: float,
@@ -141,7 +145,8 @@ def fit(
     ``rho ||delta(A + L)||_F`` is at most ``sqrt(tol) rho ||U||_F``.  The
     ``S2`` floor lets an all-zero solution stop: there ``M`` shrinks
     geometrically to zero, and the dual residual is exactly zero.  It
-    returns the best iterate seen (see ``Estimate``).
+    returns the best iterate seen (see ``Estimate``).  An ``M`` or an
+    objective that overflows is a ``DivergenceError`` naming the iteration.
     """
     s1 = as_matrix(stats.S1, "S1", "square")
     s2 = as_matrix(stats.S2, "S2", s1.shape)
@@ -150,7 +155,10 @@ def fit(
     smax = power_spectral_norm(s1)
     rho = 0.2 * smax if smax > 0 else 1.0
     solve = np.linalg.inv(s1 + rho * np.eye(p))
-    primal_floor = float(np.linalg.norm(s2)) / (smax if smax > 0 else 1.0)
+    s2_norm = float(np.linalg.norm(s2))
+    if not math.isfinite(s2_norm):  # its squares overflow: entries beyond about 1e154
+        s2_norm = math.hypot(*s2.flat)
+    primal_floor = s2_norm / (smax if smax > 0 else 1.0)
     root_tol = np.sqrt(config.tol)
 
     a = l_mat = u = np.zeros((p, p))
@@ -163,6 +171,8 @@ def fit(
     for iterations in range(1, config.max_iter + 1):
         pair_old = a + l_mat
         m = (s2 + rho * (pair_old - u)) @ solve
+        if not np.isfinite(m).all():
+            raise DivergenceError(f"M became non-finite at iteration {iterations}")
         a = prox_l1(m + u - l_mat, config.lambda_a / rho)
         if not lasso:
             # The nuclear norm of the new L is the sum of the values its prox shrank.

@@ -968,12 +968,12 @@ def test_readme_steps_3_to_5_write_the_same_bytes_without_the_sidecar(tmp_path, 
     steps = _readme_commands()[:5]
     _run_all(steps[:2], capsys)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "system.json", "traj.csv", "traj.csv.npz"]
+        "system.json", "traj.csv", "traj.csv.npy"]
     artifacts = ["cv.json", "estimate.json", "graph.dot", "edges.csv", "forecast.csv"]
     printed = _run_all(steps[2:], capsys)
     assert csv_parses == []
     written = {name: Path(name).read_bytes() for name in artifacts}
-    Path("traj.csv.npz").unlink()
+    Path("traj.csv.npy").unlink()
     assert _run_all(steps[2:], capsys) == printed
     assert len(csv_parses) == 3
     assert {name: Path(name).read_bytes() for name in artifacts} == written
@@ -1002,7 +1002,7 @@ def test_an_edited_trajectory_csv_gives_the_result_of_its_parse(tmp_path, monkey
         code = run(["fit", "--data", "traj.csv", *_FIT])
         out = Path(_OUT).read_bytes() if Path(_OUT).exists() else None
         results.append((code, capsys.readouterr(), out))
-        Path("traj.csv.npz").unlink(missing_ok=True)
+        Path("traj.csv.npy").unlink(missing_ok=True)
     assert results[0] == results[1]
     if edit == "truncated":
         assert results[0][:2] == (1, ("", "error:DataError:line 203: expected 4 fields, got 3\n"))

@@ -229,12 +229,11 @@ def test_only_errors_tests_a_number_type():
 
 
 # The shape comparisons written outside ``linalg``, by module and function:
-# table columns of one length, and the sampled path, start vector, noise and
-# sidecar step, whose checks stay bounded in memory (no ``isfinite`` mask).
+# table columns of one length, and the sampled path, start vector and noise,
+# whose checks stay bounded in memory (no ``isfinite`` mask).
 HAND_SHAPE_CHECKS = [
     ("csvio.py", "table_blocks"),
     ("simulate.py", "Trajectory.__post_init__"),
-    ("simulate.py", "_from_sidecar"),
     ("simulate.py", "_initial_state"),
     ("simulate.py", "_sample"),
 ]

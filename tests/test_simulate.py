@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 import os
 import re
 import threading
@@ -674,7 +675,7 @@ def _same_bits(a: Trajectory, b: Trajectory) -> bool:
 def test_sidecar_loads_what_the_csv_parses_bit_for_bit(tmp_path, csv_parses, mode, n):
     csv = _simulated_csv(tmp_path, mode, n)
     assert sorted(path.name for path in tmp_path.iterdir()) == [
-        "system.json", "traj.csv", "traj.csv.npz"]
+        "system.json", "traj.csv", "traj.csv.npy"]
     parsed = trajectory_from_csv(csvio.read_text(csv))
     loaded = load_trajectory(csv)
     assert csv_parses == []
@@ -686,12 +687,13 @@ def test_sidecar_loads_what_the_csv_parses_bit_for_bit(tmp_path, csv_parses, mod
 
 def test_sidecar_bytes_carry_no_time_stamp(tmp_path):
     csv = _simulated_csv(tmp_path)
-    first = (tmp_path / "traj.csv.npz").read_bytes()
+    first = (tmp_path / "traj.csv.npy").read_bytes()
     _simulated_csv(tmp_path)
-    assert (tmp_path / "traj.csv.npz").read_bytes() == first
-    with np.load(tmp_path / "traj.csv.npz", allow_pickle=False) as archive:
-        assert sorted(archive.files) == ["eta", "sha256", "x"]
-        assert archive["sha256"].tobytes() == hashlib.sha256(csv.read_bytes()).digest()
+    assert (tmp_path / "traj.csv.npy").read_bytes() == first
+    record = np.load(tmp_path / "traj.csv.npy", allow_pickle=False)
+    assert record.shape == () and record.dtype.names == ("sha256", "eta", "x")
+    assert record["sha256"].tobytes() == hashlib.sha256(csv.read_bytes()).digest()
+    assert record["x"].shape == (301, 5) and record["eta"] == 0.05
 
 
 def test_no_sidecar_beside_a_csv_that_its_reader_rejects(tmp_path, monkeypatch):
@@ -724,49 +726,66 @@ def test_simulate_into_a_pipe_writes_no_sidecar(tmp_path):
     assert trajectory_from_csv(received[0].decode()).n == 300
 
 
-def _rewrite_sidecar(csv, **arrays):
-    """Replace the sidecar by an archive of the given arrays, with the CSV's
-    own digest unless ``sha256`` is given."""
+def _rewrite_sidecar(csv, **fields):
+    """Replace the sidecar by a 0-d record of the given fields, led by the
+    CSV's own digest unless ``sha256`` is given."""
     digest = np.frombuffer(hashlib.sha256(csv.read_bytes()).digest(), np.uint8)
-    with open(f"{csv}.npz", "wb") as handle:
-        np.savez(handle, **{"sha256": digest, **arrays})
+    fields = {name: np.asarray(value) for name, value in {"sha256": digest, **fields}.items()}
+    record = np.empty((), [(name, value.dtype, value.shape) for name, value in fields.items()])
+    for name, value in fields.items():
+        record[name] = value
+    np.save(f"{csv}.npy", record)
+
+
+def _old_sidecar(csv) -> bytes:
+    """The ``.npz`` archive of ``x``, ``eta`` and the CSV's digest that an
+    earlier version wrote beside the CSV as ``<csv>.npz``."""
+    good = trajectory_from_csv(csvio.read_text(csv))
+    with io.BytesIO() as archive:
+        np.savez(archive, eta=np.float64(good.eta), x=good.x,
+                 sha256=np.frombuffer(hashlib.sha256(csv.read_bytes()).digest(), np.uint8))
+        return archive.getvalue()
 
 
 def _tamper_sidecar(kind, csv, tmp_path):
-    sidecar = tmp_path / "traj.csv.npz"
+    sidecar = tmp_path / "traj.csv.npy"
     good = load_trajectory(csv)
     x, eta = good.x, np.float64(good.eta)
     if kind == "truncated":
         sidecar.write_bytes(sidecar.read_bytes()[:-100])
-    elif kind == "not-zip":
+    elif kind == "not-npy":
         sidecar.write_bytes(b"t,x1\n0,1\n")
-    elif kind == "npy-not-npz":
-        with sidecar.open("wb") as handle:
-            np.save(handle, x)
+    elif kind == "bare-array":
+        np.save(sidecar, x)
     elif kind == "missing-key":
         _rewrite_sidecar(csv, x=x)
     elif kind == "extra-key":
-        _rewrite_sidecar(csv, x=x, eta=eta, n=np.int64(good.n))
+        _rewrite_sidecar(csv, eta=eta, x=x, n=np.int64(good.n))
     elif kind == "x-shape":
-        _rewrite_sidecar(csv, x=x.reshape(-1), eta=eta)
+        _rewrite_sidecar(csv, eta=eta, x=x.reshape(-1))
     elif kind == "x-dtype":
-        _rewrite_sidecar(csv, x=x.astype(np.float32), eta=eta)
+        _rewrite_sidecar(csv, eta=eta, x=x.astype(np.float32))
     elif kind == "eta-shape":
-        _rewrite_sidecar(csv, x=x, eta=np.array([good.eta]))
+        _rewrite_sidecar(csv, eta=np.array([good.eta]), x=x)
     elif kind == "non-finite":
-        _rewrite_sidecar(csv, x=np.where(x > 0, np.nan, x), eta=eta)
+        _rewrite_sidecar(csv, eta=eta, x=np.where(x > 0, np.nan, x))
     elif kind == "pickled":
-        _rewrite_sidecar(csv, x=np.array([None], dtype=object), eta=eta)
+        _rewrite_sidecar(csv, eta=eta, x=np.array([None], dtype=object))
     elif kind == "other-digest":
         _simulated_csv(tmp_path, seed=9, name="other.csv")
-        sidecar.write_bytes((tmp_path / "other.csv.npz").read_bytes())
+        sidecar.write_bytes((tmp_path / "other.csv.npy").read_bytes())
+    elif kind == "old-npz":
+        sidecar.unlink()
+        (tmp_path / "traj.csv.npz").write_bytes(_old_sidecar(csv))
+    elif kind == "npz-as-npy":
+        sidecar.write_bytes(_old_sidecar(csv))
     else:
         raise AssertionError(kind)
 
 
-@pytest.mark.parametrize("kind", ["truncated", "not-zip", "npy-not-npz", "missing-key",
+@pytest.mark.parametrize("kind", ["truncated", "not-npy", "bare-array", "missing-key",
                                   "extra-key", "x-shape", "x-dtype", "eta-shape", "non-finite",
-                                  "pickled", "other-digest"])
+                                  "pickled", "other-digest", "old-npz", "npz-as-npy"])
 def test_a_bad_sidecar_falls_back_to_the_parse(tmp_path, csv_parses, kind):
     csv = _simulated_csv(tmp_path)
     _tamper_sidecar(kind, csv, tmp_path)
@@ -774,6 +793,17 @@ def test_a_bad_sidecar_falls_back_to_the_parse(tmp_path, csv_parses, kind):
     text = csvio.read_text(csv)
     assert csv_parses == [len(text)]
     assert _same_bits(loaded, trajectory_from_csv(text))
+
+
+def test_np_save_of_the_good_fields_writes_the_sidecar_bytes(tmp_path):
+    # The writer's header and record are those of ``np.save``, and each
+    # tamper above differs from the good record in its tamper alone.
+    csv = _simulated_csv(tmp_path)
+    sidecar = tmp_path / "traj.csv.npy"
+    written = sidecar.read_bytes()
+    good = np.load(sidecar, allow_pickle=False)
+    _rewrite_sidecar(csv, eta=good["eta"], x=good["x"])
+    assert sidecar.read_bytes() == written
 
 
 def test_an_edited_csv_is_parsed_as_it_now_reads(tmp_path, csv_parses):

@@ -158,12 +158,12 @@ def test_fit_matches_subgradient_reference_p2(lasso):
         lam_a, lam_l, iters=100000, lasso=lasso,
     )
     final = est.objective_trace[-1]
-    # FISTA must not be worse, and the subgradient best must be close.
+    # The held ADMM iterate must not be worse, and the subgradient best must be close.
     assert final <= ref + 1e-9
     assert abs(final - ref) < 1e-3
 
 
-def test_fit_trace_non_increasing_with_restart():
+def test_fit_trace_never_increases():
     for seed in range(6):
         stats, _ = _stats_from_system(seed=30 + seed, p=4, r=2, s=1, n=80)
         lam = 0.05 + 0.1 * (seed % 3)
@@ -175,9 +175,9 @@ def test_fit_trace_non_increasing_with_restart():
 
 def test_fit_one_factorization_per_prox_step(monkeypatch):
     # Scoring an iterate reuses the prox step's singular values, so every
-    # factorization in a fit is the one inside prox_nuclear (one per
-    # iteration, plus one per restart).  Here tau is far above 1e-4 sigma_1,
-    # so each is the Gram eigendecomposition and no SVD runs at all.
+    # factorization in a fit is the one inside prox_nuclear, one per
+    # iteration.  Here tau is far above 1e-4 sigma_1, so each is the Gram
+    # eigendecomposition and no SVD runs at all.
     import sparsedyn.solver as solver_module
 
     counts = {"svd": 0, "eigh": 0, "prox": 0}
@@ -277,11 +277,33 @@ def test_fit_at_protocol_tol_is_near_the_optimum(c, d):
 
 
 def test_fit_divergence_names_first_iteration():
-    stats = SufficientStats(S1=np.eye(3), S2=np.full((3, 3), 1e308), n=10, eta=0.1,
-                            sq_increment_sum=1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergenceError, match="at iteration 1$"):
+    # At S1 = 1e-3 I, (S1 + rho I)^-1 = 833 I, so the first M update
+    # overflows before any objective is scored, and so do the squares in
+    # ||S2||_F.  The suite turns every warning into an error.
+    for scale, match in [(1.0, "at iteration 1$"),
+                         (1e-3, "^M became non-finite at iteration 1$")]:
+        stats = SufficientStats(S1=scale * np.eye(3), S2=np.full((3, 3), 1e308), n=10, eta=0.1,
+                                sq_increment_sum=1.0)
+        with pytest.raises(DivergenceError, match=match):
             fit(stats, stats.sq_increment_sum, SolverConfig(lambda_a=0.1, lambda_l=0.1))
+
+
+@pytest.mark.parametrize("lasso", [False, True])
+def test_fit_is_scale_free_where_the_squares_of_s2_overflow(lasso):
+    # Scaling S1, S2, the increment sum and both weights by c scales the
+    # objective by c and leaves its minimizer: at c = 1e200 the squares in
+    # ||S2||_F overflow, and the stopping rule's S2 floor must not.
+    stats, _ = _stats_from_system(seed=6, p=3, n=40)
+    c = 1e200
+    scaled = SufficientStats(S1=c * stats.S1, S2=c * stats.S2, n=stats.n, eta=stats.eta,
+                             sq_increment_sum=c * stats.sq_increment_sum)
+    mode = MODE_PURE_LASSO if lasso else "sparse_plus_lowrank"
+    lam_a, lam_l = 0.3, 0.0 if lasso else 0.4
+    est = fit(stats, stats.sq_increment_sum, SolverConfig(lam_a, lam_l, mode))
+    big = fit(scaled, scaled.sq_increment_sum, SolverConfig(c * lam_a, c * lam_l, mode))
+    assert big.converged and big.iterations == est.iterations
+    assert np.allclose(big.Ahat, est.Ahat, rtol=1e-9, atol=1e-12)
+    assert np.allclose(big.Lhat, est.Lhat, rtol=1e-9, atol=1e-12)
 
 
 def test_fit_mode_equivalence_without_latents():
