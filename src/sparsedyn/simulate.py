@@ -464,9 +464,11 @@ def _from_sidecar(path: Path, digest: bytes) -> Trajectory | None:
     """The sidecar's trajectory when it matches ``digest``, else ``None``."""
     # The sidecar only saves a parse: whatever fails in reading it (a
     # missing, truncated or foreign file, another record, a non-finite
-    # path), the CSV is parsed instead.
+    # path), the CSV is parsed instead.  ``read_array`` takes the ``.npy``
+    # format alone, where ``np.load`` would open a zip as an archive.
     try:
-        record = np.load(path, allow_pickle=False)
+        with path.open("rb") as handle:
+            record = np.lib.format.read_array(handle, allow_pickle=False)
         x = record["x"]
         if record.dtype != _record(x.shape) or record["sha256"].tobytes() != digest:
             return None

@@ -7,9 +7,10 @@ a low-rank latent-effect matrix ``L`` by minimizing
     (1/(2 eta^2 n)) sum_i ||x(i+1) - x(i) - eta (A+L) x(i)||^2
         + lambda_A ||A||_1 + lambda_L ||L||_*
 
-over both blocks.  The smooth part depends on the data only through the
+over both blocks.  ``fit`` runs over-relaxed ADMM on the split
+``M = A + L``.  The smooth part depends on the data only through the
 sufficient statistics, so one pass over the trajectory suffices and each
-iteration costs three p x p products (the ``M = A + L`` update, objective,
+iteration costs three p x p products (the ``M`` update, objective,
 Gram matrix) plus one p x p factorization: ``prox_nuclear``'s
 eigendecomposition of the Gram matrix, or an exact SVD where its threshold
 falls below 1e-4 of the largest singular value.  The nuclear-norm term of
@@ -43,6 +44,8 @@ __all__ = [
 
 MODE_SPARSE_LOWRANK = "sparse_plus_lowrank"
 MODE_PURE_LASSO = "pure_lasso"
+# fit's over-relaxation factor alpha: fixed, like its penalty parameter rho.
+RELAXATION = 1.8
 
 
 @dataclass(frozen=True)
@@ -51,7 +54,8 @@ class SolverConfig:
 
     ``fit`` stops once both ADMM residuals are within ``sqrt(tol)`` of
     their scale, or after ``max_iter`` iterations.  Its penalty parameter
-    ``rho = 0.2 sigma_max(S1)`` is fixed, not a setting.
+    ``rho = 0.2 sigma_max(S1)`` and its over-relaxation factor
+    ``alpha = RELAXATION`` (1.8) are fixed, not settings.
     """
 
     lambda_a: float
@@ -130,23 +134,27 @@ def fit(
 ) -> Estimate:
     """Minimize the regularized objective by ADMM on the split ``M = A + L``.
 
-    With ``rho = 0.2 sigma_max(S1)`` (1.0 when ``S1 = 0``) and the scaled
-    dual ``U``, each iteration takes
+    With ``rho = 0.2 sigma_max(S1)`` (1.0 when ``S1 = 0``), the scaled
+    dual ``U`` and the fixed ``alpha = RELAXATION``, each iteration takes
 
         M <- (S2 + rho (A + L - U)) (S1 + rho I)^-1
-        A <- prox_l1(M + U - L, lambda_A / rho)
-        L <- prox_nuclear(M + U - A, lambda_L / rho)
-        U <- U + M - A - L
+        Mr <- alpha M + (1 - alpha) (A + L)
+        A <- prox_l1(Mr + U - L, lambda_A / rho)
+        L <- prox_nuclear(Mr + U - A, lambda_L / rho)
+        U <- U + Mr - A - L
 
-    (Boyd et al. 2011, section 3; Lin, Chen & Ma 2010 for robust PCA).  The
+    (Boyd et al. 2011, section 3; its section 3.4.3 and Eckstein &
+    Bertsekas 1992 for the over-relaxation; Lin, Chen & Ma 2010 for robust
+    PCA), with ``A + L`` in ``Mr`` the pair the iteration started from.  The
     nuclear step is the iteration's one factorization.  It stops when the
     primal residual ``||M - A - L||_F`` is at most ``sqrt(tol)`` times
     ``max(||M||_F, ||A + L||_F, ||S2||_F / sigma_max)`` and the dual residual
-    ``rho ||delta(A + L)||_F`` is at most ``sqrt(tol) rho ||U||_F``.  The
-    ``S2`` floor lets an all-zero solution stop: there ``M`` shrinks
-    geometrically to zero, and the dual residual is exactly zero.  It
-    returns the best iterate seen (see ``Estimate``).  An ``M`` or an
-    objective that overflows is a ``DivergenceError`` naming the iteration.
+    ``rho ||delta(A + L)||_F`` is at most ``sqrt(tol) rho ||U||_F``; both
+    use ``M`` itself, not ``Mr``.  The ``S2`` floor lets an all-zero
+    solution stop: there ``M`` shrinks geometrically to zero, and the dual
+    residual is exactly zero.  It returns the best iterate seen (see
+    ``Estimate``).  An ``M`` or an objective that overflows is a
+    ``DivergenceError`` naming the iteration.
     """
     s1 = as_matrix(stats.S1, "S1", "square")
     s2 = as_matrix(stats.S2, "S2", s1.shape)
@@ -171,16 +179,18 @@ def fit(
     for iterations in range(1, config.max_iter + 1):
         pair_old = a + l_mat
         m = (s2 + rho * (pair_old - u)) @ solve
-        if not np.isfinite(m).all():
+        m_hat = RELAXATION * m + (1.0 - RELAXATION) * pair_old
+        if not np.isfinite(m_hat).all():  # also non-finite wherever m is
             raise DivergenceError(f"M became non-finite at iteration {iterations}")
-        a = prox_l1(m + u - l_mat, config.lambda_a / rho)
+        m_u = m_hat + u  # both prox inputs and the new U start from it
+        a = prox_l1(m_u - l_mat, config.lambda_a / rho)
         if not lasso:
             # The nuclear norm of the new L is the sum of the values its prox shrank.
-            l_mat, shrunk = prox_nuclear(m + u - a, config.lambda_l / rho)
+            l_mat, shrunk = prox_nuclear(m_u - a, config.lambda_l / rho)
             nuclear = config.lambda_l * float(shrunk.sum())
         pair = a + l_mat
         residual = m - pair
-        u = u + residual
+        u = m_u - pair
         obj_new = objective(a, l_mat, stats, sq_increment_sum, config.lambda_a, 0.0) + nuclear
         if not np.isfinite(obj_new):
             raise DivergenceError(f"objective became non-finite at iteration {iterations}")

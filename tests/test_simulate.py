@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import io
 import os
@@ -790,6 +791,21 @@ def test_a_bad_sidecar_falls_back_to_the_parse(tmp_path, csv_parses, kind):
     csv = _simulated_csv(tmp_path)
     _tamper_sidecar(kind, csv, tmp_path)
     loaded = load_trajectory(csv)
+    text = csvio.read_text(csv)
+    assert csv_parses == [len(text)]
+    assert _same_bits(loaded, trajectory_from_csv(text))
+
+
+def test_a_corrupt_zip_as_sidecar_leaves_no_file_open(tmp_path, csv_parses):
+    # np.load would open this file as an archive, fail on the missing end
+    # of the zip and leave its handle for the garbage collector to close.
+    csv = _simulated_csv(tmp_path)
+    (tmp_path / "traj.csv.npy").write_bytes(_old_sidecar(csv)[:-100])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        loaded = load_trajectory(csv)
+        gc.collect()
+    assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
     text = csvio.read_text(csv)
     assert csv_parses == [len(text)]
     assert _same_bits(loaded, trajectory_from_csv(text))

@@ -1,3 +1,4 @@
+import functools
 import json
 import re
 
@@ -255,25 +256,54 @@ def test_fit_fixed_point_exact_at_zero_solution():
     assert move < 10 * config.tol
 
 
-@pytest.mark.parametrize("c, d", [(0.1, 0.1), (0.1, 1.0), (0.8, 0.1), (0.8, 1.0)])
-def test_fit_at_protocol_tol_is_near_the_optimum(c, d):
-    # One cross-validation fold's fit (p = 40, n = 4,000) at the corners of
-    # the CV grid: the protocol's stop is within 1e-6 relative of the
-    # optimum, which a fit at tol = 1e-15 stands for.
-    from sparsedyn.evaluate import PROTOCOL_TOL
+CORNERS = [(0.1, 0.1), (0.1, 1.0), (0.8, 0.1), (0.8, 1.0)]
+
+
+@functools.cache
+def _cv_fold_stats():
+    """One cross-validation fold's statistics: p = 40, n = 4,000."""
+    params = gen_random_system(GenSpec(p=40, r=2, s=3, seed=31))
+    return sufficient_stats(simulate_continuous(params, eta=0.05, n=4000, seed=32))
+
+
+def _corner_fit(c, d, tol):
     from sparsedyn.model import lambda_pair_from_constants
 
-    params = gen_random_system(GenSpec(p=40, r=2, s=3, seed=31))
-    stats = sufficient_stats(simulate_continuous(params, eta=0.05, n=4000, seed=32))
-    lam_a, lam_l = lambda_pair_from_constants(c, d, 40, 1, 1, 0.05, stats.n)
+    stats = _cv_fold_stats()
+    lasso = d is None  # lambda_A does not depend on d
+    lam_a, lam_l = lambda_pair_from_constants(c, 1.0 if lasso else d, 40, 1, 1, 0.05, stats.n)
+    lam_l = 0.0 if lasso else lam_l
+    mode = MODE_PURE_LASSO if lasso else "sparse_plus_lowrank"
+    est = fit(stats, stats.sq_increment_sum,
+              SolverConfig(lam_a, lam_l, mode, max_iter=20000, tol=tol))
+    value = objective(est.Ahat, est.Lhat, stats, stats.sq_increment_sum, lam_a, lam_l)
+    return est, value
+
+
+# d = None is the pure-lasso fit at the grid's c.
+@pytest.mark.parametrize("c, d", CORNERS + [pytest.param(0.1, None, id="lasso-0.1"),
+                                            pytest.param(0.8, None, id="lasso-0.8")])
+def test_fit_at_protocol_tol_is_near_the_optimum(c, d):
+    # One cross-validation fold's fit at the corners of the CV grid: the
+    # protocol's stop is within 1e-6 relative of the optimum, which a fit
+    # at tol = 1e-15 stands for.
+    from sparsedyn.evaluate import PROTOCOL_TOL
+
     values = []
     for tol in (PROTOCOL_TOL, 1e-15):
-        est = fit(stats, stats.sq_increment_sum,
-                  SolverConfig(lambda_a=lam_a, lambda_l=lam_l, max_iter=20000, tol=tol))
+        est, value = _corner_fit(c, d, tol)
         assert est.converged
-        values.append(objective(est.Ahat, est.Lhat, stats, stats.sq_increment_sum, lam_a, lam_l))
+        values.append(value)
     stopped, optimum = values
     assert stopped - optimum <= 1e-6 * abs(optimum)
+
+
+def test_fit_corner_iterations_at_protocol_tol():
+    # The over-relaxed ADMM takes 39 + 11 + 11 + 16 = 77 iterations over
+    # the four corners; unrelaxed (alpha = 1) it took 40 + 18 + 12 + 31 = 101.
+    from sparsedyn.evaluate import PROTOCOL_TOL
+
+    assert sum(_corner_fit(c, d, PROTOCOL_TOL)[0].iterations for c, d in CORNERS) <= 77
 
 
 def test_fit_divergence_names_first_iteration():
