@@ -1,5 +1,5 @@
 """Command-line entry point: it parses arguments and dispatches to the
-library modules; every table goes through ``csvio``.
+library modules; every file it writes goes through ``csvio.write_text``.
 
 Subcommands cover the full experiment pipeline: ``gen`` (system JSON),
 ``simulate`` (trajectory CSV, with a binary copy beside it), ``fit``
@@ -23,8 +23,6 @@ import json
 import logging
 import math
 import sys
-from collections.abc import Iterable
-from pathlib import Path
 
 import numpy as np
 
@@ -34,7 +32,7 @@ from . import model as mdl
 from . import simulate as sim
 from . import solver as slv
 from .csvio import (CONVERSIONS, MISSING_POLICIES, ingest_csv, json_text, number, read_text,
-                    table_blocks)
+                    table_blocks, write_text)
 from .errors import ConfigError, SparsedynError
 
 __all__ = ["run", "main"]
@@ -47,13 +45,6 @@ _RANDOM_ONLY = {"diag_margin": gen.GenSpec.diag_margin, "eta": gen.GenSpec.eta, 
 
 # The flags that only ``--prices`` reads, with their defaults.
 _PRICE_ONLY = {"missing": MISSING_POLICIES[0], "convert": CONVERSIONS[0], "price_eta": 1.0}
-
-
-def _write(path: Path, content: str | Iterable[str]) -> None:
-    """Write a text, or a table's blocks one at a time as they are made."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        handle.writelines([content] if isinstance(content, str) else content)
 
 
 def _reject_unused(args: argparse.Namespace, defaults: dict, context: str) -> None:
@@ -80,7 +71,7 @@ def cmd_gen(args: argparse.Namespace, config: dict) -> int:
     else:
         _reject_unused(args, _RANDOM_ONLY, "gen --kind illustrative")
         params = gen.gen_illustrative(args.p, args.r)
-    _write(Path(args.out), gen.system_to_json(params, config))
+    write_text(args.out, gen.system_to_json(params, config))
     print(f"wrote system ({params.p} observed, {params.r} latent) to {args.out}")
     return 0
 
@@ -92,9 +83,6 @@ def cmd_simulate(args: argparse.Namespace, config: dict) -> int:
             params = dataclasses.replace(params, eta=args.eta)
         traj = sim.simulate_discrete(params, n=args.n, seed=args.seed)
     else:
-        if params.eta > 0:
-            raise ConfigError(f"{args.system} holds a discrete chain (eta = {params.eta:g}); "
-                              "simulate it with --mode discrete")
         if args.eta is None:
             raise ConfigError("--eta (sampling step) is required for continuous modes")
         traj = sim.simulate_continuous(
@@ -107,10 +95,6 @@ def cmd_simulate(args: argparse.Namespace, config: dict) -> int:
 
 
 def cmd_fit(args: argparse.Namespace, config: dict) -> int:
-    if args.mode == slv.MODE_PURE_LASSO and args.lambda_l != 0.0:
-        raise ConfigError(f"fit --mode pure_lasso does not use --lambda-l, got {args.lambda_l:g}")
-    traj, labels = _load_trajectory(args)
-    stats = sim.sufficient_stats(traj)
     solver_config = slv.SolverConfig(
         lambda_a=args.lambda_a,
         lambda_l=args.lambda_l,
@@ -118,19 +102,21 @@ def cmd_fit(args: argparse.Namespace, config: dict) -> int:
         max_iter=args.max_iter,
         tol=args.tol,
     )
+    traj, labels = _load_trajectory(args)
+    stats = sim.sufficient_stats(traj)
     est = slv.fit(stats, stats.sq_increment_sum, solver_config)
     # The graph's checks run before any file is written.
     graph = (ev.export_dependency_graph(est.Ahat, zeta=args.zeta, labels=labels)
              if args.graph_out or args.edges_out else None)
-    _write(Path(args.out), slv.estimate_to_json(est, config))
+    write_text(args.out, slv.estimate_to_json(est, config))
     messages = [f"wrote estimate to {args.out} "
                 f"(iterations={est.iterations}, converged={est.converged})"]
     if graph is not None:
         if args.graph_out:
-            _write(Path(args.graph_out), graph.to_dot())
+            write_text(args.graph_out, graph.to_dot())
             messages.append(f"wrote DOT graph to {args.graph_out}")
         if args.edges_out:
-            _write(Path(args.edges_out), graph.to_edge_csv())
+            write_text(args.edges_out, graph.to_edge_csv())
             messages.append(f"wrote edge list to {args.edges_out}")
         messages.append(f"sparsity={graph.sparsity:.6g}")
     print("; ".join(messages))
@@ -139,9 +125,9 @@ def cmd_fit(args: argparse.Namespace, config: dict) -> int:
 
 def cmd_phase(args: argparse.Namespace, config: dict) -> int:
     base = gen.GenSpec(p=args.p, r=args.r, s=args.s, seed=0, diag_margin=args.diag_margin)
-    for flag, values in (("--etas", args.etas), ("--thetas", args.thetas)):
-        if not all(v > 0 for v in values):
-            raise ConfigError(f"{flag} must be finite and positive, got {values}")
+    # ``control_parameter`` checks each eta; no library function takes Theta.
+    if not all(theta > 0 for theta in args.thetas):
+        raise ConfigError(f"--thetas must be finite and positive, got {args.thetas}")
     sweep = []
     for eta in args.etas:
         theta_per_sample = mdl.control_parameter(eta, 1, args.s, args.r, args.p)
@@ -155,7 +141,7 @@ def cmd_phase(args: argparse.Namespace, config: dict) -> int:
         master_seed=args.master_seed,
     )
     comment = "config: " + json.dumps(config, sort_keys=True)
-    _write(Path(args.out), result.to_csv(comments=[comment]))
+    write_text(args.out, result.to_csv(comments=[comment]))
     print(f"wrote {len(result.rows)} grid points to {args.out}")
     return 0
 
@@ -169,7 +155,7 @@ def cmd_cv(args: argparse.Namespace, config: dict) -> int:
         mode=args.mode,
     )
     doc = {"config": config, **dataclasses.asdict(selection)}
-    _write(Path(args.out), json_text(doc))
+    write_text(args.out, json_text(doc))
     print(
         f"selected c={selection.c:.6g}, d={selection.d:.6g} "
         f"(lambda_a={selection.lambda_a:.6g}, lambda_l={selection.lambda_l:.6g})"
@@ -195,7 +181,7 @@ def cmd_predict(args: argparse.Namespace, config: dict) -> int:
         comments.append("mse: " + number(mse))
     steps = history.n * history.eta + np.arange(1, preds.shape[0] + 1) * history.eta
     header = ["step"] + [f"x{j + 1}" for j in range(history.p)]
-    _write(Path(args.out), table_blocks(header, [steps, preds], comments))
+    write_text(args.out, table_blocks(header, [steps, preds], comments))
     print(f"wrote {preds.shape[0]}-step forecast to {args.out}"
           + (f"; mse={mse:.6g}" if mse is not None else ""))
     return 0
@@ -204,7 +190,7 @@ def cmd_predict(args: argparse.Namespace, config: dict) -> int:
 def cmd_check(args: argparse.Namespace, config: dict) -> int:
     params, _ = gen.system_from_json(read_text(args.system))
     report = mdl.assumption_report(params, horizon=args.horizon, delta=args.delta)
-    _write(Path(args.out), json_text({"config": config, **dataclasses.asdict(report)}))
+    write_text(args.out, json_text({"config": config, **dataclasses.asdict(report)}))
     flags = ", ".join(f"{k}={'pass' if v else 'FAIL'}" for k, v in report.passes.items())
     print(
         f"D={report.D:.6g}, mu={report.mu:.6g}, alpha={report.alpha:.6g}, "
@@ -228,10 +214,7 @@ def _expand_config_file(argv: list[str]) -> list[str]:
         raise ConfigError("--config requires a file path")
     if i == 0:
         raise ConfigError("--config must follow a subcommand")
-    path = Path(argv[i + 1])
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    text = read_text(path)
+    text = read_text(argv[i + 1])
     try:
         doc = json.loads(text)
     except ValueError as exc:  # also an integer past the digit limit

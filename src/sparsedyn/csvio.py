@@ -1,5 +1,6 @@
 """The text of every artifact: the one CSV format of every numeric table,
-the price-panel reader, and the JSON writer, parser and matrix reader.
+the price-panel reader, the JSON writer, parser and matrix reader, and
+the one writer of a text file.
 
 A table is optional ``# `` comment lines, a header of column names, then
 one row per line; cells are ``,``-separated and numbers are written as
@@ -12,12 +13,13 @@ sorted keys and two-space indents, ending in a line feed.
 from __future__ import annotations
 
 import datetime
+import hashlib
 import io
 import json
 import logging
 import math
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,7 +31,7 @@ from .linalg import as_matrix
 log = logging.getLogger("sparsedyn")
 
 __all__ = ["Table", "read_table", "require_complete", "table_blocks", "number", "json_text",
-           "ingest_csv", "read_text", "decode_text"]
+           "ingest_csv", "read_text", "decode_text", "write_text"]
 
 _NUMBER = "%.17g"
 
@@ -95,6 +97,20 @@ def _json_matrix(value, name: str, shape) -> np.ndarray:
     if value == [] and shape != "square" and 0 in shape:
         entries = entries.reshape(shape)
     return as_matrix(entries, name, shape)
+
+
+def write_text(path, content: str | Iterable[str]) -> bytes:
+    """Write a text, or a table's blocks one at a time as they are made, as
+    UTF-8 to ``path`` and its new directories; the SHA-256 of those bytes."""
+    path = Path(path)
+    digest = hashlib.sha256()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("wb") as handle:
+        for block in [content] if isinstance(content, str) else content:
+            data = block.encode("utf-8")
+            digest.update(data)
+            handle.write(data)
+    return digest.digest()
 
 
 def read_text(path) -> str:
@@ -204,9 +220,6 @@ def ingest_csv(path, missing: str = MISSING_POLICIES[0],
         raise ConfigError(f"missing policy must be 'reject' or 'ffill', got {missing!r}")
     if convert not in CONVERSIONS:
         raise ConfigError(f"unknown conversion {convert!r}")
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"price file not found: {path}")
     table = read_table(read_text(path))
     labels = table.header[1:]
     empty = [k + 2 for k, label in enumerate(labels) if not label]

@@ -141,7 +141,7 @@ def steady_state(params: SystemParams) -> SteadyState:
     q = qj[:p, :p]
     r_blk = qj[p:, :p]
     p_blk = qj[p:, p:]
-    if float(np.min(np.linalg.eigvalsh(q))) < 1e-12:
+    if np.linalg.cond(q) > 1e12:
         raise NumericalError("observed-block stationary covariance is numerically singular")
     l_mat = params.B @ np.linalg.solve(q, r_blk.T).T
     eigs = np.linalg.eigvalsh(qj)

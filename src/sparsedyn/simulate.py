@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .csvio import decode_text, read_table, require_complete, table_blocks
+from .csvio import decode_text, read_table, require_complete, table_blocks, write_text
 from .errors import ConstructionError, DataError, NumericalError, require_count, require_real
 from .linalg import (as_matrix, matrix_exponential, solve_lyapunov_continuous,
                      solve_lyapunov_discrete)
@@ -304,8 +304,11 @@ def simulate_continuous(
     binned chain's own ``S = F S F^T + G_binned`` has observed variances a
     median 1.02x (eta = 0.05) to 1.04x (eta = 0.1) those of ``Q`` at p = 40,
     so a binned path from ``"stationary"`` still has a burn-in.  ``params``
-    is stable by construction, so its joint drift is Hurwitz.
+    must be a continuous-time system (``params.eta = 0``); it is stable by
+    construction, so its joint drift is Hurwitz.
     """
+    if params.eta > 0:
+        raise ConstructionError(f"continuous simulation needs params.eta = 0, got {params.eta:g}")
     require_real(eta, "eta", "positive")
     joint = params.joint()
     if mode == "exact":
@@ -404,8 +407,8 @@ def _grid_step(times: np.ndarray) -> float:
 def save_trajectory(path, traj: Trajectory, comments: list[str] | None = None) -> None:
     """Write ``traj``'s CSV to ``path`` block by block, then its sidecar.
 
-    The CSV's bytes are those of :func:`trajectory_blocks`; they are hashed
-    as they are written, never read back.  The sidecar is written only
+    The CSV's bytes are those of :func:`trajectory_blocks`, hashed by
+    :func:`csvio.write_text` as it writes them.  The sidecar is written only
     after the CSV is complete, and only when ``path`` is a regular file
     whose parse :func:`trajectory_from_csv` accepts, so that loading the
     sidecar gives what parsing the CSV gives.  Its path is written
@@ -413,14 +416,7 @@ def save_trajectory(path, traj: Trajectory, comments: list[str] | None = None) -
     depend only on the trajectory and the CSV's digest.
     """
     path = Path(path)
-    blocks = trajectory_blocks(traj, comments)
-    digest = hashlib.sha256()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("wb") as handle:
-        for block in blocks:
-            data = block.encode("utf-8")
-            digest.update(data)
-            handle.write(data)
+    digest = write_text(path, trajectory_blocks(traj, comments))
     if not path.is_file():
         return
     try:
@@ -431,7 +427,7 @@ def save_trajectory(path, traj: Trajectory, comments: list[str] | None = None) -
         np.lib.format.write_array_header_1_0(handle, {
             "descr": np.lib.format.dtype_to_descr(_record(traj.x.shape)),
             "fortran_order": False, "shape": ()})
-        handle.write(digest.digest() + np.float64(traj.eta).tobytes())
+        handle.write(digest + np.float64(traj.eta).tobytes())
         for start in range(0, traj.x.shape[0], _CHUNK_ROWS):
             handle.write(traj.x[start:start + _CHUNK_ROWS].tobytes())
 

@@ -52,8 +52,10 @@ RELAXATION = 1.8
 class SolverConfig:
     """Weights, mode, and stopping rules for one fit.
 
-    ``fit`` stops once both ADMM residuals are within ``sqrt(tol)`` of
-    their scale, or after ``max_iter`` iterations.  Its penalty parameter
+    ``lambda_l`` is positive in ``sparse_plus_lowrank`` mode and 0 in
+    ``pure_lasso`` mode, which pins ``L = 0``.  ``fit`` stops once both
+    ADMM residuals are within ``sqrt(tol)`` of their scale, or after
+    ``max_iter`` iterations.  Its penalty parameter
     ``rho = 0.2 sigma_max(S1)`` and its over-relaxation factor
     ``alpha = RELAXATION`` (1.8) are fixed, not settings.
     """
@@ -69,8 +71,10 @@ class SolverConfig:
             raise ConstructionError(f"unknown solver mode {self.mode!r}")
         require_real(self.lambda_a, "lambda_a", "positive")
         require_real(self.lambda_l, "lambda_l")
-        if self.mode == MODE_SPARSE_LOWRANK and self.lambda_l <= 0:
-            raise ConstructionError("lambda_l must be positive in sparse_plus_lowrank mode")
+        lowrank = self.mode == MODE_SPARSE_LOWRANK
+        if not (self.lambda_l > 0 if lowrank else self.lambda_l == 0):
+            raise ConstructionError(f"lambda_l must be {'positive' if lowrank else 0} in "
+                                    f"{self.mode} mode, got {self.lambda_l:g}")
         object.__setattr__(self, "max_iter", require_count(self.max_iter, "max_iter", 1))
         require_real(self.tol, "tol", "positive")
 

@@ -321,10 +321,14 @@ def test_cli_config_file_rejects_unknown_field(tmp_path, capsys):
 
 
 def test_cli_config_file_must_exist(tmp_path, capsys):
-    code = run(["gen", "--config", str(tmp_path / "missing.json"), "--p", "4",
+    # A missing input file ends as every other one does, in the OS's own words.
+    missing = tmp_path / "missing.json"
+    code = run(["gen", "--config", str(missing), "--p", "4",
                 "--out", str(tmp_path / "x.json")])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error:ConfigError")
+    assert capsys.readouterr().err == (
+        f"error:OSError:[Errno 2] No such file or directory: '{missing}'\n")
+    assert not (tmp_path / "x.json").exists()
 
 
 @pytest.mark.parametrize("form", ["repeated", "equals"])
@@ -402,12 +406,13 @@ def test_failed_fit_writes_no_artifact(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag,values,message", [
-    ("--etas", ["0"], "must be finite and positive"),
-    ("--etas", ["0.1", "-0.05"], "must be finite and positive"),
-    ("--etas", ["inf"], "must be finite, got inf"),
-    ("--thetas", ["nan"], "must be finite, got nan"),
-    ("--thetas", ["0"], "must be finite and positive"),
-    ("--thetas", ["1", "-1"], "must be finite and positive"),
+    # ``model.control_parameter`` owns eta's rule; no library function takes Theta.
+    ("--etas", ["0"], "ConstructionError:eta must be finite and positive, got 0.0"),
+    ("--etas", ["0.1", "-0.05"], "ConstructionError:eta must be finite and positive, got -0.05"),
+    ("--etas", ["inf"], "ConfigError:--etas must be finite, got inf"),
+    ("--thetas", ["nan"], "ConfigError:--thetas must be finite, got nan"),
+    ("--thetas", ["0"], "ConfigError:--thetas must be finite and positive, got [0.0]"),
+    ("--thetas", ["1", "-1"], "ConfigError:--thetas must be finite and positive, got [1.0, -1.0]"),
 ], ids=["--etas-values0", "--etas-values1", "--etas-values2", "--thetas-values3",
         "--thetas-values4", "--thetas-values5"])
 def test_cli_phase_rejects_bad_eta_or_theta(tmp_path, capsys, flag, values, message):
@@ -417,9 +422,7 @@ def test_cli_phase_rejects_bad_eta_or_theta(tmp_path, capsys, flag, values, mess
                 "--thetas", *grid["--thetas"], "--trials", "1", "--c", "0.6", "--d", "0.5",
                 "--out", str(tmp_path / "phase.csv")])
     assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error:ConfigError:{flag} {message}")
-    assert err.count("\n") == 1
+    assert capsys.readouterr().err == f"error:{message}\n"
     assert not (tmp_path / "phase.csv").exists()
 
 
@@ -723,8 +726,7 @@ def _error_path_inputs(directory):
      "ConfigError:--eta (sampling step) is required"),
     # A discrete chain has no continuous flow to subsample.
     (["simulate", "--system", "discrete.json", "--n", "10", "--eta", "0.1", "--out", _OUT],
-     "ConfigError:discrete.json holds a discrete chain (eta = 0.05); "
-     "simulate it with --mode discrete"),
+     "ConstructionError:continuous simulation needs params.eta = 0, got 0.05\n"),
     ([*_PREDICT, "--horizon", "3", "--holdout", "2", "--out", _OUT],
      "ConfigError:--holdout must be at least --horizon"),
     ([*_PREDICT, "--horizon", "2", "--holdout", "3", "--out", _OUT],
@@ -742,7 +744,8 @@ def _error_path_inputs(directory):
      "ConfigError:config field 'seed': empty list"),
     (["gen", "--p", "4", "--config", "long_int.json", "--out", _OUT],
      "ConfigError:config file is not valid JSON: Exceeds the limit (4300 digits)"),
-    (["fit", "--prices", "missing.csv", *_FIT], "DataError:price file not found: missing.csv"),
+    (["fit", "--prices", "missing.csv", *_FIT],
+     "OSError:[Errno 2] No such file or directory: 'missing.csv'\n"),
     (["fit", "--prices", "one_price.csv", *_FIT],
      "DataError:price CSV needs a header and at least two data rows"),
     (["fit", "--data", "one_row.csv", *_FIT],
@@ -771,7 +774,7 @@ def _error_path_inputs(directory):
      "DataError:system JSON missing or malformed field: 'A' must be a real number, got '-1'"),
     # Pure lasso pins L = 0, so the nuclear-norm weights would go unused.
     (["fit", "--data", "traj.csv", "--mode", "pure_lasso", *_FIT],
-     "ConfigError:fit --mode pure_lasso does not use --lambda-l, got 0.1"),
+     "ConstructionError:lambda_l must be 0 in pure_lasso mode, got 0.1\n"),
     (["cv", "--data", "traj.csv", "--mode", "pure_lasso", "--grid-c", "1", "--grid-d", "0.25",
       "0.5", "--chunks", "2", "--out", _OUT],
      "ConfigError:cv --mode pure_lasso does not use --grid-d, got [0.25, 0.5]"),
@@ -922,6 +925,17 @@ def test_cli_check_reports_theory_constants_when_assumptions_hold(tmp_path):
     doc = json.loads(report.read_text())
     assert doc["passes"] == {"A1": True, "A2": True, "A3": True}
     assert all(doc[key] is not None for key in ("lambda_a_theory", "nu", "rho0"))
+
+
+def test_cli_check_solves_a_system_with_a_large_diag_margin(tmp_path, capsys):
+    # Q shrinks like 1/||A||: a residual bound relative to ||Q||_F rejected
+    # this system's good Lyapunov solve (2.5e-14 against 3.2e-15).
+    system, report = tmp_path / "system.json", tmp_path / "report.json"
+    assert run(["gen", "--p", "40", "--r", "2", "--s", "3", "--seed", "7",
+                "--diag-margin", "1e5", "--out", str(system)]) == 0
+    assert run(["check", "--system", str(system), "--out", str(report)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(report.read_text())["D"] > 1e5
 
 
 # -------------------------------------------------------------- README

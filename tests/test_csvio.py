@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-import sparsedyn.cli as cli_module
 import sparsedyn.csvio as csvio
-from sparsedyn.csvio import number, read_table, require_complete, table_blocks
+from sparsedyn.csvio import number, read_table, require_complete, table_blocks, write_text
 from sparsedyn.errors import DataError
 
 from reference import EDGE_COMMENTS, EDGE_ROWS, B, edge_values
@@ -80,8 +79,18 @@ def test_a_table_of_another_width_leaves_no_file(tmp_path):
     # The check runs when the blocks are asked for, before the file is opened.
     out = tmp_path / "sub" / "table.csv"
     with pytest.raises(ValueError):
-        cli_module._write(out, table_blocks(["a", "b"], [np.zeros((3, 4))]))
+        write_text(out, table_blocks(["a", "b"], [np.zeros((3, 4))]))
     assert not out.exists() and not out.parent.exists()
+
+
+@pytest.mark.parametrize("content", ["é,1\n", ["# note\n", "a,b\n", "", "1,2\n"]],
+                         ids=["text", "blocks"])
+def test_write_text_returns_the_digest_of_the_bytes_on_disk(tmp_path, content):
+    out = tmp_path / "sub" / "out.csv"
+    digest = write_text(out, content)
+    text = content if isinstance(content, str) else "".join(content)
+    assert out.read_bytes() == text.encode("utf-8")
+    assert digest == hashlib.sha256(out.read_bytes()).digest()
 
 
 def test_read_table_names_the_line_with_the_wrong_field_count():

@@ -10,6 +10,7 @@ from sparsedyn.evaluate import (
     predict,
     recovery_report,
 )
+from sparsedyn.generate import GenSpec, gen_random_system
 from sparsedyn.linalg import (
     as_matrix,
     matrix_exponential,
@@ -114,6 +115,23 @@ def test_lyapunov_continuous_symmetric_pd_residual():
         assert np.min(np.linalg.eigvalsh(q)) > 0
         res = np.linalg.norm(a @ q + q @ a.T + np.eye(6))
         assert res <= 1e-10 * np.linalg.norm(q)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e8])
+def test_lyapunov_continuous_bound_is_scale_free(monkeypatch, scale):
+    # Q shrinks like 1/||A||, so a bound relative to ||Q||_F rejected good
+    # solves of large drifts and passed bad ones of small drifts; the
+    # residual is bounded by the constant term, 1e-10 ||I||_F.
+    import scipy.linalg
+
+    a = scale * gen_random_system(GenSpec(p=40, r=2, s=3, seed=7)).joint()
+    q = solve_lyapunov_continuous(a)
+    assert np.linalg.norm(a @ q + q @ a.T + np.eye(len(a))) <= 1e-10 * np.sqrt(len(a))
+    noise = CounterRng(11).normal_matrix(*q.shape)
+    bump = 1e-8 * np.linalg.norm(q) * (noise + noise.T) / np.linalg.norm(noise + noise.T)
+    monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", lambda *_: q + bump)
+    with pytest.raises(NumericalError, match="^continuous Lyapunov solve failed: residual "):
+        solve_lyapunov_continuous(a)
 
 
 def test_lyapunov_continuous_rejects_unstable():

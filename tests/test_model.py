@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from sparsedyn.errors import AssumptionError, ConstructionError, StabilityError
+from sparsedyn.errors import AssumptionError, ConstructionError, NumericalError, StabilityError
 from sparsedyn.generate import gen_illustrative, gen_random_system, GenSpec
 from sparsedyn.model import (
     SteadyState,
@@ -242,6 +242,21 @@ def test_steady_state_no_latents():
     assert np.allclose(ss.Q, 0.5 * np.eye(2), atol=1e-12)
     assert np.allclose(ss.L, 0.0)
     assert ss.R.shape == (0, 2) and ss.P.shape == (0, 0)
+
+
+@pytest.mark.parametrize("rates, singular", [
+    ([1e13, 1e13], False), ([1e-6, 1e-6], False), ([1.0, 1e13], True)],
+    ids=["fast", "slow", "spread"])
+def test_steady_state_singularity_guard_is_relative(rates, singular):
+    # Q = diag(1 / (2 rate)): a scaled system is as well conditioned as the
+    # unit one, and only a spread of more than 1e12 in Q is singular.
+    params = SystemParams(A=-np.diag(rates), B=np.zeros((2, 0)), C=np.zeros((0, 2)),
+                          D=np.zeros((0, 0)))
+    if singular:
+        with pytest.raises(NumericalError, match="numerically singular"):
+            steady_state(params)
+    else:
+        assert np.allclose(steady_state(params).Q, np.diag(0.5 / np.array(rates)), rtol=1e-12)
 
 
 def test_steady_state_illustrative_closed_forms():

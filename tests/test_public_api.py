@@ -70,7 +70,8 @@ MODULE_ONLY = {
 MODULE_ALL = {
     "sparsedyn.cli": ["main", "run"],
     "sparsedyn.csvio": ["Table", "decode_text", "ingest_csv", "json_text", "number",
-                        "read_table", "read_text", "require_complete", "table_blocks"],
+                        "read_table", "read_text", "require_complete", "table_blocks",
+                        "write_text"],
     "sparsedyn.evaluate": ["CvSelection", "DependencyGraph", "PhasePoint", "PhaseResult",
                            "RecoveryReport", "block_cross_validate", "default_support_threshold",
                            "export_dependency_graph", "phase_transition", "predict",
@@ -228,6 +229,20 @@ def test_only_errors_tests_a_number_type():
     assert set(type_tests) <= {"errors.py"}
 
 
+def _functions_holding(test) -> list[tuple[str, str]]:
+    """Sorted ``(file, qualified function name)`` pairs of the package's
+    functions that hold a node ``test`` accepts ("" for module level)."""
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            if test(child):
+                yield where
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+            yield from walk(child, f"{where}.{child.name}".lstrip(".") if named else where)
+
+    return sorted({(path.name, where) for path in Path(sparsedyn.__file__).parent.glob("*.py")
+                   for where in walk(ast.parse(path.read_text()), "")})
+
+
 # The shape comparisons written outside ``linalg``, by module and function:
 # table columns of one length, and the sampled path, start vector and noise,
 # whose checks stay bounded in memory (no ``isfinite`` mask).
@@ -246,17 +261,37 @@ def test_only_linalg_compares_a_matrix_shape():
         node = node.value if isinstance(node, ast.Subscript) else node
         return isinstance(node, ast.Attribute) and node.attr in ("shape", "ndim")
 
-    def comparing(node, where):
-        """The qualified names of the functions under ``node`` that compare a shape."""
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Compare) and any(
-                    is_shape(side) for side in [child.left, *child.comparators]):
-                yield where
-            named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
-            yield from comparing(child, f"{where}.{child.name}".lstrip(".") if named else where)
+    def compares_a_shape(node):
+        return isinstance(node, ast.Compare) and any(
+            is_shape(side) for side in [node.left, *node.comparators])
 
-    found = sorted({(path.name, where)
-                    for path in Path(sparsedyn.__file__).parent.glob("*.py")
-                    if path.name != "linalg.py"
-                    for where in comparing(ast.parse(path.read_text()), "")})
-    assert found == HAND_SHAPE_CHECKS
+    found = _functions_holding(compares_a_shape)
+    assert [(name, where) for name, where in found if name != "linalg.py"] == HAND_SHAPE_CHECKS
+
+
+# The functions that open a file for writing: ``csvio.write_text`` for every
+# text, and ``save_trajectory`` for the trajectory's binary sidecar.
+FILE_WRITERS = [
+    ("csvio.py", "write_text"),
+    ("simulate.py", "save_trajectory"),
+]
+
+
+def test_only_csvio_and_the_sidecar_open_a_file_for_writing():
+    # An ``open`` with a mode that writes, or a call that writes a whole file.
+    whole_file = {"write_text", "write_bytes", "save", "savez", "savez_compressed", "savetxt",
+                  "tofile"}
+
+    def writes(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in whole_file:
+            return True
+        modes = [arg.value for arg in [*node.args, *(kw.value for kw in node.keywords)]
+                 if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                 and set(arg.value) <= set("rwxabt+")]
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        return name == "open" and any(set(mode) & set("wxa+") for mode in modes)
+
+    assert _functions_holding(writes) == FILE_WRITERS

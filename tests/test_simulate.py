@@ -141,12 +141,19 @@ def test_non_finite_noise_or_init_is_a_construction_error(bad):
     with pytest.raises(ConstructionError, match="^init vector must be finite"):
         simulate_discrete(params, n=30, init=init)
     with pytest.raises(ConstructionError, match="^init vector must be finite"):
-        simulate_continuous(params, eta=0.1, n=30, init=init)
+        simulate_continuous(dataclasses.replace(params, eta=0.0), eta=0.1, n=30, init=init)
 
 
 def test_discrete_requires_positive_eta():
     with pytest.raises(ConstructionError):
         simulate_discrete(_scalar_params(-1.0, 0.0), n=10)
+
+
+def test_continuous_rejects_a_discrete_chain():
+    # A system with eta > 0 is a discrete chain; it has no flow to subsample.
+    with pytest.raises(ConstructionError,
+                       match="^continuous simulation needs params.eta = 0, got 0.05$"):
+        simulate_continuous(_scalar_params(-1.0, 0.05), eta=0.1, n=10)
 
 
 # --------------------------------------------------------- continuous

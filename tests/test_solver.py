@@ -405,6 +405,19 @@ def test_solver_config_validation():
     SolverConfig(lambda_a=1.0, mode=MODE_PURE_LASSO)  # lambda_l optional here
 
 
+@pytest.mark.parametrize("mode, lambda_l, message", [
+    ("sparse_plus_lowrank", 0.0, "lambda_l must be positive in sparse_plus_lowrank mode, got 0"),
+    ("sparse_plus_lowrank", -0.1,
+     "lambda_l must be positive in sparse_plus_lowrank mode, got -0.1"),
+    (MODE_PURE_LASSO, 0.1, "lambda_l must be 0 in pure_lasso mode, got 0.1"),
+    (MODE_PURE_LASSO, -0.1, "lambda_l must be 0 in pure_lasso mode, got -0.1"),
+], ids=["lowrank-0", "lowrank-negative", "lasso-positive", "lasso-negative"])
+def test_solver_config_rejects_a_lambda_l_its_mode_would_not_use(mode, lambda_l, message):
+    # Pure lasso pins L = 0, so a nonzero lambda_l would be kept and never read.
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+        SolverConfig(lambda_a=1.0, lambda_l=lambda_l, mode=mode)
+
+
 @pytest.mark.parametrize("field", ["lambda_a", "lambda_l", "tol"])
 @pytest.mark.parametrize("value, message", [
     pytest.param(float("nan"), "must be finite", id="nan"),
