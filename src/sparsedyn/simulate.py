@@ -230,7 +230,7 @@ def simulate_discrete(
     by construction, so the iteration converges.
     """
     if params.eta <= 0:
-        raise ConstructionError("discrete simulation needs params.eta > 0")
+        raise ConstructionError(f"discrete simulation needs params.eta > 0, got {params.eta:g}")
     m = params.p + params.r
     f = np.eye(m) + params.eta * params.joint()
     return _sample(

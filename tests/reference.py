@@ -162,30 +162,6 @@ def sequential_recursion(f: np.ndarray, z: np.ndarray) -> np.ndarray:
     return x
 
 
-def box_muller_normals(seed: int, position: int, n: int) -> np.ndarray:
-    """``CounterRng(seed)``'s next ``n`` normals after ``position`` raw
-    words, as one full-length vectorised Box-Muller pass: the formula the
-    generator used before it worked in blocks, kept as the stream's
-    definition."""
-    u64 = np.uint64
-
-    def mix(z):
-        z = (z ^ (z >> u64(30))) * u64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> u64(27))) * u64(0x94D049BB133111EB)
-        return z ^ (z >> u64(31))
-
-    m = (n + 1) // 2
-    idx = np.arange(position + 1, position + 2 * m + 1, dtype=u64)
-    with np.errstate(over="ignore"):
-        block = mix(np.array(seed & 0xFFFFFFFFFFFFFFFF, dtype=u64) + idx * u64(0x9E3779B97F4A7C15))
-    u1 = ((block[:m] >> u64(11)).astype(np.float64) + 1.0) * float(2.0**-53)
-    u2 = (block[m:] >> u64(11)).astype(np.float64) * float(2.0**-53)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * np.pi * u2
-    out = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
-    return out[:n]
-
-
 # Table sizes at and around the edges of the CSV writer's row blocks.
 B = 1024
 EDGE_ROWS = (0, 1, B - 1, B, B + 1, 2 * B + 1)

@@ -727,6 +727,9 @@ def _error_path_inputs(directory):
     # A discrete chain has no continuous flow to subsample.
     (["simulate", "--system", "discrete.json", "--n", "10", "--eta", "0.1", "--out", _OUT],
      "ConstructionError:continuous simulation needs params.eta = 0, got 0.05\n"),
+    # A continuous system (eta = 0) has no discrete step.
+    (["simulate", "--system", "system.json", "--mode", "discrete", "--n", "10", "--out", _OUT],
+     "ConstructionError:discrete simulation needs params.eta > 0, got 0\n"),
     ([*_PREDICT, "--horizon", "3", "--holdout", "2", "--out", _OUT],
      "ConfigError:--holdout must be at least --horizon"),
     ([*_PREDICT, "--horizon", "2", "--holdout", "3", "--out", _OUT],
@@ -781,7 +784,7 @@ def _error_path_inputs(directory):
     (["gen", "--p", "0", "--out", _OUT], "ConstructionError:p must be at least 1, got 0"),
     (["gen", "--p", "4", "--r", "-1", "--out", _OUT], "ConstructionError:r must be at least 0, got -1"),
     (["gen", "--p", "4", "--r", "2", "--s", "1", "--eta", "5", "--out", _OUT],
-     "StabilityError:eta = 5: I + eta*drift has spectral radius 13.4964 >= 1"),
+     "StabilityError:eta = 5: I + eta*drift has spectral radius 15.3171 >= 1"),
     (["gen", "--kind", "illustrative", "--p", "4", "--r", "2", "--eta", "0.05", "--seed", "9",
       "--s", "3", "--diag-margin", "2", "--out", _OUT],
      "ConfigError:gen --kind illustrative does not use --diag-margin, --eta, --s, --seed"),
@@ -826,7 +829,8 @@ def _error_path_inputs(directory):
      "ConfigError:argument --prices: not allowed with argument --data"),
     (["predict", "--estimate", "est.json", "--horizon", "1", "--out", _OUT],
      "ConfigError:one of the arguments --data --prices is required"),
-], ids=["simulate-no-eta", "simulate-discrete-file-continuous", "holdout-below-horizon",
+], ids=["simulate-no-eta", "simulate-discrete-file-continuous",
+        "simulate-continuous-file-discrete", "holdout-below-horizon",
         "holdout-too-long", "config-no-path", "config-before-command", "config-not-json", "config-not-object", "config-boolean",
         "config-empty-list", "config-int-too-long", "prices-missing", "prices-one-row", "trajectory-one-row",
         "log-negative", "returns-zero", "returns-too-few-rows", "estimate-not-json",

@@ -229,6 +229,42 @@ def test_only_errors_tests_a_number_type():
     assert set(type_tests) <= {"errors.py"}
 
 
+def _modules():
+    """``(file name, parsed module)`` of each of the package's modules."""
+    return [(path.name, ast.parse(path.read_text()))
+            for path in sorted(Path(sparsedyn.__file__).parent.glob("*.py"))]
+
+
+def test_only_rng_draws_from_numpy_random():
+    # ``rng.CounterRng`` is the one generator; no other module reaches
+    # ``np.random`` or ``numpy.random``, by attribute or by import.
+    def draws(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == "random" and getattr(node.value, "id", None) in ("np", "numpy")
+        if isinstance(node, ast.Import):
+            return any(alias.name.startswith("numpy.random") for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            return (node.module or "").startswith("numpy.random") or (
+                node.module == "numpy" and any(alias.name == "random" for alias in node.names))
+        return False
+
+    assert [name for name, tree in _modules() if any(map(draws, ast.walk(tree)))] == ["rng.py"]
+
+
+def test_no_module_starts_threads_or_processes():
+    # The package runs on its caller's thread: numpy's own BLAS pool is the
+    # only parallelism, and no module imports a thread or process pool.
+    banned = ("threading", "concurrent", "multiprocessing")
+
+    def imported(node):
+        names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                 else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+        return [name for name in names if name.split(".")[0] in banned]
+
+    assert [(name, found) for name, tree in _modules() for node in ast.walk(tree)
+            if (found := imported(node))] == []
+
+
 def _functions_holding(test) -> list[tuple[str, str]]:
     """Sorted ``(file, qualified function name)`` pairs of the package's
     functions that hold a node ``test`` accepts ("" for module level)."""
@@ -239,8 +275,7 @@ def _functions_holding(test) -> list[tuple[str, str]]:
             named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
             yield from walk(child, f"{where}.{child.name}".lstrip(".") if named else where)
 
-    return sorted({(path.name, where) for path in Path(sparsedyn.__file__).parent.glob("*.py")
-                   for where in walk(ast.parse(path.read_text()), "")})
+    return sorted({(name, where) for name, tree in _modules() for where in walk(tree, "")})
 
 
 # The shape comparisons written outside ``linalg``, by module and function:

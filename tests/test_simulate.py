@@ -282,42 +282,43 @@ def test_continuous_stationary_covariance_consistency():
 # ----------------------------------------------------- golden paths
 
 # Paths of tiny systems (p=3, r=2, n=4, fixed seeds) written as float.hex
-# strings; every sampler change must reproduce them bit for bit.
+# strings, pinned on numpy 2.4.6's PCG64 stream; every sampler change must
+# reproduce them bit for bit.
 GOLDEN_PATHS = {
     "discrete.x": [
         ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
-        ("-0x1.9244e409c9d99p-3", "-0x1.1494c60f01791p-3", "-0x1.aab01113706a3p-5"),
-        ("-0x1.2446237f61d88p-4", "-0x1.4d1e12e032753p-3", "0x1.4759bbae446afp-4"),
-        ("0x1.aacab062baf52p-4", "-0x1.f5f55dbb6e0aep-3", "0x1.b6c0c2a760e49p-4"),
-        ("0x1.171d3f85b95e6p-2", "-0x1.3b4f002156b33p-2", "-0x1.d5b3584086876p-4"),
+        ("0x1.3c84af07381b0p-4", "0x1.7841e0bb4623ap-3", "0x1.2ea528a7a2a05p-4"),
+        ("0x1.8ccb368bc00c5p-3", "0x1.9a9b686ae1564p-6", "0x1.9837668c0b256p-3"),
+        ("0x1.88adffaa43c3dp-3", "0x1.06232d6a04ef1p-3", "-0x1.57b9a0e813580p-8"),
+        ("0x1.475f9f6bd0312p-2", "0x1.d39ad7701f07cp-4", "-0x1.fb81388fd08e7p-5"),
     ],
     "exact.x": [
         ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
-        ("-0x1.38770749b04d1p-3", "-0x1.9cd39e3df460ep-3", "-0x1.1fe4f0108334ap-2"),
-        ("0x1.f1ed0dad258e4p-6", "-0x1.712bdbc4cc218p-5", "-0x1.8c092156aef8ep-2"),
-        ("0x1.0dc77895bd838p-2", "0x1.2f2660ed55612p-4", "-0x1.c84f63ae3a796p-2"),
-        ("0x1.2563b6fcd59c1p-1", "0x1.1db13d63f4df6p-2", "-0x1.b9e9e449da6d6p-3"),
+        ("0x1.9afade711d0fap-5", "-0x1.36f77657c42eep-3", "-0x1.bc31a4a78da2cp-4"),
+        ("0x1.1526e3636ed38p-2", "-0x1.6c2d8e59bd0bcp-3", "0x1.3a6f93f089334p-3"),
+        ("0x1.8be9599ea15fep-2", "-0x1.e638c14861476p-3", "0x1.606d3e0618448p-5"),
+        ("0x1.69f7489fa566bp-3", "-0x1.acccd8bae1dc0p-6", "-0x1.9371e62e4b2f1p-4"),
     ],
     "binned.x": [
         ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
-        ("-0x1.8c11e8ff6ea94p-3", "-0x1.ee2ff56f9c0cep-5", "-0x1.2e322c968d79bp-2"),
-        ("-0x1.ddb4f3132f9a2p-4", "-0x1.26ee3a084f95ep-2", "-0x1.2dde6daaa1ebep-3"),
-        ("-0x1.6ae4b75642b90p-1", "-0x1.06ad4a139726cp-1", "-0x1.88f4b7ce12234p-4"),
-        ("-0x1.bb691bd45fa3ap-1", "0x1.e60f59d3b71c8p-5", "0x1.43e12739f7510p-5"),
+        ("0x1.26af9f2a611b9p-1", "-0x1.8d8e428af7ef5p-1", "0x1.f86a40f8ab898p-4"),
+        ("0x1.41c24acbdb000p-2", "-0x1.44519a151816bp+0", "0x1.438bccb3d9976p-5"),
+        ("0x1.b790c0796d5a4p-3", "-0x1.186098115b07ep+0", "0x1.3a49fb589dd98p-4"),
+        ("-0x1.6c5583ceac148p-6", "-0x1.6a7756d953830p-1", "0x1.d0153acd88b28p-7"),
     ],
     "stationary.x": [
-        ("-0x1.46316f0a54914p-1", "-0x1.62881d7472742p-2", "-0x1.51e056a760ddap-2"),
-        ("-0x1.3403cb3545ed8p-1", "-0x1.eaa941e6b2716p-4", "-0x1.dca7a6daac92dp-3"),
-        ("-0x1.eed77495cc259p-3", "-0x1.68c14f0ecf39ap-2", "-0x1.3670a8e413eb0p-7"),
-        ("-0x1.06077d143d2a0p-2", "0x1.2b52663ab7602p-5", "-0x1.14b623d4e98f2p-1"),
-        ("-0x1.37bd8db0dd87ap-3", "-0x1.2d98dfdff2d27p-3", "-0x1.03e5f31b7aa1ap-2"),
+        ("-0x1.f9bb9d7174660p-3", "-0x1.98b11f0ecc510p-7", "0x1.5f7984d16a250p-1"),
+        ("-0x1.68d42a973f283p-3", "-0x1.997e79b6849adp-3", "0x1.c7ffabdeccd2cp-2"),
+        ("-0x1.89df6676eb7d4p-4", "0x1.355b084a6683cp-2", "0x1.3ebe0992a1c15p-2"),
+        ("0x1.0fe58b029ce5cp-1", "-0x1.6c0d587e83468p-2", "0x1.a33aca10bcd8dp-2"),
+        ("0x1.6cd3b4782c145p-3", "-0x1.1510594318178p-1", "0x1.4260a3a49b6b0p-2"),
     ],
     "latent.x": [
         ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
-        ("-0x1.2c7305a943cc5p-2", "0x1.c3677e94eabe3p-4", "0x1.132bffc41c5fbp-2"),
-        ("0x1.df8607433fc8cp-5", "0x1.7f3b73ccf1af8p-5", "-0x1.be73f6d10e1a8p-6"),
-        ("0x1.52f8be5deffedp-3", "0x1.3e093f5493adbp-3", "-0x1.2bcc07ff633e7p-2"),
-        ("0x1.22fc004e638cap-5", "0x1.f126783ec8027p-4", "-0x1.88c702c38ab0ap-3"),
+        ("-0x1.6f3deb03e1972p-3", "-0x1.2f3e30ad79a27p-2", "-0x1.c6f210647b580p-5"),
+        ("-0x1.2ce6147d74517p-3", "-0x1.6c2b1842594f0p-2", "-0x1.fd3fcabb374b2p-3"),
+        ("-0x1.2fb4f329193f1p-4", "-0x1.0ce27165e9268p-1", "-0x1.f185212fb54bdp-2"),
+        ("-0x1.e72f402db5f7cp-2", "-0x1.853acb5dda9dep-2", "-0x1.81595795fd571p-1"),
     ],
 }
 
@@ -468,6 +469,8 @@ def _continuous(**kw):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: simulate_discrete(_scalar_params(), n=0), "n must be at least 1, got 0"),
+    (lambda: simulate_discrete(_scalar_params(eta=0.0), n=4),
+     "discrete simulation needs params.eta > 0, got 0"),
     (lambda: simulate_continuous(_scalar_params(eta=0.0), eta=0.1, n=0),
      "n must be at least 1, got 0"),
     (lambda: simulate_continuous(_scalar_params(eta=0.0), eta=0.1, n=4, bins=0),
@@ -513,7 +516,7 @@ def _continuous(**kw):
      "the horizon eta * n must be finite, got inf"),
     (lambda: Trajectory(x=np.zeros((3, 1)), eta=np.float64(1e308)),
      "the horizon eta * n must be finite, got inf"),
-], ids=["discrete-n", "continuous-n", "continuous-bins", "binned-bins", "mode", "merge-none",
+], ids=["discrete-n", "discrete-eta-0", "continuous-n", "continuous-bins", "binned-bins", "mode", "merge-none",
         "merge-eta", "discrete-n-float", "discrete-n-bool", "discrete-n-str", "discrete-seed-float",
         "discrete-seed-bool", "discrete-seed-str", "continuous-n-float", "continuous-n-bool",
         "continuous-n-str", "continuous-bins-float", "continuous-bins-bool", "continuous-bins-str",
@@ -883,16 +886,10 @@ def test_sampler_increments_are_one_product_over_all_rows(p, r, n, init):
     assert drawn.x.tobytes() == given.x.tobytes()
 
 
-def _traced_peaks(monkeypatch):
+def _traced_peaks():
     """Traced peak bytes of ``simulate_continuous`` and then of
-    ``sufficient_stats`` on its path, at n = 20,000 and p+r = 42, with the
-    normals shared by two threads; and the bytes of the path's state array."""
-    import os
-
-    import sparsedyn.rng as rng_module
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(rng_module, "_CPU_MAX", os.devnull)
+    ``sufficient_stats`` on its path, at n = 20,000 and p+r = 42; and the
+    bytes of the path's state array."""
     params = gen_random_system(GenSpec(p=40, r=2, s=3, seed=7))
     n = 20000
     simulate_continuous(params, eta=0.05, n=2)  # scipy and the BLAS loaded before tracing
@@ -908,32 +905,26 @@ def _traced_peaks(monkeypatch):
     return simulate_peak, stats_peak, (n + 1) * 42 * 8
 
 
-def test_simulate_peak_is_bounded_by_the_state_array(monkeypatch):
+def test_simulate_peak_is_bounded_by_the_state_array():
     # The normals are drawn into the state array and become increments
     # there through one 4,096-row buffer: no second array of the path's
     # size (a separate normals matrix made this 2.0x).
-    simulate_peak, _, state_bytes = _traced_peaks(monkeypatch)
+    simulate_peak, _, state_bytes = _traced_peaks()
     assert simulate_peak <= 1.5 * state_bytes
 
 
-def test_sufficient_stats_peak_is_bounded_by_the_state_array(monkeypatch):
+def test_sufficient_stats_peak_is_bounded_by_the_state_array():
     # The path plus its increments, squared in place (squaring into a new
     # array made this 2.9x).
-    _, stats_peak, state_bytes = _traced_peaks(monkeypatch)
+    _, stats_peak, state_bytes = _traced_peaks()
     assert stats_peak <= 2.1 * state_bytes
 
 
-def test_cli_simulate_peak_is_bounded_by_the_state_array(monkeypatch, tmp_path, capsys):
+def test_cli_simulate_peak_is_bounded_by_the_state_array(tmp_path):
     # The file is written one block of rows at a time, so the write adds
     # little to the sampler's own peak (at most 1.5x, above).  A command
     # that built the whole text, and the list of blocks it was joined from,
     # peaked at 7.0x.
-    import os
-
-    import sparsedyn.rng as rng_module
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(rng_module, "_CPU_MAX", os.devnull)
     params = gen_random_system(GenSpec(p=40, r=2, s=3, seed=7))
     system, n = _system_file(tmp_path, params), 20000
     simulate_continuous(params, eta=0.05, n=2)  # scipy and the BLAS loaded before tracing
