@@ -2,11 +2,11 @@
 the price-panel reader, the JSON writer, parser and matrix reader, and
 the one writer of a text file.
 
-A table is optional ``# `` comment lines, a header of column names, then
-one row per line; cells are ``,``-separated and numbers are written as
-``%.17g`` (exact for float64).  Writers produce a table as a stream of
-row blocks, so a caller can write it without holding its text.  Readers
-skip blank and ``#`` lines anywhere.  A JSON artifact is one object with
+A table is optional ``# `` comment lines (a comment holds no line break),
+a header of column names, then one row per line; cells are ``,``-separated
+and numbers are written as ``%.17g`` (exact for float64).  Writers produce
+a table as a stream of row blocks, so a caller can write it without
+holding its text.  Readers skip blank and ``#`` lines anywhere.  A JSON artifact is one object with
 sorted keys and two-space indents, ending in a line feed.
 """
 
@@ -52,15 +52,20 @@ def table_blocks(header: list[str], columns, comments: list[str] | None = None) 
     """A table's text as a stream of blocks: the comment and header lines,
     then ``_BLOCK_ROWS`` rows per block.  ``columns`` are arrays of numbers
     of one length, put side by side (a 1-D array is one column), with one
-    column per header name in all.  A mismatch raises ``ValueError`` in
-    this call, before any block exists."""
+    column per header name in all; each comment is one line, holding no
+    line break of ``str.splitlines``.  A mismatch or a comment with a line
+    break raises ``ValueError`` in this call, before any block exists."""
     parts = [np.asarray(part, dtype=np.float64) for part in columns]
     parts = [part[:, None] if part.ndim == 1 else part for part in parts]
     if (any(part.ndim != 2 for part in parts) or len({len(part) for part in parts}) != 1
             or sum(part.shape[1] for part in parts) != len(header)):
         raise ValueError(f"columns of shapes {[part.shape for part in parts]} "
                          f"do not fill the {len(header)} columns of one table")
-    return _blocks(header, parts, comments or [])
+    comments = comments or []
+    for comment in comments:
+        if "".join(comment.splitlines()) != comment:
+            raise ValueError(f"comment {comment!r} holds a line break")
+    return _blocks(header, parts, comments)
 
 
 def _blocks(header: list[str], parts: list[np.ndarray], comments: list[str]) -> Iterator[str]:

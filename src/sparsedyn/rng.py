@@ -9,7 +9,7 @@ Contract: the same seed gives the same bits on the same numpy version.
 numpy keeps its bit generators' raw streams stable, but not its
 distributions' values across versions (NEP 19); the test suite pins a
 digest of the stream, so a numpy upgrade that changes it fails loudly.
-:func:`derive_seed` mixes child seeds with exact splitmix64 arithmetic.
+:func:`derive_seed` mixes child seeds with splitmix64 on Python integers.
 """
 
 from __future__ import annotations
@@ -18,23 +18,14 @@ import numpy as np
 
 from .errors import ConstructionError, require_count
 
-_U64 = np.uint64
-_GOLDEN = _U64(0x9E3779B97F4A7C15)
-_MIX1 = _U64(0xBF58476D1CE4E5B9)
-_MIX2 = _U64(0x94D049BB133111EB)
-_MASK = 0xFFFFFFFFFFFFFFFF
+_MASK = 2**64 - 1
 
 
-def _mix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, in place: bijective avalanche mix of the
-    64-bit words in ``z``; ``tmp`` is scratch of the same shape."""
-    for shift, mult in ((30, _MIX1), (27, _MIX2)):
-        np.right_shift(z, _U64(shift), out=tmp)
-        z ^= tmp
-        z *= mult
-    np.right_shift(z, _U64(31), out=tmp)
-    z ^= tmp
-    return z
+def _mix(z: int) -> int:
+    """splitmix64 finalizer: bijective avalanche mix of a 64-bit word."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+    return z ^ (z >> 31)
 
 
 def derive_seed(master: int, *parts: int) -> int:
@@ -44,15 +35,10 @@ def derive_seed(master: int, *parts: int) -> int:
     so results do not depend on scheduling order.  Each input is an
     integer of any sign, taken modulo 2^64.
     """
-    state = np.array([require_count(master, "master") & _MASK], dtype=_U64)
-    token = np.empty(1, dtype=_U64)
-    tmp = np.empty(1, dtype=_U64)
+    state = require_count(master, "master") & _MASK
     for part in parts:
-        token[0] = require_count(part, "part") & _MASK
-        token += _GOLDEN
-        state ^= _mix(token, tmp)
-        _mix(state, tmp)
-    return int(state[0])
+        state = _mix(state ^ _mix((require_count(part, "part") + 0x9E3779B97F4A7C15) & _MASK))
+    return state
 
 
 class CounterRng:

@@ -23,12 +23,12 @@ trajectory to the two cross-moment matrices and the squared-increment sum
 that determine the least-squares objective.  The trajectory CSV layout
 lives here too; ``csvio`` handles the text.
 
-``save_trajectory`` also writes a binary copy of the path beside its CSV
-(``traj.csv.npy`` beside ``traj.csv``): one ``.npy`` record of the SHA-256
-of the CSV bytes as written, ``eta`` and ``x``.  ``load_trajectory``
-trusts the copy only while that digest matches the CSV's bytes and
-otherwise parses the CSV, so the CSV stays the one authority and the copy
-only saves the parse.
+``save_trajectory`` also writes a binary copy of the path beside every CSV
+it writes to a regular file (``traj.csv.npy`` beside ``traj.csv``): one
+``.npy`` record of the SHA-256 of the CSV bytes as written, ``eta`` and
+``x``.  ``load_trajectory`` trusts the copy only while that digest matches
+the CSV's bytes and otherwise parses the CSV, so the CSV stays the one
+authority and the copy only saves the parse.
 """
 
 from __future__ import annotations
@@ -351,16 +351,19 @@ def sufficient_stats(traj: Trajectory) -> SufficientStats:
 
 
 def merge_stats(parts: list[SufficientStats]) -> SufficientStats:
-    """Merge chunk statistics; transition counts weight the averages."""
+    """Merge the statistics of chunks of one trajectory, which share one
+    ``eta`` exactly and one ``p``; transition counts weight the averages."""
     if not parts:
         raise ConstructionError("merge_stats needs at least one chunk")
-    eta = parts[0].eta
-    if any(abs(p.eta - eta) > 1e-15 for p in parts):
-        raise ConstructionError("cannot merge statistics with different eta")
-    total = sum(p.n for p in parts)
-    s1 = sum(p.S1 * p.n for p in parts) / total
-    s2 = sum(p.S2 * p.n for p in parts) / total
-    sq = float(sum(p.sq_increment_sum for p in parts))
+    eta, shape = parts[0].eta, parts[0].S1.shape
+    for part in parts:
+        if part.eta != eta:
+            raise ConstructionError("cannot merge statistics with different eta")
+        as_matrix(part.S1, "a merged chunk's S1", shape)
+    total = sum(part.n for part in parts)
+    s1 = sum(part.S1 * part.n for part in parts) / total
+    s2 = sum(part.S2 * part.n for part in parts) / total
+    sq = float(sum(part.sq_increment_sum for part in parts))
     return SufficientStats(S1=0.5 * (s1 + s1.T), S2=s2, n=total, eta=eta, sq_increment_sum=sq)
 
 
@@ -381,9 +384,11 @@ def trajectory_to_csv(traj: Trajectory, comments: list[str] | None = None) -> st
 def trajectory_from_csv(text: str) -> Trajectory:
     """Parse the CSV format written by :func:`trajectory_to_csv`.
 
-    Every cell must be a finite number.  The sampling step is recovered
-    from the time column, which must be a uniform, strictly increasing
-    grid (a time that is not a finite number fails that test).
+    Every cell must be a finite number.  The step is ``eta = t(1) - t(0)
+    > 0``, and each ``t(i)`` must lie within ``1e-6 * eta`` of ``t(0) +
+    i * eta`` as :func:`trajectory_blocks` computes it, so every grid it
+    writes passes exactly, and so does a decimal grid; any other time
+    column (a time that is not a finite number included) is a ``DataError``.
     """
     table = read_table(text)
     if table.header_line and table.header[0] != "t":
@@ -391,37 +396,31 @@ def trajectory_from_csv(text: str) -> Trajectory:
     if len(table.lines) < 2:
         raise DataError("trajectory CSV needs a header and at least two rows")
     require_complete(table)
-    return Trajectory(x=table.values[:, 1:], eta=_grid_step(table.values[:, 0]))
-
-
-def _grid_step(times: np.ndarray) -> float:
-    """The step of a uniform, strictly increasing time column; any other
-    column (a time that is not a finite number included) is a ``DataError``."""
-    steps = np.diff(times)
-    eta = float(steps[0])
-    if not (eta > 0 and np.all(np.abs(steps - eta) <= 1e-9 * max(eta, 1.0))):
-        raise DataError("time column must be a uniform, strictly increasing grid")
-    return eta
+    times = table.values[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = float(times[1] - times[0])
+        grid = times[0] + np.arange(len(times)) * eta
+        if not (eta > 0 and np.all(np.abs(times - grid) <= 1e-6 * eta)):
+            raise DataError("time column must be a uniform, strictly increasing grid")
+    return Trajectory(x=table.values[:, 1:], eta=eta)
 
 
 def save_trajectory(path, traj: Trajectory, comments: list[str] | None = None) -> None:
     """Write ``traj``'s CSV to ``path`` block by block, then its sidecar.
 
     The CSV's bytes are those of :func:`trajectory_blocks`, hashed by
-    :func:`csvio.write_text` as it writes them.  The sidecar is written only
-    after the CSV is complete, and only when ``path`` is a regular file
-    whose parse :func:`trajectory_from_csv` accepts, so that loading the
-    sidecar gives what parsing the CSV gives.  Its path is written
-    ``_CHUNK_ROWS`` rows at a time, never copied whole, and its bytes
-    depend only on the trajectory and the CSV's digest.
+    :func:`csvio.write_text` as it writes them; a comment with a line break
+    is a ``ValueError`` before either file exists.  :func:`trajectory_from_csv`
+    parses every CSV that :func:`trajectory_blocks` writes to the same bits,
+    so loading the sidecar gives what parsing the CSV gives.  The sidecar is
+    written after the CSV is complete, when ``path`` is a regular file (a
+    pipe cannot be read back).  Its path is written ``_CHUNK_ROWS`` rows at
+    a time, never copied whole, and its bytes depend only on the trajectory
+    and the CSV's digest.
     """
     path = Path(path)
     digest = write_text(path, trajectory_blocks(traj, comments))
     if not path.is_file():
-        return
-    try:
-        _grid_step(np.arange(traj.x.shape[0]) * traj.eta)
-    except DataError:
         return
     with _sidecar(path).open("wb") as handle:
         np.lib.format.write_array_header_1_0(handle, {

@@ -69,6 +69,22 @@ def test_table_blocks_rejects_columns_that_do_not_fill_the_header(columns):
         table_blocks(["a", "b", "c", "d", "e", "f"], columns)
 
 
+@pytest.mark.parametrize("comment", ["a\n", "\n", "a\nb", "a\r\nb", "a\rb", "a\vb", "a\fb",
+                                     "a\x1cb", "a\x1db", "a\x1eb", "a\x85b", "a\u2028b",
+                                     "a\u2029b"])
+def test_table_blocks_rejects_a_comment_that_splitlines_would_split(comment):
+    # Such a comment is two lines, or a comment line and a blank one, on reading.
+    with pytest.raises(ValueError, match="holds a line break"):
+        table_blocks(["k", "v"], [np.zeros((1, 2))], comments=["ok", comment])
+
+
+def test_a_comment_without_a_line_break_reads_as_one_comment_line():
+    comments = ["", " ", "a\tb", "#", "k,v", "é\u2027"]
+    table = read_table("".join(table_blocks(["k", "v"], [np.ones((1, 2))], comments)))
+    assert table.header_line == len(comments) + 1
+    assert table.values.tolist() == [[1.0, 1.0]]
+
+
 def test_write_table_rejects_rows_of_another_width():
     # Writing a table is the join of its blocks.
     with pytest.raises(ValueError):

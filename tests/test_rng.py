@@ -79,6 +79,38 @@ def test_derive_seed_depends_on_all_parts():
     assert derive_seed(42, 0, 0) == base
 
 
+# Pinned on the numpy uint64 implementation; the integer one must keep
+# every value.  Inputs are taken modulo 2^64, with zero to three parts.
+DERIVED_SEEDS = [
+    ((0,), 0x0),
+    ((1,), 0x1),
+    ((-1,), 0xffffffffffffffff),
+    ((2**64,), 0x0),
+    ((2**64 + 5,), 0x5),
+    ((2**70 - 3,), 0xfffffffffffffffd),
+    ((-2**63,), 0x8000000000000000),
+    ((0, 0), 0x48218226ff3cd4bf),
+    ((42, 0, 0), 0x9ce0ef2b4732fb8d),
+    ((42, 0, 1), 0xf95f80c001c7daa),
+    ((42, 1, 0), 0x81813290be0774a1),
+    ((43, 0, 0), 0x1e23fa4a8e6f79d0),
+    ((-7, 3), 0x70d9d3a88b442ef9),
+    ((7, -3), 0xcbf835d04fd90678),
+    ((2**64 - 1, 2**64 - 1), 0x4650bc0eb3312e23),
+    ((2**65, -2**65), 0x48218226ff3cd4bf),
+    ((3601, 40, 7), 0xb4534ce291395e08),
+    ((123456789, 2**64, -1, 0), 0x7ed78f4666e4268f),
+    ((-1, -1, -1, -1), 0xf89e5a4dc3a9600c),
+    ((11, 5), 0x5adfeec8bedb1ab9),
+]
+
+
+@pytest.mark.parametrize("inputs, seed", DERIVED_SEEDS)
+def test_derive_seed_values_are_pinned(inputs, seed):
+    assert derive_seed(*inputs) == seed
+    assert type(derive_seed(*inputs)) is int
+
+
 @pytest.mark.parametrize("call, message", [
     # Floats and strings ended in a bare TypeError, and a bool ran as 0 or 1.
     (lambda: CounterRng(0.5), "seed must be an integer, got 0.5"),

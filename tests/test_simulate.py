@@ -2,16 +2,23 @@ import dataclasses
 import gc
 import hashlib
 import io
+import math
 import os
 import re
+import tempfile
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparsedyn.csvio as csvio
+import sparsedyn.simulate as simulate_module
 from sparsedyn.cli import run
 from sparsedyn.errors import ConstructionError, DataError, StabilityError
 from sparsedyn.generate import GenSpec, gen_illustrative, gen_random_system, system_to_json
@@ -455,8 +462,8 @@ def test_init_rejects_unknown_name_and_wrong_length():
             simulate_discrete(dataclasses.replace(params, eta=0.05), n=4, init=bad)
 
 
-def _stats(eta: float) -> SufficientStats:
-    return SufficientStats(S1=np.eye(1), S2=np.zeros((1, 1)), n=4, eta=eta, sq_increment_sum=1.0)
+def _stats(eta: float, p: int = 1) -> SufficientStats:
+    return SufficientStats(S1=np.eye(p), S2=np.zeros((p, p)), n=4, eta=eta, sq_increment_sum=1.0)
 
 
 def _discrete(**kw):
@@ -480,6 +487,12 @@ def _continuous(**kw):
      "unknown mode 'euler' (expected 'exact' or 'binned')"),
     (lambda: merge_stats([]), "merge_stats needs at least one chunk"),
     (lambda: merge_stats([_stats(0.1), _stats(0.2)]), "cannot merge statistics with different eta"),
+    # Chunks of one trajectory share one eta exactly; an absolute tolerance
+    # of 1e-15 merged these, and parts of two p ended in numpy's broadcast error.
+    (lambda: merge_stats([_stats(1e-18), _stats(2e-18)]),
+     "cannot merge statistics with different eta"),
+    (lambda: merge_stats([_stats(0.1, p=2), _stats(0.1, p=3)]),
+     "a merged chunk's S1 must be 2 x 2, got shape (3, 3)"),
     # A count must be an integer: 2.5 and '4' ended in a bare TypeError, True ran as 1.
     (_discrete(n=2.5), "n must be an integer, got 2.5"),
     (_discrete(n=True), "n must be an integer, got True"),
@@ -517,8 +530,8 @@ def _continuous(**kw):
     (lambda: Trajectory(x=np.zeros((3, 1)), eta=np.float64(1e308)),
      "the horizon eta * n must be finite, got inf"),
 ], ids=["discrete-n", "discrete-eta-0", "continuous-n", "continuous-bins", "binned-bins", "mode", "merge-none",
-        "merge-eta", "discrete-n-float", "discrete-n-bool", "discrete-n-str", "discrete-seed-float",
-        "discrete-seed-bool", "discrete-seed-str", "continuous-n-float", "continuous-n-bool",
+        "merge-eta", "merge-eta-tiny", "merge-p", "discrete-n-float", "discrete-n-bool",
+        "discrete-n-str", "discrete-seed-float", "discrete-seed-bool", "discrete-seed-str", "continuous-n-float", "continuous-n-bool",
         "continuous-n-str", "continuous-bins-float", "continuous-bins-bool", "continuous-bins-str",
         "continuous-seed-float", "continuous-seed-bool", "continuous-seed-str", "binned-bins-float",
         "continuous-eta-0", "trajectory-eta-str", "exact-eta-nan", "exact-eta-negative",
@@ -648,6 +661,30 @@ def test_trajectory_csv_rejects_time_that_is_not_a_finite_number(cell, row):
         trajectory_from_csv(text)
 
 
+@pytest.mark.parametrize("times", [
+    # Its steps differ by less than 1e-9, which a step rule took as uniform.
+    ["0", "1e-12", "5e-10"],
+    ["0", "1", "2", "3.00001"],
+    ["5", "4", "3"],
+    ["1", "1", "1"],
+])
+def test_trajectory_csv_times_must_lie_on_the_grid_of_the_first_step(times):
+    text = "t,x1\n" + "".join(f"{t},{k}\n" for k, t in enumerate(times))
+    with pytest.raises(DataError, match="^time column must be a uniform, strictly increasing grid$"):
+        trajectory_from_csv(text)
+
+
+@pytest.mark.parametrize("offset", [0, 1000])
+@pytest.mark.parametrize("rows", [2, 3, 1001, 100_000])
+def test_trajectory_csv_reads_a_decimal_grid(offset, rows):
+    # Hand-written times ``offset + 0.1 k`` are not the floats ``t0 + k eta``,
+    # but lie within 1e-6 eta of them.
+    text = "t,x1\n" + "".join(f"{offset + k // 10}.{k % 10},{k}\n" for k in range(rows))
+    traj = trajectory_from_csv(text)
+    assert math.isclose(traj.eta, 0.1, rel_tol=1e-12)
+    assert np.array_equal(traj.x[:, 0], np.arange(rows))
+
+
 def test_trajectory_csv_header_without_series_names_its_line():
     with pytest.raises(DataError, match="^line 2: header must name at least one series$"):
         trajectory_from_csv("# c\nt\n0\n1\n")
@@ -707,20 +744,32 @@ def test_sidecar_bytes_carry_no_time_stamp(tmp_path):
     assert record["x"].shape == (301, 5) and record["eta"] == 0.05
 
 
-def test_no_sidecar_beside_a_csv_that_its_reader_rejects(tmp_path, monkeypatch):
-    # Rounding can make the written times of a very long grid non-uniform,
-    # so that the CSV does not parse; a copy would make it load until the
-    # copy was deleted.  A grid check that rejects every grid stands in for
-    # such a path, which is too long for a test.
-    def reject(times):
-        raise DataError("time column must be a uniform, strictly increasing grid")
+@settings(max_examples=40, deadline=None)
+@given(log_eta=st.floats(-320.0, 300.0), n=st.integers(1, 3000))
+def test_every_trajectory_written_is_read_back_by_its_sidecar_and_its_csv(log_eta, n):
+    # eta is log-uniform from subnormal to 1e300 and the horizon eta * n finite.
+    traj = Trajectory(x=CounterRng(n).normal_matrix(n + 1, 2), eta=10.0 ** log_eta)
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = Path(tmp) / "traj.csv"
+        save_trajectory(csv, traj, comments=["config: {}"])
+        assert sorted(path.name for path in csv.parent.iterdir()) == ["traj.csv", "traj.csv.npy"]
+        assert _same_bits(trajectory_from_csv(csvio.read_text(csv)), traj)
+        with mock.patch.object(simulate_module, "trajectory_from_csv", side_effect=AssertionError):
+            assert _same_bits(load_trajectory(csv), traj)
+        (csv.parent / "traj.csv.npy").unlink()
+        assert _same_bits(load_trajectory(csv), traj)
 
-    monkeypatch.setattr("sparsedyn.simulate._grid_step", reject)
+
+@pytest.mark.parametrize("comment", ["a\nt,x1,x2\n9,9,9", "a\n", "a\rb", "a\u2028b"],
+                         ids=["rows", "trailing-lf", "cr", "line-separator"])
+def test_a_comment_with_a_line_break_leaves_no_file(tmp_path, comment):
+    # The first comment wrote a CSV whose own reader rejected its line 4,
+    # beside a sidecar that loaded.
     csv = tmp_path / "traj.csv"
-    save_trajectory(csv, Trajectory(x=np.zeros((3, 1)), eta=0.1))
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["traj.csv"]
-    with pytest.raises(DataError, match="^time column must be a uniform"):
-        load_trajectory(csv)
+    with pytest.raises(ValueError, match="holds a line break"):
+        save_trajectory(csv, Trajectory(x=np.arange(6.0).reshape(3, 2), eta=0.5),
+                        comments=[comment])
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
