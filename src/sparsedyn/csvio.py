@@ -2,7 +2,7 @@
 the price-panel reader, the JSON writer, parser and matrix reader, and
 the one writer of a text file.
 
-A table is optional ``# `` comment lines (a comment holds no line break),
+A table is optional ``# `` comment lines (each one line of UTF-8 text),
 a header of column names, then one row per line; cells are ``,``-separated
 and numbers are written as ``%.17g`` (exact for float64).  Writers produce
 a table as a stream of row blocks, so a caller can write it without
@@ -52,9 +52,10 @@ def table_blocks(header: list[str], columns, comments: list[str] | None = None) 
     """A table's text as a stream of blocks: the comment and header lines,
     then ``_BLOCK_ROWS`` rows per block.  ``columns`` are arrays of numbers
     of one length, put side by side (a 1-D array is one column), with one
-    column per header name in all; each comment is one line, holding no
-    line break of ``str.splitlines``.  A mismatch or a comment with a line
-    break raises ``ValueError`` in this call, before any block exists."""
+    column per header name in all; each comment is one line of text that
+    UTF-8 can encode, holding no line break of ``str.splitlines``.  A
+    mismatch or another comment raises ``ValueError`` in this call, before
+    any block exists."""
     parts = [np.asarray(part, dtype=np.float64) for part in columns]
     parts = [part[:, None] if part.ndim == 1 else part for part in parts]
     if (any(part.ndim != 2 for part in parts) or len({len(part) for part in parts}) != 1
@@ -65,6 +66,10 @@ def table_blocks(header: list[str], columns, comments: list[str] | None = None) 
     for comment in comments:
         if "".join(comment.splitlines()) != comment:
             raise ValueError(f"comment {comment!r} holds a line break")
+        try:
+            comment.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"comment {comment!r} is not UTF-8 text: {exc.reason}") from exc
     return _blocks(header, parts, comments)
 
 
@@ -106,13 +111,16 @@ def _json_matrix(value, name: str, shape) -> np.ndarray:
 
 def write_text(path, content: str | Iterable[str]) -> bytes:
     """Write a text, or a table's blocks one at a time as they are made, as
-    UTF-8 to ``path`` and its new directories; the SHA-256 of those bytes."""
+    UTF-8 to ``path`` and its new directories; the SHA-256 of those bytes.
+    A text is encoded before anything is created, so one that UTF-8 cannot
+    encode raises ``UnicodeEncodeError`` and leaves no file."""
     path = Path(path)
     digest = hashlib.sha256()
+    blocks = ([content.encode("utf-8")] if isinstance(content, str)
+              else (block.encode("utf-8") for block in content))
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("wb") as handle:
-        for block in [content] if isinstance(content, str) else content:
-            data = block.encode("utf-8")
+        for data in blocks:
             digest.update(data)
             handle.write(data)
     return digest.digest()

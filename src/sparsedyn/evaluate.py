@@ -24,10 +24,14 @@ from .generate import GenSpec, gen_random_system
 from .linalg import as_matrix
 from .model import control_parameter, lambda_pair_from_constants, steady_state
 from .rng import derive_seed
-from .simulate import (
+# ``simulate_continuous`` has no caller here and ``sufficient_stats`` serves
+# cross-validation only; ``perfbench/tracing.py`` wraps both under this
+# module's names, so both stay imported.
+from .simulate import (  # noqa: F401
     Trajectory,
     merge_stats,
     simulate_continuous,
+    simulate_stats,
     sufficient_stats,
 )
 from .solver import MODE_PURE_LASSO, MODE_SPARSE_LOWRANK, SolverConfig, fit
@@ -157,7 +161,10 @@ def phase_transition(
     ``p``, ``r`` and ``s`` of ``base``; any other key is an error.  Every
     point is checked before the first trial runs.  Per trial: draw a
     fresh system (seed derived from ``(master_seed, point, trial)``),
-    simulate (binned, ``bins = 10``), fit with the fixed stopping rule
+    reduce a binned (``bins = 10``) chain from a zero start to its
+    statistics with ``simulate_stats``, so no trial holds its path (the
+    statistics of ``simulate_continuous`` on the same seed, to rounding),
+    fit with the fixed stopping rule
     ``PROTOCOL_MAX_ITER``/``PROTOCOL_TOL``, and score exact signed-support
     recovery of the sparse block above the round-off guard
     ``default_support_threshold``.  ``lambda_rule`` is the ``(c, d)`` pair
@@ -197,11 +204,8 @@ def phase_transition(
             seed = derive_seed(master_seed, g, t)
             system = gen_random_system(replace(spec, seed=seed))
             truth = steady_state(system)
-            # The path is reduced at once, so no trial's path outlives it.
-            stats = sufficient_stats(simulate_continuous(
-                system, eta=eta, n=n, mode="binned", bins=10,
-                seed=derive_seed(seed, 1),
-            ))
+            stats = simulate_stats(system, eta=eta, n=n, mode="binned", bins=10,
+                                   seed=derive_seed(seed, 1))
             try:
                 est = fit(stats, stats.sq_increment_sum, config)
             except DivergenceError:

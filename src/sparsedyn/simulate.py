@@ -20,8 +20,11 @@ not bit for bit; runs with the same seed give bit-identical paths.
 
 The solver never touches raw paths: ``sufficient_stats`` reduces a
 trajectory to the two cross-moment matrices and the squared-increment sum
-that determine the least-squares objective.  The trajectory CSV layout
-lives here too; ``csvio`` handles the text.
+that determine the least-squares objective.  ``simulate_stats`` gives the
+statistics of a continuous-time chain without its path: it runs the chain
+in its noise basis, with no increment product, no path check and no
+increment temporary.  The trajectory CSV layout lives here too; ``csvio``
+handles the text.
 
 ``save_trajectory`` also writes a binary copy of the path beside every CSV
 it writes to a regular file (``traj.csv.npy`` beside ``traj.csv``): one
@@ -53,6 +56,7 @@ __all__ = [
     "SufficientStats",
     "simulate_discrete",
     "simulate_continuous",
+    "simulate_stats",
     "exact_increment_covariance",
     "binned_increment_covariance",
     "sufficient_stats",
@@ -137,19 +141,21 @@ def _initial_state(params: SystemParams, init, rng, stationary_cov) -> np.ndarra
     return state
 
 
-def _sample(params: SystemParams, f: np.ndarray, factor: np.ndarray, stationary_cov, eta: float,
-            n: int, seed: int, init, noise) -> Trajectory:
+def _sample(f: np.ndarray, n: int, rng: CounterRng, start: np.ndarray | None = None,
+            noise=None, factor: np.ndarray | None = None) -> np.ndarray:
     """Run ``X(i+1) = f X(i) + w(i)`` for ``n`` steps; the one sampling core.
 
-    The increments are ``w = z @ factor.T`` for standard normals ``z``
-    drawn after the starting state, or the given (n, p+r) ``noise``.
-    ``stationary_cov`` is called for ``init="stationary"`` only.  The
-    normals are drawn straight into the state array and turned into
-    increments there, a chunk of at most ``_CHUNK_ROWS`` rows at a time,
-    so the path is the one array of its size.  The chunks differ in size
-    by one row at most, so none is small enough for the BLAS to take
-    another kernel (a lone tail row would go through a matrix-vector
-    product): each row's bits are those of one product over all rows.
+    Returns the (n+1, p+r) states, a view of the scan's array.  ``start``
+    is ``X(0)`` (``None``: zeros).  The increments are the given (n, p+r)
+    ``noise``, or standard normals ``z`` drawn from ``rng`` after any draws
+    of the starting state: ``w = z @ factor.T``, or ``w = z`` itself when
+    ``factor`` is ``None`` (the chain in its noise basis).  The normals are
+    drawn straight into the state array and turned into increments there, a
+    chunk of at most ``_CHUNK_ROWS`` rows at a time, so the path is the one
+    array of its size.  The chunks differ in size by one row at most, so
+    none is small enough for the BLAS to take another kernel (a lone tail
+    row would go through a matrix-vector product): each row's bits are
+    those of one product over all rows.
 
     The recursion runs as a two-level block scan (Blelloch 1990, "Prefix
     sums and their applications") over the n+1 rows, cut into blocks of
@@ -166,14 +172,13 @@ def _sample(params: SystemParams, f: np.ndarray, factor: np.ndarray, stationary_
     starts from the starting state, so ``x(1) = f x(0) + w(0)`` as in the
     one-step recursion; later rows agree with it to about 1e-15 of the
     path's largest entry, not bit for bit.  Equal inputs give equal bits.
+    An ``n`` that numpy cannot allocate is a ``ConstructionError``.
 
-    ``params`` is stable and ``init`` and ``noise`` finite, so the path
-    gets no check here but the ``Trajectory``'s own on its observed columns.
+    ``f`` is stable and the start and ``noise`` finite, so the states get
+    no check here.
     """
     n = require_count(n, "n", 1)
     m = f.shape[0]
-    rng = CounterRng(seed)
-    start = _initial_state(params, init, rng, stationary_cov)
     rows = n + 1
     b = math.isqrt(rows)
     nb = -(-rows // b)
@@ -183,21 +188,22 @@ def _sample(params: SystemParams, f: np.ndarray, factor: np.ndarray, stationary_
     except (ValueError, MemoryError) as exc:  # numpy refuses the shape or its bytes
         raise ConstructionError(f"n = {n} samples of {m} states are more than numpy "
                                 f"can allocate: {exc}") from exc
-    states[0] = start
+    states[0] = 0.0 if start is None else start
     states[rows:] = 0.0
-    if noise is None:
-        rng.normals(n * m, out=states[1:rows])
-        chunks = -(-n // _CHUNK_ROWS)
-        edges = [1 + i * n // chunks for i in range(chunks + 1)]
-        buf = np.empty((-(-n // chunks), m))
-        for lo, hi in zip(edges, edges[1:]):
-            np.matmul(states[lo:hi], factor.T, out=buf[:hi - lo])
-            states[lo:hi] = buf[:hi - lo]
-    else:
+    if noise is not None:
         noise = np.asarray(noise, dtype=float)
         if noise.shape != (n, m) or not _finite(noise):
             raise ConstructionError(f"noise must be finite, of shape ({n}, {m})")
         states[1:rows] = noise
+    else:
+        rng.normals(n * m, out=states[1:rows])
+        if factor is not None:
+            chunks = -(-n // _CHUNK_ROWS)
+            edges = [1 + i * n // chunks for i in range(chunks + 1)]
+            buf = np.empty((-(-n // chunks), m))
+            for lo, hi in zip(edges, edges[1:]):
+                np.matmul(states[lo:hi], factor.T, out=buf[:hi - lo])
+                states[lo:hi] = buf[:hi - lo]
     blocks = states.reshape(nb, b, m)
     ends = blocks[:, -1]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -210,7 +216,7 @@ def _sample(params: SystemParams, f: np.ndarray, factor: np.ndarray, stationary_
         for j in range(b - 1):
             blocks[1:, j] += ends[:-1] @ f_j.T
             f_j = f_j @ f
-    return Trajectory(x=states[:rows, :params.p], eta=eta)
+    return states[:rows]
 
 
 def simulate_discrete(
@@ -233,11 +239,11 @@ def simulate_discrete(
         raise ConstructionError(f"discrete simulation needs params.eta > 0, got {params.eta:g}")
     m = params.p + params.r
     f = np.eye(m) + params.eta * params.joint()
-    return _sample(
-        params, f, np.sqrt(params.eta) * np.eye(m),
-        lambda: solve_lyapunov_discrete(params.joint(), params.eta),
-        params.eta, n, seed, init, noise,
-    )
+    rng = CounterRng(seed)
+    start = _initial_state(params, init, rng,
+                           lambda: solve_lyapunov_discrete(params.joint(), params.eta))
+    x = _sample(f, n, rng, start, noise, np.sqrt(params.eta) * np.eye(m))
+    return Trajectory(x=x[:, :params.p], eta=params.eta)
 
 
 def exact_increment_covariance(joint: np.ndarray, eta: float) -> np.ndarray:
@@ -307,6 +313,16 @@ def simulate_continuous(
     must be a continuous-time system (``params.eta = 0``); it is stable by
     construction, so its joint drift is Hurwitz.
     """
+    f, chol = _flow(params, eta, mode, bins)
+    rng = CounterRng(seed)
+    start = _initial_state(params, init, rng, lambda: solve_lyapunov_continuous(params.joint()))
+    x = _sample(f, n, rng, start, noise, chol)
+    return Trajectory(x=x[:, :params.p], eta=eta)
+
+
+def _flow(params: SystemParams, eta: float, mode: str, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """The continuous-time chain at step ``eta``: its transition ``F =
+    exp(eta M)`` and the lower Cholesky factor of its increment covariance."""
     if params.eta > 0:
         raise ConstructionError(f"continuous simulation needs params.eta = 0, got {params.eta:g}")
     require_real(eta, "eta", "positive")
@@ -321,11 +337,50 @@ def simulate_continuous(
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"increment covariance not positive definite: {exc}") from exc
-    return _sample(
-        params, matrix_exponential(joint * eta), chol,
-        lambda: solve_lyapunov_continuous(joint),
-        eta, n, seed, init, noise,
-    )
+    return matrix_exponential(joint * eta), chol
+
+
+def simulate_stats(
+    params: SystemParams,
+    eta: float,
+    n: int,
+    mode: str = "binned",
+    bins: int = 10,
+    seed: int = 0,
+) -> SufficientStats:
+    """The sufficient statistics of ``simulate_continuous(params, eta, n,
+    mode, bins, seed)`` from its zero start, without the path.
+
+    With ``C`` the lower Cholesky factor of the increment covariance and
+    ``x = C y``, the chain is ``y(i+1) = C^{-1} F C y(i) + z(i)``: it runs
+    on the drawn normals ``z`` themselves (the same normals in the same
+    order as the path sampler's, and no increment product).  ``C`` is lower
+    triangular and the observed states come first, so ``x_obs(i) = C_p
+    y_p(i)``, with ``C_p`` the leading p x p block of ``C`` and ``y_p`` the
+    leading p states.  With sums over ``i < n`` of ``G = y_p(i) y_p(i)^T``
+    and ``K = (y_p(i+1) - y_p(i)) y_p(i)^T``: ``S1 = C_p G C_p^T / n``,
+    ``S2 = C_p K C_p^T / (eta n)`` and ``sq_increment_sum = tr(C_p D
+    C_p^T)`` with ``D = y_p(n) y_p(n)^T - K - K^T`` (``y(0) = 0``).  ``K``
+    is a difference of two sums of the states' size, so the statistics
+    round like ``1e-16 / eta`` relative to each matrix's largest entry
+    where :func:`sufficient_stats` of the path rounds like 1e-16.  The scan
+    array is the one array of the path's size; statistics that overflow
+    are a ``DataError``.
+    """
+    f, chol = _flow(params, eta, mode, bins)
+    y = _sample(np.linalg.solve(chol, f @ chol), n, CounterRng(seed))[:, :params.p]
+    n = y.shape[0] - 1
+    c_p = chol[:params.p, :params.p]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = y[:-1].T @ y[:-1]
+        cross = y[1:].T @ y[:-1] - gram
+        s1 = c_p @ gram @ c_p.T / n
+        s2 = c_p @ cross @ c_p.T / (eta * n)
+        sq = float(np.sum((c_p @ (np.outer(y[-1], y[-1]) - cross - cross.T)) * c_p))
+    if not (np.isfinite(s1).all() and np.isfinite(s2).all() and math.isfinite(sq)):
+        raise DataError(f"sufficient statistics overflow: the chain's largest state is "
+                        f"{np.abs(y).max():.3g} noise units; rescale the system")
+    return SufficientStats(S1=0.5 * (s1 + s1.T), S2=s2, n=n, eta=eta, sq_increment_sum=sq)
 
 
 def sufficient_stats(traj: Trajectory) -> SufficientStats:

@@ -78,6 +78,11 @@ def test_table_blocks_rejects_a_comment_that_splitlines_would_split(comment):
         table_blocks(["k", "v"], [np.zeros((1, 2))], comments=["ok", comment])
 
 
+def test_table_blocks_rejects_a_comment_that_utf8_cannot_encode():
+    with pytest.raises(ValueError, match="is not UTF-8 text: surrogates not allowed"):
+        table_blocks(["k", "v"], [np.zeros((1, 2))], comments=["ok", "a\ud800"])
+
+
 def test_a_comment_without_a_line_break_reads_as_one_comment_line():
     comments = ["", " ", "a\tb", "#", "k,v", "é\u2027"]
     table = read_table("".join(table_blocks(["k", "v"], [np.ones((1, 2))], comments)))
@@ -107,6 +112,12 @@ def test_write_text_returns_the_digest_of_the_bytes_on_disk(tmp_path, content):
     text = content if isinstance(content, str) else "".join(content)
     assert out.read_bytes() == text.encode("utf-8")
     assert digest == hashlib.sha256(out.read_bytes()).digest()
+
+
+def test_write_text_leaves_no_file_for_a_text_that_utf8_cannot_encode(tmp_path):
+    with pytest.raises(UnicodeEncodeError):
+        write_text(tmp_path / "sub" / "out.csv", "a\ud800")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_read_table_names_the_line_with_the_wrong_field_count():

@@ -1,6 +1,5 @@
 import logging
 import re
-import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +7,8 @@ import pytest
 
 from sparsedyn.errors import ConfigError, ConstructionError, DivergenceError
 from sparsedyn.evaluate import (
+    PROTOCOL_MAX_ITER,
+    PROTOCOL_TOL,
     PhasePoint,
     PhaseResult,
     block_cross_validate,
@@ -19,9 +20,10 @@ from sparsedyn.evaluate import (
     recovery_report,
 )
 from sparsedyn.generate import GenSpec, gen_random_system
-from sparsedyn.model import control_parameter
-from sparsedyn.rng import CounterRng
-from sparsedyn.simulate import Trajectory, simulate_continuous
+from sparsedyn.model import control_parameter, steady_state
+from sparsedyn.rng import CounterRng, derive_seed
+from sparsedyn.simulate import Trajectory, simulate_continuous, sufficient_stats
+from sparsedyn.solver import SolverConfig, fit
 
 
 # ------------------------------------------------------ recovery report
@@ -543,23 +545,62 @@ def test_graph_label_validation():
         export_dependency_graph(np.eye(3), labels=["a", "b"])
 
 
-def test_phase_transition_frees_each_path_before_the_next_trial(monkeypatch):
-    # Only one trial's path is alive at a time: each is reduced to its
-    # statistics and dropped before the next trial samples.
+def test_phase_transition_builds_no_path(monkeypatch):
+    # Each trial reduces its chain in the noise basis: neither the path
+    # sampler nor the path reducer runs.
     import sparsedyn.evaluate as ev_module
 
-    paths = []
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a phase trial built a path")
 
-    def tracked(*args, **kwargs):
-        assert all(path() is None for path in paths)
-        traj = simulate_continuous(*args, **kwargs)
-        paths.append(weakref.ref(traj))
-        return traj
-
-    monkeypatch.setattr(ev_module, "simulate_continuous", tracked)
+    monkeypatch.setattr(ev_module, "simulate_continuous", forbidden)
+    monkeypatch.setattr(ev_module, "sufficient_stats", forbidden)
     base, sweep = _tiny_sweep()
-    phase_transition(base, sweep, trials=2, lambda_rule=(0.6, 0.5), master_seed=7)
-    assert len(paths) == 2 * len(sweep)
+    result = phase_transition(base, sweep, trials=2, lambda_rule=(0.6, 0.5), master_seed=7)
+    assert [row.trials for row in result.rows] == [2, 2]
+
+
+def test_phase_transition_gives_the_rows_and_fits_of_the_path_protocol(monkeypatch):
+    # The documented protocol on whole paths, trial by trial.  No trial of
+    # this ensemble recovers its support, so each fit is compared too: the
+    # same iterations, and estimates equal to rounding.
+    import sparsedyn.evaluate as ev_module
+
+    fits = []
+
+    def recorded(*args, **kwargs):
+        fits.append(fit(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(ev_module, "fit", recorded)
+    base, sweep = _tiny_sweep()
+    trials, (c, d), master_seed = 4, (0.6, 0.5), 7
+    result = phase_transition(base, sweep, trials=trials, lambda_rule=(c, d),
+                              master_seed=master_seed)
+    rows, mirror = [], []
+    for g, point in enumerate(sweep):
+        eta, n = point["eta"], point["n"]
+        lam_a, lam_l = lambda_pair_from_constants(c, d, base.p, base.r, base.s, eta, n)
+        config = SolverConfig(lambda_a=lam_a, lambda_l=lam_l, max_iter=PROTOCOL_MAX_ITER,
+                              tol=PROTOCOL_TOL)
+        successes = 0
+        for t in range(trials):
+            seed = derive_seed(master_seed, g, t)
+            system = gen_random_system(replace(base, seed=seed))
+            stats = sufficient_stats(simulate_continuous(system, eta=eta, n=n, mode="binned",
+                                                         bins=10, seed=derive_seed(seed, 1)))
+            est = fit(stats, stats.sq_increment_sum, config)
+            mirror.append(est)
+            report = recovery_report(est.Ahat, system.A, est.Lhat, steady_state(system).L)
+            successes += int(report.signed_match)
+        rows.append(PhasePoint(p=base.p, r=base.r, s=base.s, eta=eta, n=n,
+                               theta=control_parameter(eta, n, base.s, base.r, base.p),
+                               trials=trials, successes=successes))
+    assert result.rows == rows
+    assert [est.iterations for est in fits] == [est.iterations for est in mirror]
+    for est, ref in zip(fits, mirror, strict=True):
+        for got, want in ((est.Ahat, ref.Ahat), (est.Lhat, ref.Lhat)):
+            assert np.max(np.abs(got - want)) <= 1e-6 * max(1.0, np.max(np.abs(want)))
 
 
 def test_phase_transition_counts_a_diverged_fit_as_a_failure(monkeypatch):

@@ -90,8 +90,8 @@ MODULE_ALL = {
     "sparsedyn.simulate": ["SufficientStats", "Trajectory", "binned_increment_covariance",
                            "exact_increment_covariance", "load_trajectory", "merge_stats",
                            "save_trajectory", "simulate_continuous", "simulate_discrete",
-                           "sufficient_stats", "trajectory_blocks", "trajectory_from_csv",
-                           "trajectory_to_csv"],
+                           "simulate_stats", "sufficient_stats", "trajectory_blocks",
+                           "trajectory_from_csv", "trajectory_to_csv"],
     "sparsedyn.solver": ["Estimate", "SolverConfig", "estimate_from_json", "estimate_to_json",
                          "fit", "objective", "smooth_gradient"],
 }
@@ -151,6 +151,7 @@ OPTIONS = {
     "sparsedyn.simulate.simulate_continuous": {
         "mode": "'binned'", "bins": "10", "seed": "0", "noise": "None", "init": "'zero'"},
     "sparsedyn.simulate.simulate_discrete": {"seed": "0", "noise": "None", "init": "'zero'"},
+    "sparsedyn.simulate.simulate_stats": {"mode": "'binned'", "bins": "10", "seed": "0"},
     "sparsedyn.simulate.save_trajectory": {"comments": "None"},
     "sparsedyn.simulate.trajectory_blocks": {"comments": "None"},
     "sparsedyn.simulate.trajectory_to_csv": {"comments": "None"},

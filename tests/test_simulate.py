@@ -36,6 +36,7 @@ from sparsedyn.simulate import (
     save_trajectory,
     simulate_continuous,
     simulate_discrete,
+    simulate_stats,
     sufficient_stats,
     trajectory_blocks,
     trajectory_from_csv,
@@ -512,6 +513,11 @@ def _continuous(**kw):
     (lambda: binned_increment_covariance(-np.eye(2), 0.1, 2.5), "bins must be an integer, got 2.5"),
     (lambda: simulate_continuous(_scalar_params(eta=0.0), eta=0.0, n=4),
      "eta must be finite and positive, got 0.0"),
+    (lambda: simulate_stats(_scalar_params(eta=0.0), eta=0.1, n=0), "n must be at least 1, got 0"),
+    (lambda: simulate_stats(_scalar_params(eta=0.0), eta=0.1, n=4, mode="euler"),
+     "unknown mode 'euler' (expected 'exact' or 'binned')"),
+    (lambda: simulate_stats(_scalar_params(), eta=0.1, n=4),
+     "continuous simulation needs params.eta = 0, got 0.1"),
     (lambda: Trajectory(x=np.zeros((3, 2)), eta="0.1"), "eta must be a real number, got '0.1'"),
     # A NaN eta was named as a non-finite matrix_exponential input, an
     # infinite one warned of an invalid value, and -0.5 returned a matrix.
@@ -534,12 +540,35 @@ def _continuous(**kw):
         "discrete-n-str", "discrete-seed-float", "discrete-seed-bool", "discrete-seed-str", "continuous-n-float", "continuous-n-bool",
         "continuous-n-str", "continuous-bins-float", "continuous-bins-bool", "continuous-bins-str",
         "continuous-seed-float", "continuous-seed-bool", "continuous-seed-str", "binned-bins-float",
-        "continuous-eta-0", "trajectory-eta-str", "exact-eta-nan", "exact-eta-negative",
+        "continuous-eta-0", "stats-n", "stats-mode", "stats-discrete", "trajectory-eta-str", "exact-eta-nan", "exact-eta-negative",
         "binned-eta-nan", "binned-eta-inf", "trajectory-horizon-inf",
         "trajectory-horizon-inf-numpy"])
 def test_sampler_and_reduction_checks_name_the_bad_input(call, message):
     with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("eta", [0.001, 0.05, 0.5])
+@pytest.mark.parametrize("mode", ["binned", "exact"])
+@pytest.mark.parametrize("r", [0, 2])
+def test_simulate_stats_are_the_statistics_of_the_path(r, mode, eta):
+    # The chain reduced in its noise basis against the path reduced as it
+    # is: the same normals, so the same statistics up to rounding, which
+    # grows like 1e-16 / eta; the bound was fixed before the first run.
+    params = gen_random_system(GenSpec(p=6, r=r, s=2, seed=31 + r))
+    want = sufficient_stats(simulate_continuous(params, eta=eta, n=3000, mode=mode, seed=5))
+    got = simulate_stats(params, eta=eta, n=3000, mode=mode, seed=5)
+    assert (got.n, got.eta) == (want.n, want.eta)
+    for a, b in ((got.S1, want.S1), (got.S2, want.S2)):
+        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+    assert abs(got.sq_increment_sum - want.sq_increment_sum) <= 1e-10 * want.sq_increment_sum
+    assert np.array_equal(got.S1, got.S1.T)
+
+
+def test_simulate_stats_refuses_a_count_numpy_cannot_allocate():
+    params = gen_random_system(GenSpec(p=4, r=2, s=1, seed=3))
+    with pytest.raises(ConstructionError, match="more than numpy can allocate"):
+        simulate_stats(params, eta=1e-300, n=10**300)
 
 
 def test_samplers_take_numpy_integer_counts():
@@ -772,6 +801,14 @@ def test_a_comment_with_a_line_break_leaves_no_file(tmp_path, comment):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_comment_that_utf8_cannot_encode_leaves_no_file(tmp_path):
+    # The CSV was opened before its first block was encoded, and stayed 0 bytes.
+    csv = tmp_path / "traj.csv"
+    with pytest.raises(ValueError, match="is not UTF-8 text"):
+        save_trajectory(csv, Trajectory(x=np.zeros((3, 1)), eta=0.1), comments=["\ud800"])
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_simulate_into_a_pipe_writes_no_sidecar(tmp_path):
     # A pipe cannot be read back, so no copy may claim to match it.
@@ -967,6 +1004,21 @@ def test_sufficient_stats_peak_is_bounded_by_the_state_array():
     # array made this 2.9x).
     _, stats_peak, state_bytes = _traced_peaks()
     assert stats_peak <= 2.1 * state_bytes
+
+
+def test_simulate_stats_peak_is_the_state_array():
+    # No increment buffer and no increment temporary: the scan array and
+    # a few p x p matrices (the path and then its statistics peaked at 2.1x).
+    params = gen_random_system(GenSpec(p=40, r=2, s=3, seed=7))
+    n = 20000
+    simulate_stats(params, eta=0.05, n=2)  # scipy and the BLAS loaded before tracing
+    tracemalloc.start()
+    try:
+        simulate_stats(params, eta=0.05, n=n, seed=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * (n + 1) * 42 * 8
 
 
 def test_cli_simulate_peak_is_bounded_by_the_state_array(tmp_path):
